@@ -25,13 +25,7 @@ from .encoder import (
     Reference,
     encode_corpus,
 )
-from .errors import (
-    BadClassLevelError,
-    BadConfigError,
-    BadReferenceError,
-    NoTestStepsError,
-    SymcastError,
-)
+from .errors import BadConfigError, BadReferenceError, SymcastError
 from .ingest import Corpus, read_numeric_series, read_text_corpus
 from .learner import ADDITIVE_SUBTRACTIVE, MULTIPLICATIVE_DIVISIVE, LearnerConfig
 from .pipeline import (
@@ -44,22 +38,22 @@ from .pipeline import (
     write_trace,
 )
 
-_CONFIG_ERRORS = (BadConfigError, BadClassLevelError, BadReferenceError)
+_CONFIG_ERRORS = (BadConfigError, BadReferenceError)
 
 
 @dataclass
 class Settings:
-    """Merged view of all tunable parameters."""
+    """Merged view of all tunable parameters; the defaults are the configs'."""
 
-    class_level: int = 5
+    class_level: int = LearnerConfig.class_level
     reference: Reference = "last"
-    train_fraction: float = 0.35
-    population: int = 1000
-    max_adjust: float = 2.0
-    rule: str = ADDITIVE_SUBTRACTIVE
-    lp: float = 0.0
-    k_winners: int = 1
-    freeze_after_train: bool = False
+    train_fraction: float = RunConfig.train_fraction
+    population: int = LearnerConfig.population_size
+    max_adjust: float = LearnerConfig.max_deviant_adjust
+    rule: str = LearnerConfig.rule_mode
+    lp: float = LearnerConfig.bias
+    k_winners: int = LearnerConfig.k_winners
+    freeze_after_train: bool = RunConfig.freeze_after_train
 
     def learner_config(self) -> LearnerConfig:
         return LearnerConfig(
@@ -79,13 +73,6 @@ class Settings:
         )
 
 
-def _parse_class_level(text: str) -> int:
-    value = int(text)
-    if not (MIN_CLASS_LEVEL <= value <= MAX_CLASS_LEVEL):
-        raise ValueError(f"class level must be in [{MIN_CLASS_LEVEL}, {MAX_CLASS_LEVEL}], got {value}")
-    return value
-
-
 def _parse_reference(text: str) -> Reference:
     if text in ("last", "first"):
         return text
@@ -98,46 +85,6 @@ def _parse_reference(text: str) -> Reference:
     return row - 1  # row numbers are 1-based on the command line
 
 
-def _parse_train_fraction(text: str) -> float:
-    value = float(text)
-    if not (0.0 < value < 1.0):
-        raise ValueError(f"train fraction must be in (0, 1), got {value}")
-    return value
-
-
-def _parse_population(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"population must be >= 1, got {value}")
-    return value
-
-
-def _parse_max_adjust(text: str) -> float:
-    value = float(text)
-    if not (value > 0):
-        raise ValueError(f"max adjust must be > 0, got {value}")
-    return value
-
-
-def _parse_rule(text: str) -> str:
-    if text not in (ADDITIVE_SUBTRACTIVE, MULTIPLICATIVE_DIVISIVE):
-        raise ValueError(
-            f"rule must be {ADDITIVE_SUBTRACTIVE} or {MULTIPLICATIVE_DIVISIVE}, got {text!r}"
-        )
-    return text
-
-
-def _parse_lp(text: str) -> float:
-    return float(text)
-
-
-def _parse_k_winners(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"k winners must be >= 1, got {value}")
-    return value
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("true", "yes", "1"):
@@ -147,17 +94,25 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-# field name -> (flag spelling, parser)
+# field name -> (flag spelling, type conversion); ranges are checked by the configs
 _FIELDS = {
-    "class_level": ("--class-level", _parse_class_level),
+    "class_level": ("--class-level", int),
     "reference": ("--reference", _parse_reference),
-    "train_fraction": ("--train-fraction", _parse_train_fraction),
-    "population": ("--population", _parse_population),
-    "max_adjust": ("--max-adjust", _parse_max_adjust),
-    "rule": ("--rule", _parse_rule),
-    "lp": ("--lp", _parse_lp),
-    "k_winners": ("--k-winners", _parse_k_winners),
+    "train_fraction": ("--train-fraction", float),
+    "population": ("--population", int),
+    "max_adjust": ("--max-adjust", float),
+    "rule": ("--rule", str),
+    "lp": ("--lp", float),
+    "k_winners": ("--k-winners", int),
     "freeze_after_train": ("--freeze-after-train", _parse_bool),
+}
+
+# LearnerConfig field name -> Settings field name, where the two differ
+_SETTING_NAMES = {
+    "population_size": "population",
+    "max_deviant_adjust": "max_adjust",
+    "rule_mode": "rule",
+    "bias": "lp",
 }
 
 
@@ -190,6 +145,7 @@ def _merge_settings(args: argparse.Namespace) -> Settings:
         file_entries = _read_config_file(args.config)
 
     settings = Settings()
+    sources: dict[str, str] = {}
     for name, (flag, parser) in _FIELDS.items():
         flag_value = getattr(args, name, None)
         if flag_value is not None:
@@ -199,16 +155,17 @@ def _merge_settings(args: argparse.Namespace) -> Settings:
             source = f"config file {args.config} line {line_number}"
         else:
             continue
+        sources[name] = source
         try:
             setattr(settings, name, parser(raw))
         except ValueError as exc:
             raise BadConfigError(name, f"{exc} (from {source})") from None
 
-    if settings.k_winners > settings.population:
-        raise BadConfigError(
-            "k_winners",
-            f"must be <= population ({settings.population}), got {settings.k_winners}",
-        )
+    try:
+        settings.run_config().validate()
+    except BadConfigError as exc:
+        name = _SETTING_NAMES.get(exc.field, exc.field)
+        raise BadConfigError(name, f"{exc.reason} (from {sources[name]})") from None
     return settings
 
 
@@ -349,22 +306,20 @@ def cmd_report(args: argparse.Namespace) -> int:
         with open(args.input, "r", encoding="utf-8") as handle:
             trace = read_trace(handle)
 
-    series = [f"{value:.6f}" for value in trace.cumulative_mape]
-    if not series:
-        raise NoTestStepsError("trace has no test steps to report")
+    _, series = mape(trace)
 
     stream, close = _open_out(args.out)
     try:
         stream.write("test_step,cumulative_mape\n")
         for step, value in enumerate(series, start=1):
-            stream.write(f"{step},{value}\n")
+            stream.write(f"{step},{value:.6f}\n")
     finally:
         if close:
             stream.close()
 
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(_render_error_series_svg(trace.cumulative_mape))
+            handle.write(_render_error_series_svg(series))
     return 0
 
 

@@ -165,12 +165,17 @@ def swap_match(matrix: SymbolMatrix, reference: Reference = "last") -> list[Matc
     ]
 
 
-def class_encode(scores: Sequence[MatchScore], class_level: int) -> ClassSequence:
-    """Map match scales onto integer classes via floor(class_level ** scale)."""
+def check_class_level(class_level: int) -> None:
+    """The one range rule for class_level; raises BadClassLevelError."""
     if not (MIN_CLASS_LEVEL <= class_level <= MAX_CLASS_LEVEL):
         raise BadClassLevelError(
-            f"class_level must be in [{MIN_CLASS_LEVEL}, {MAX_CLASS_LEVEL}], got {class_level}"
+            f"class level must be in [{MIN_CLASS_LEVEL}, {MAX_CLASS_LEVEL}], got {class_level}"
         )
+
+
+def class_encode(scores: Sequence[MatchScore], class_level: int) -> ClassSequence:
+    """Map match scales onto integer classes via floor(class_level ** scale)."""
+    check_class_level(class_level)
     if len(scores) == 0:
         raise ValueError("scores is empty")
     classes = tuple(

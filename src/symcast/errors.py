@@ -21,10 +21,6 @@ class BadReferenceError(SymcastError):
     """The reference-row selector does not resolve to a corpus row."""
 
 
-class BadClassLevelError(SymcastError):
-    """class_level is outside the supported range [2, 10]."""
-
-
 class LengthMismatchError(SymcastError):
     """Corpus and class sequence have different lengths."""
 
@@ -40,9 +36,17 @@ class BadClassError(SymcastError):
 class BadConfigError(SymcastError):
     """A configuration field failed validation."""
 
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field}: {reason}")
         self.field = field
+        self.reason = reason
+
+
+class BadClassLevelError(BadConfigError):
+    """class_level is outside the supported range [2, 10]."""
+
+    def __init__(self, reason: str):
+        super().__init__("class_level", reason)
 
 
 class DegenerateDivisiveError(SymcastError):

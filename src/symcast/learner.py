@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .encoder import check_class_level
 from .errors import BadConfigError, DegenerateDivisiveError
 
 ADDITIVE_SUBTRACTIVE = "addsub"
@@ -41,12 +42,14 @@ class LearnerConfig:
     def validate(self) -> None:
         if self.population_size < 1:
             raise BadConfigError("population_size", f"must be >= 1, got {self.population_size}")
-        if not (self.max_deviant_adjust > 0):
+        if not (0 < self.max_deviant_adjust < math.inf):
             raise BadConfigError(
-                "max_deviant_adjust", f"must be > 0, got {self.max_deviant_adjust}"
+                "max_deviant_adjust", f"must be finite and > 0, got {self.max_deviant_adjust}"
             )
         if self.rule_mode not in RULE_MODES:
             raise BadConfigError("rule_mode", f"must be one of {RULE_MODES}, got {self.rule_mode!r}")
+        if not math.isfinite(self.bias):
+            raise BadConfigError("bias", f"must be finite, got {self.bias}")
         if self.k_winners < 1:
             raise BadConfigError("k_winners", f"must be >= 1, got {self.k_winners}")
         if self.k_winners > self.population_size:
@@ -54,8 +57,7 @@ class LearnerConfig:
                 "k_winners",
                 f"must be <= population_size ({self.population_size}), got {self.k_winners}",
             )
-        if self.class_level < 1:
-            raise BadConfigError("class_level", f"must be >= 1, got {self.class_level}")
+        check_class_level(self.class_level)
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,16 @@ from its predecessor, then observed, and (unless frozen) the learner
 updates immediately. Learning never stops at the train/test split; the
 split only marks where test-error accounting begins. Errors are tracked
 as a running mean absolute percentage error over the test steps, computed
-on the integer classes.
+on the integer classes by the same loop that walks the steps and stored
+in the trace. The persistence baseline walks the same loop with a learner
+that never learns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from dataclasses import dataclass, field, replace
+from typing import Iterable, TextIO
 
 from .encoder import ClassSequence, SensorMemory, decode_class
 from .errors import BadConfigError, NoTestStepsError, TooShortError, TraceFormatError
@@ -32,6 +34,11 @@ class RunConfig:
     train_fraction: float = 0.35
     learner: LearnerConfig = field(default_factory=LearnerConfig)
     freeze_after_train: bool = False
+
+    def validate(self) -> None:
+        if not (0.0 < self.train_fraction < 1.0):
+            raise BadConfigError("train_fraction", f"must be in (0, 1), got {self.train_fraction}")
+        self.learner.validate()
 
 
 @dataclass(frozen=True)
@@ -70,21 +77,60 @@ class DecodedStep:
 
 
 def split_index(sequence_length: int, train_fraction: float) -> int:
-    """Number of leading elements that belong to the train phase."""
+    """Number of leading elements that belong to the train phase.
+
+    train_fraction is one that RunConfig.validate accepts.
+    """
     if sequence_length < 2:
         raise TooShortError(f"need at least 2 elements, got {sequence_length}")
-    if not (0.0 < train_fraction < 1.0):
-        raise BadConfigError("train_fraction", f"must be in (0, 1), got {train_fraction}")
     return max(1, math.floor(train_fraction * sequence_length))
 
 
-def _running_mape(test_steps: Sequence[StepRecord]) -> tuple[float, ...]:
+def _walk(classes: ClassSequence, config: RunConfig, learning: bool) -> PredictionTrace:
+    """Predict each element from its predecessor; update the learner while learning.
+
+    The running test MAPE is accumulated here, step by step, and stored
+    in the trace. Expected classes are always >= 1, so each ratio is
+    defined.
+    """
+    config = replace(config, learner=with_class_level(config.learner, classes.class_level))
+    config.validate()
+    length = len(classes)
+    split = split_index(length, config.train_fraction)
+    learner = Learner(config.learner)
+
+    steps = []
     series = []
     ratio_sum = 0.0
-    for count, step in enumerate(test_steps, start=1):
-        ratio_sum += step.abs_error / step.expected_class
-        series.append(100.0 * ratio_sum / count)
-    return tuple(series)
+    for index in range(1, length):
+        previous = classes.classes[index - 1]
+        expected = classes.classes[index]
+        phase = TRAIN if index < split else TEST
+
+        if learning and not (config.freeze_after_train and phase == TEST):
+            outcome = learner.learn_step(previous, expected)
+            raw, predicted = outcome.raw_prediction, outcome.predicted_class
+        else:
+            raw, predicted = learner.predict_next(previous)
+
+        abs_error = abs(predicted - expected)
+        steps.append(
+            StepRecord(
+                index=index,
+                phase=phase,
+                previous_class=previous,
+                raw_prediction=raw,
+                predicted_class=predicted,
+                expected_class=expected,
+                abs_error=abs_error,
+                deviant_mean_after=learner.deviant_mean,
+            )
+        )
+        if phase == TEST:
+            ratio_sum += abs_error / expected
+            series.append(100.0 * ratio_sum / (len(series) + 1))
+
+    return PredictionTrace(steps=tuple(steps), cumulative_mape=tuple(series))
 
 
 def run_continual(classes: ClassSequence, config: RunConfig) -> PredictionTrace:
@@ -94,77 +140,23 @@ def run_continual(classes: ClassSequence, config: RunConfig) -> PredictionTrace:
     With freeze_after_train=True the learner stops updating once the test
     phase begins (ablation mode); by default learning is continual.
     """
-    length = len(classes)
-    split = split_index(length, config.train_fraction)
-    learner = Learner(with_class_level(config.learner, classes.class_level))
-
-    steps = []
-    for index in range(1, length):
-        previous = classes.classes[index - 1]
-        expected = classes.classes[index]
-        phase = TRAIN if index < split else TEST
-
-        if config.freeze_after_train and phase == TEST:
-            raw, predicted = learner.predict_next(previous)
-        else:
-            outcome = learner.learn_step(previous, expected)
-            raw, predicted = outcome.raw_prediction, outcome.predicted_class
-
-        steps.append(
-            StepRecord(
-                index=index,
-                phase=phase,
-                previous_class=previous,
-                raw_prediction=raw,
-                predicted_class=predicted,
-                expected_class=expected,
-                abs_error=abs(predicted - expected),
-                deviant_mean_after=learner.deviant_mean,
-            )
-        )
-
-    trace = tuple(steps)
-    series = _running_mape([step for step in trace if step.phase == TEST])
-    return PredictionTrace(steps=trace, cumulative_mape=series)
+    return _walk(classes, config, learning=True)
 
 
 def baseline_persistence(classes: ClassSequence, config: RunConfig) -> PredictionTrace:
-    """Naive baseline: predict each element as its predecessor."""
-    length = len(classes)
-    split = split_index(length, config.train_fraction)
+    """Naive baseline: predict each element as its predecessor.
 
-    steps = []
-    for index in range(1, length):
-        previous = classes.classes[index - 1]
-        expected = classes.classes[index]
-        steps.append(
-            StepRecord(
-                index=index,
-                phase=TRAIN if index < split else TEST,
-                previous_class=previous,
-                raw_prediction=float(previous),
-                predicted_class=previous,
-                expected_class=expected,
-                abs_error=abs(previous - expected),
-                deviant_mean_after=0.0,
-            )
-        )
-
-    trace = tuple(steps)
-    series = _running_mape([step for step in trace if step.phase == TEST])
-    return PredictionTrace(steps=trace, cumulative_mape=series)
+    It is the same walk with a learner that never learns: at deviant mean
+    0.0 the raw prediction is the previous class and the mean stays 0.0.
+    """
+    return _walk(classes, config, learning=False)
 
 
 def mape(trace: PredictionTrace) -> tuple[float, tuple[float, ...]]:
-    """Final and per-step running test MAPE, in percent.
-
-    Expected classes are always >= 1, so the ratio is always defined.
-    """
-    test_steps = trace.test_steps()
-    if not test_steps:
+    """Final and per-step running test MAPE, in percent, as stored in the trace."""
+    if not trace.cumulative_mape:
         raise NoTestStepsError("trace has no test steps")
-    series = _running_mape(test_steps)
-    return series[-1], series
+    return trace.cumulative_mape[-1], trace.cumulative_mape
 
 
 def decode_trace(trace: PredictionTrace, memory: SensorMemory) -> list[DecodedStep]:

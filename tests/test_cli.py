@@ -233,6 +233,17 @@ class TestPredict:
         )
         assert code == 2
         assert "k_winners" in err
+        assert "flag --k-winners" in err
+
+    @pytest.mark.parametrize("flag,value", [("--lp", "inf"), ("--lp", "nan"), ("--max-adjust", "inf")])
+    @pytest.mark.parametrize("input_exists", [True, False])
+    def test_non_finite_setting_is_a_config_error(
+        self, carbus_file, tmp_path, capsys, flag, value, input_exists
+    ):
+        source = carbus_file if input_exists else tmp_path / "absent.txt"
+        code, _, err = run(["predict", "--input", str(source), flag, value], capsys)
+        assert code == 2
+        assert f"flag {flag}" in err
 
     def test_two_row_corpus_still_runs(self, tmp_path, capsys):
         path = tmp_path / "two.txt"

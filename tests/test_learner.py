@@ -1,5 +1,7 @@
 """Tests for the deviant-mean learner and its update rules."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -74,6 +76,11 @@ class TestConfigValidation:
             (dict(k_winners=0), "k_winners"),
             (dict(population_size=10, k_winners=11), "k_winners"),
             (dict(class_level=0), "class_level"),
+            (dict(max_deviant_adjust=math.inf), "max_deviant_adjust"),
+            (dict(max_deviant_adjust=math.nan), "max_deviant_adjust"),
+            (dict(bias=math.inf), "bias"),
+            (dict(bias=-math.inf), "bias"),
+            (dict(bias=math.nan), "bias"),
         ],
     )
     def test_bad_field_is_named(self, kwargs, field):

@@ -69,8 +69,12 @@ class TestSplitIndex:
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 1.5])
     def test_fraction_bounds(self, fraction):
+        # the split's fraction rule lives in RunConfig.validate
+        with pytest.raises(BadConfigError) as info:
+            RunConfig(train_fraction=fraction).validate()
+        assert info.value.field == "train_fraction"
         with pytest.raises(BadConfigError):
-            split_index(10, fraction)
+            run_continual(sequence([1, 2, 3]), RunConfig(train_fraction=fraction))
 
     @given(
         length=st.integers(min_value=2, max_value=10_000),
@@ -184,10 +188,8 @@ class TestMape:
         assert series == (80.0,)
 
     def test_running_mean_over_two_steps(self):
-        trace = PredictionTrace(
-            steps=(make_step(1, TEST, 5, 5), make_step(2, TEST, 1, 5)),
-            cumulative_mape=(),
-        )
+        # both steps are test steps, with errors 0/1 and 4/5
+        trace = baseline_persistence(sequence([1, 1, 5]), RunConfig())
         final, series = mape(trace)
         assert series == (0.0, 40.0)
         assert final == 40.0
@@ -225,6 +227,39 @@ class TestBaselinePersistence:
         learned = run_continual(carbus_encoded.classes, config)
         baseline = baseline_persistence(carbus_encoded.classes, config)
         assert [s.phase for s in learned.steps] == [s.phase for s in baseline.steps]
+
+
+@st.composite
+def runs(draw):
+    level = draw(st.integers(min_value=2, max_value=10))
+    values = draw(st.lists(st.integers(min_value=1, max_value=level), min_size=2, max_size=40))
+    config = RunConfig(
+        train_fraction=draw(st.floats(min_value=0.01, max_value=0.99)),
+        freeze_after_train=draw(st.booleans()),
+    )
+    return sequence(values, level), config
+
+
+class TestStepLoopOracle:
+    """Both walks against a naive recomputation of what they store."""
+
+    @given(run=runs())
+    def test_stored_mape_is_the_naive_running_mean(self, run):
+        classes, config = run
+        for trace in (run_continual(classes, config), baseline_persistence(classes, config)):
+            ratios = [s.abs_error / s.expected_class for s in trace.test_steps()]
+            naive = tuple(
+                100.0 * sum(ratios[:count]) / count for count in range(1, len(ratios) + 1)
+            )
+            assert trace.cumulative_mape == naive
+
+    @given(run=runs())
+    def test_baseline_rows_repeat_the_previous_class(self, run):
+        classes, config = run
+        for step in baseline_persistence(classes, config).steps:
+            assert step.predicted_class == step.previous_class
+            assert step.raw_prediction == float(step.previous_class)
+            assert step.deviant_mean_after == 0.0
 
 
 class TestDecodeTrace:
