@@ -32,6 +32,7 @@ from .pipeline import (
     RunConfig,
     baseline_persistence,
     decode_trace,
+    format_real,
     mape,
     read_trace,
     run_continual,
@@ -235,7 +236,7 @@ def _summary_lines(trace, baseline=None) -> list[str]:
         lines.append(f"exact_test_matches_by_class: {breakdown}")
     final_mape, _ = mape(trace)
     lines.append(f"final_mape_percent: {final_mape:.6f}")
-    lines.append(f"final_deviant_mean: {trace.steps[-1].deviant_mean_after:.6f}")
+    lines.append(f"final_deviant_mean: {format_real(trace.steps[-1].deviant_mean_after)}")
     if baseline is not None:
         baseline_mape, _ = mape(baseline)
         lines.append(f"baseline_final_mape_percent: {baseline_mape:.6f}")

@@ -53,6 +53,15 @@ class DegenerateDivisiveError(SymcastError):
     """The divisive/multiplicative rule hit a zero product and cannot proceed."""
 
 
+class NonFiniteStateError(SymcastError):
+    """A learner step drove the deviant mean to infinity or NaN."""
+
+    def __init__(self, step: int, deviant_mean: float):
+        super().__init__(f"learner step {step}: deviant mean became {deviant_mean}")
+        self.step = step
+        self.deviant_mean = deviant_mean
+
+
 class TooShortError(SymcastError):
     """The sequence is too short to split into train and test parts."""
 

@@ -13,17 +13,23 @@ Two rule modes exist: additive-subtractive (mean +/- grid point) and
 multiplicative-divisive (mean * grid point, or its reciprocal when
 weakening). The divisive form is undefined at a zero mean; that step
 falls back to the additive-subtractive rule and is flagged.
+
+Learner.learn_step finds the winners without building the population;
+adjust_candidates and select_winners build and sort all of it, and are
+the reference its tests compare against.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .encoder import check_class_level
-from .errors import BadConfigError, DegenerateDivisiveError
+from .errors import BadConfigError, DegenerateDivisiveError, NonFiniteStateError
 
 ADDITIVE_SUBTRACTIVE = "addsub"
 MULTIPLICATIVE_DIVISIVE = "muldiv"
@@ -157,9 +163,6 @@ class Learner:
         config.validate()
         self.config = config
         self.deviant_mean = 0.0
-        self.adjustment_grid = make_adjustment_grid(
-            config.population_size, config.max_deviant_adjust
-        )
         self.steps_seen = 0
 
     def predict_next(self, current_value: int) -> tuple[float, int]:
@@ -178,7 +181,8 @@ class Learner:
 
         The mismatch is the raw (real-valued) prediction minus the observed
         value; rounding it first would hide most mismatches and stall
-        learning.
+        learning. Raises NonFiniteStateError when the update leaves the
+        mean infinite or NaN.
         """
         raw, predicted_class = self.predict_next(previous_value)
         signed_diff = raw - expected
@@ -188,27 +192,25 @@ class Learner:
             self.apply_bias()
             winners: tuple[float, ...] = ()
         else:
-            try:
-                candidates = adjust_candidates(
-                    self.deviant_mean, self.adjustment_grid, signed_diff,
-                    self.config.rule_mode,
-                )
-            except DegenerateDivisiveError:
-                candidates = adjust_candidates(
-                    self.deviant_mean, self.adjustment_grid, signed_diff,
-                    ADDITIVE_SUBTRACTIVE,
-                )
+            config = self.config
+            rule_mode = config.rule_mode
+            # |grid[i]| >= grid[0], so a product is zero only if the first one is
+            if rule_mode == MULTIPLICATIVE_DIVISIVE and (
+                self.deviant_mean * (config.max_deviant_adjust * (1 / config.population_size))
+                == 0.0
+            ):
+                rule_mode = ADDITIVE_SUBTRACTIVE
                 used_fallback = True
-            selected = select_winners(
-                candidates, previous_value, expected, self.config.k_winners
-            )
-            winners = tuple(float(value) for value in selected)
-            if self.config.k_winners == 1:
+            winners = self._nearest_candidates(previous_value, expected, signed_diff, rule_mode)
+            if len(winners) == 1:
                 self.deviant_mean = winners[0]
             else:
-                self.deviant_mean = float(selected.mean())
+                with np.errstate(over="ignore"):  # an overflow raises below
+                    self.deviant_mean = float(np.mean(winners))
 
         self.steps_seen += 1
+        if not math.isfinite(self.deviant_mean):
+            raise NonFiniteStateError(self.steps_seen, self.deviant_mean)
         return StepOutcome(
             raw_prediction=raw,
             predicted_class=predicted_class,
@@ -218,6 +220,112 @@ class Learner:
             new_deviant_mean=self.deviant_mean,
             used_fallback=used_fallback,
         )
+
+    def _nearest_candidates(
+        self, previous_value: int, expected: int, signed_diff: float, rule_mode: str
+    ) -> tuple[float, ...]:
+        """select_winners(adjust_candidates(...)) without building either array.
+
+        Needs a finite mean and, under MULTIPLICATIVE_DIVISIVE, no zero
+        product. Grid point i is computed as make_adjustment_grid computes
+        it, and candidate i moves one way along the grid, so the signed
+        residual (previous + candidate - expected) and the candidate itself
+        are monotone in i. The key's parts, residual then |candidate|, thus
+        fall and then rise along the grid (a weak "V"), and each run of
+        ties in a part is contiguous. ``_ranked`` bisects for the bottom of
+        a part's V and walks outwards, taking at each turn the tied run at
+        the lower of its two fronts; a run longer than the winners still
+        needed is ranked by the next part the same way, and a run tied on
+        both parts by grid index. That costs O(log P + k) candidate
+        evaluations for k winners out of P, O(k log P) at worst.
+        """
+        deviant_mean = self.deviant_mean
+        population_size = self.config.population_size
+        max_deviant_adjust = self.config.max_deviant_adjust
+        weakening = signed_diff > 0
+        if rule_mode == ADDITIVE_SUBTRACTIVE:
+            rising = not weakening  # whether candidates grow with the index
+
+            def candidate(index: int) -> float:
+                step = max_deviant_adjust * ((index + 1) / population_size)
+                return deviant_mean - step if weakening else deviant_mean + step
+        else:
+            rising = weakening == (deviant_mean < 0)
+
+            def candidate(index: int) -> float:
+                product = deviant_mean * (max_deviant_adjust * ((index + 1) / population_size))
+                return 1.0 / product if weakening else product
+
+        def residual(index: int) -> float:
+            return (previous_value + candidate(index)) - expected
+
+        def key(index: int) -> tuple[float, float, int]:
+            value = candidate(index)
+            return abs((previous_value + value) - expected), abs(value), index
+
+        winners = _ranked(
+            0, population_size, self.config.k_winners, (residual, candidate), key, rising
+        )
+        return tuple(map(candidate, winners))
+
+
+def _ranked(
+    start: int,
+    stop: int,
+    count: int,
+    signed_parts: tuple[Callable[[int], float], ...],
+    key: Callable[[int], tuple],
+    rising: bool,
+) -> list[int]:
+    """The first count indices of [start, stop) in key order.
+
+    key(i) is (|f(i)| for each signed function f of the step, then i).
+    The indices in [start, stop) tie on the parts before those of
+    signed_parts, the functions still to rank by; each of them rises
+    with the index if rising and falls otherwise.
+    """
+    if stop - start <= count:
+        return sorted(range(start, stop), key=key)
+    if not signed_parts:
+        return list(range(start, start + count))
+    signed, later_parts = signed_parts[0], signed_parts[1:]
+
+    def size(index: int) -> float:
+        return abs(signed(index))
+
+    def far_side(index: int) -> bool:
+        return (signed(index) >= 0) == rising
+
+    bottom = start + bisect.bisect_left(range(start, stop), True, key=far_side)
+    left, right = bottom - 1, bottom  # the next index on each side of the V
+    left_size = size(left) if left >= start else math.inf
+    right_size = size(right) if right < stop else math.inf
+    order: list[int] = []
+    while len(order) < count and (left >= start or right < stop):
+        lowest = min(left_size, right_size)
+        needed = count - len(order)
+        tied: list[int] = []
+        if left >= start and left_size == lowest:
+            edge = left
+            if left > start and size(left - 1) == lowest:  # a longer run of ties
+                edge = start + bisect.bisect_left(
+                    range(start, left), True, key=lambda index: size(index) == lowest
+                )
+            tied = _ranked(edge, left + 1, needed, later_parts, key, rising)
+            left = edge - 1
+            left_size = size(left) if left >= start else math.inf
+        if right < stop and right_size == lowest:
+            edge = right
+            if right + 1 < stop and size(right + 1) == lowest:
+                edge = right + bisect.bisect_left(
+                    range(right + 1, stop), True, key=lambda index: size(index) != lowest
+                )
+            run = _ranked(right, edge + 1, needed, later_parts, key, rising)
+            tied = sorted(tied + run, key=key) if tied else run
+            right = edge + 1
+            right_size = size(right) if right < stop else math.inf
+        order += tied[:needed]
+    return order
 
 
 def with_class_level(config: LearnerConfig, class_level: int) -> LearnerConfig:

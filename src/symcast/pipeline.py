@@ -178,8 +178,16 @@ def decode_trace(trace: PredictionTrace, memory: SensorMemory) -> list[DecodedSt
     return decoded
 
 
+def format_real(value: float) -> str:
+    """Six decimal places, or six significant decimals in exponent form from 1e15 up.
+
+    Fixed point would spell out every integer digit of a huge value.
+    """
+    return f"{value:.6f}" if abs(value) < 1e15 else f"{value:.6e}"
+
+
 def write_trace(trace: PredictionTrace, stream: TextIO) -> None:
-    """Emit the delimited trace; reals carry 6 decimal places.
+    """Emit the delimited trace; reals carry 6 decimal places (see format_real).
 
     The cumulative_mape column is empty on train steps.
     """
@@ -189,17 +197,17 @@ def write_trace(trace: PredictionTrace, stream: TextIO) -> None:
         mape_field = f"{next(mape_values):.6f}" if step.phase == TEST else ""
         stream.write(
             f"{step.index},{step.phase},{step.previous_class},"
-            f"{step.raw_prediction:.6f},{step.predicted_class},"
+            f"{format_real(step.raw_prediction)},{step.predicted_class},"
             f"{step.expected_class},{step.abs_error},{mape_field},"
-            f"{step.deviant_mean_after:.6f}\n"
+            f"{format_real(step.deviant_mean_after)}\n"
         )
 
 
 def read_trace(lines: Iterable[str]) -> PredictionTrace:
     """Parse the first trace block from an iterable of lines.
 
-    Stops at the first blank line. Reals come back at the 6-decimal
-    precision they were written with. Raises TraceFormatError with the
+    Stops at the first blank line. Reals come back at the precision
+    they were written with. Raises TraceFormatError with the
     1-based line number on any malformed content.
     """
     steps = []

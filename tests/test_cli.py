@@ -1,10 +1,17 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
 import io
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symcast.cli import main
+from symcast.cli import build_parser, main
+from symcast.errors import SymcastError
 
 VEHICLE_ENCODING = """\
 row_index,symbol,match_value,scale,class
@@ -245,6 +252,27 @@ class TestPredict:
         assert code == 2
         assert f"flag {flag}" in err
 
+    def test_non_finite_mean_is_a_data_error(self, carbus_file, capsys):
+        code, out, err = run(
+            [
+                "predict", "--input", str(carbus_file),
+                "--max-adjust", "1e308", "--rule", "muldiv",
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert err == "error: learner step 4: deviant mean became -inf\n"
+
+    def test_huge_mean_prints_in_exponent_form(self, carbus_file, tmp_path, capsys):
+        trace_path = tmp_path / "trace.csv"
+        code, out, _ = run(
+            ["predict", "--input", str(carbus_file), "--lp", "1e308", "--out", str(trace_path)],
+            capsys,
+        )
+        assert code == 0
+        assert "final_deviant_mean: 1.000000e+308" in out.splitlines()
+        assert trace_path.read_text().splitlines()[-1].endswith(",1.000000e+308")
+
     def test_two_row_corpus_still_runs(self, tmp_path, capsys):
         path = tmp_path / "two.txt"
         path.write_text("on\noff\n")
@@ -257,6 +285,45 @@ class TestPredict:
         path.write_text("only\n")
         code, _, err = run(["predict", "--input", str(path)], capsys)
         assert code == 1
+
+
+@st.composite
+def predict_settings(draw):
+    population = draw(st.sampled_from([1, 2, 7, 1000]))
+    return [
+        f"--population={population}",
+        f"--k-winners={draw(st.integers(min_value=1, max_value=min(4, population)))}",
+        f"--max-adjust={draw(st.floats(min_value=5e-324, max_value=1e308))!r}",
+        f"--rule={draw(st.sampled_from(['addsub', 'muldiv']))}",
+        f"--lp={draw(st.floats(allow_nan=False, allow_infinity=False))!r}",
+        f"--class-level={draw(st.integers(min_value=2, max_value=10))}",
+        f"--train-fraction={draw(st.floats(min_value=0.05, max_value=0.95))!r}",
+    ]
+
+
+class TestPredictNeverLeaks:
+    @settings(deadline=None)
+    @given(
+        values=st.lists(st.integers(min_value=0, max_value=10**6), min_size=2, max_size=40),
+        flags=predict_settings(),
+    )
+    def test_a_finite_mean_or_a_symcast_error(self, values, flags):
+        with tempfile.TemporaryDirectory() as work:
+            series = Path(work) / "series.txt"
+            series.write_text("".join(f"{value}\n" for value in values))
+            args = build_parser().parse_args(
+                ["predict", "--numeric", "--input", str(series),
+                 "--out", str(Path(work) / "trace.csv"), *flags]
+            )
+            summary = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(summary):
+                    code = args.func(args)
+            except SymcastError:
+                return
+        assert code == 0
+        final = dict(line.split(": ") for line in summary.getvalue().splitlines())
+        assert math.isfinite(float(final["final_deviant_mean"]))
 
 
 class TestConfigFile:

@@ -1,16 +1,19 @@
 """Tests for the deviant-mean learner and its update rules."""
 
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symcast.errors import BadConfigError, DegenerateDivisiveError
+from symcast.errors import BadConfigError, DegenerateDivisiveError, NonFiniteStateError
 from symcast.learner import (
     ADDITIVE_SUBTRACTIVE,
     MULTIPLICATIVE_DIVISIVE,
+    RULE_MODES,
     Learner,
     LearnerConfig,
     adjust_candidates,
@@ -45,6 +48,22 @@ class TestAdjustmentGrid:
         grid = make_adjustment_grid(10, 1.0)
         with pytest.raises(ValueError):
             grid[0] = 99.0
+
+    @pytest.mark.parametrize(
+        "population,maximum", [(3, 2.0), (7, 0.1), (7, 1e300), (1000, 3.3), (100_000, 2.0)]
+    )
+    def test_learner_computes_the_same_points(self, population, maximum):
+        # At mean 0.0 an additive step's candidates are the grid points
+        # themselves, and k = P keeps every one of them.
+        learner = Learner(
+            LearnerConfig(population_size=population, max_deviant_adjust=maximum,
+                          k_winners=population)
+        )
+        outcome = learner.learn_step(1, 5)
+        points = sorted(outcome.winner_candidates)
+        assert [p.hex() for p in points] == [
+            g.hex() for g in make_adjustment_grid(population, maximum).tolist()
+        ]
 
 
 @pytest.mark.parametrize(
@@ -307,3 +326,133 @@ class TestLearnStep:
             learner = Learner(LearnerConfig())
             runs.append([learner.learn_step(p, e) for p, e in pairs])
         assert runs[0] == runs[1]
+
+
+def oracle_step(config, mean, previous, expected):
+    """The naive step: every candidate built and the whole population sorted."""
+    signed_diff = (previous + mean) - expected
+    if signed_diff == 0:
+        return (), mean + config.bias, False
+    grid = make_adjustment_grid(config.population_size, config.max_deviant_adjust)
+    with np.errstate(all="ignore"):
+        try:
+            candidates = adjust_candidates(mean, grid, signed_diff, config.rule_mode)
+            fallback = False
+        except DegenerateDivisiveError:
+            candidates = adjust_candidates(mean, grid, signed_diff, ADDITIVE_SUBTRACTIVE)
+            fallback = True
+        selected = select_winners(candidates, previous, expected, config.k_winners)
+        new_mean = float(selected[0]) if config.k_winners == 1 else float(selected.mean())
+    return tuple(float(value) for value in selected), new_mean, fallback
+
+
+def assert_step_matches_oracle(config, mean, previous, expected):
+    winners, new_mean, fallback = oracle_step(config, mean, previous, expected)
+    learner = Learner(config)
+    learner.deviant_mean = mean
+    if not math.isfinite(new_mean):
+        with pytest.raises(NonFiniteStateError):
+            learner.learn_step(previous, expected)
+        return
+    outcome = learner.learn_step(previous, expected)
+    case = (config, mean.hex(), previous, expected)
+    assert [w.hex() for w in outcome.winner_candidates] == [w.hex() for w in winners], case
+    assert outcome.new_deviant_mean.hex() == new_mean.hex(), case
+    assert outcome.used_fallback == fallback, case
+
+
+ORACLE_POPULATIONS = (1, 2, 7, 1000, 100_000)
+# 1e17 and 1e-20 make plateaus: many grid points give the same candidate or residual
+PLATEAU_MEANS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-20, -1e-20, 1e17, -1e17, 1e308, -1e308)
+
+
+@st.composite
+def step_cases(draw):
+    population = draw(st.sampled_from(ORACLE_POPULATIONS))
+    config = LearnerConfig(
+        population_size=population,
+        max_deviant_adjust=draw(
+            st.one_of(
+                st.sampled_from([2.0, 0.001, 50.0]),
+                st.floats(min_value=5e-324, max_value=1e308),
+            )
+        ),
+        rule_mode=draw(st.sampled_from(RULE_MODES)),
+        k_winners=draw(st.integers(min_value=1, max_value=min(5, population))),
+        class_level=10,
+    )
+    mean = draw(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(min_value=-20, max_value=20),
+            st.sampled_from(PLATEAU_MEANS),
+        )
+    )
+    previous = draw(st.integers(min_value=1, max_value=10))
+    expected = draw(st.integers(min_value=1, max_value=10))
+    return config, mean, previous, expected
+
+
+class TestLearnStepAgainstTheOracle:
+    """learn_step walks outwards from the best grid point; the oracle sorts the whole grid."""
+
+    @given(case=step_cases())
+    def test_hypothesis_cases(self, case):
+        assert_step_matches_oracle(*case)
+
+    def test_twenty_thousand_seeded_cases(self):
+        rng = random.Random(2024)
+        for trial in range(20_000):
+            # one case in a hundred at P = 100,000 keeps the oracle's cost down
+            population = 100_000 if trial % 100 == 0 else rng.choice(ORACLE_POPULATIONS[:-1])
+            config = LearnerConfig(
+                population_size=population,
+                max_deviant_adjust=rng.choice(
+                    [2.0, 0.001, 50.0, 1e300, 1e-300, 5e-324, rng.uniform(0.01, 100.0)]
+                ),
+                rule_mode=rng.choice(RULE_MODES),
+                k_winners=rng.randint(1, min(5, population)),
+                class_level=10,
+            )
+            draw = rng.random()
+            if draw < 0.2:
+                mean = rng.choice(PLATEAU_MEANS)
+            elif draw < 0.3:
+                mean = rng.choice([-1, 1]) * 5e-324 * rng.randint(1, 1000)  # subnormal
+            elif draw < 0.5:
+                mean = rng.choice([-1, 1]) * 10 ** rng.uniform(-300, 308)
+            elif draw < 0.6:
+                mean = rng.choice([-1, 1]) * 1e17 * rng.random()
+            elif draw < 0.7:
+                mean = rng.randint(-40, 40) / 8
+            else:
+                mean = rng.uniform(-20.0, 20.0)
+            assert_step_matches_oracle(config, mean, rng.randint(1, 10), rng.randint(1, 10))
+
+
+class TestStepCost:
+    def test_one_step_allocates_nothing_population_sized(self):
+        learner = Learner(
+            LearnerConfig(population_size=1_000_000, rule_mode=MULTIPLICATIVE_DIVISIVE)
+        )
+        learner.deviant_mean = 0.37
+        learner.learn_step(1, 4)
+        tracemalloc.start()
+        try:
+            learner.learn_step(4, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
+class TestNonFiniteState:
+    def test_an_overflowing_mean_is_a_named_error(self):
+        # both winners are finite, their sum is not
+        learner = Learner(
+            LearnerConfig(population_size=2, max_deviant_adjust=1.7e308, k_winners=2)
+        )
+        with pytest.raises(NonFiniteStateError) as info:
+            learner.learn_step(1, 5)
+        assert info.value.step == 1
+        assert "learner step 1" in str(info.value)

@@ -24,6 +24,7 @@ from symcast.pipeline import (
     StepRecord,
     baseline_persistence,
     decode_trace,
+    format_real,
     mape,
     read_trace,
     run_continual,
@@ -319,6 +320,29 @@ class TestTraceSerialization:
         write_trace(trace, buffer)
         parsed = read_trace(io.StringIO(buffer.getvalue()))
         assert parsed.steps == trace.steps
+
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            (2.0, "2.000000"),
+            (-0.5, "-0.500000"),
+            (999999999999999.0, "999999999999999.000000"),
+            (1e15, "1.000000e+15"),
+            (-1e15, "-1.000000e+15"),
+            (1.7976931348623157e308, "1.797693e+308"),
+        ],
+    )
+    def test_format_real(self, value, text):
+        assert format_real(value) == text
+
+    def test_huge_means_round_trip(self, carbus_encoded):
+        config = RunConfig(learner=LearnerConfig(bias=1e308))
+        trace = run_continual(carbus_encoded.classes, config)
+        buffer = io.StringIO()
+        write_trace(trace, buffer)
+        assert buffer.getvalue().splitlines()[-1] == "8,test,1,1.000000e+308,5,5,0,200.000000,1.000000e+308"
+        parsed = read_trace(io.StringIO(buffer.getvalue()))
+        assert parsed.steps[-1].deviant_mean_after == 1e308
 
     def test_read_stops_at_a_blank_line(self, carbus_encoded):
         trace = run_continual(carbus_encoded.classes, RunConfig())
