@@ -191,7 +191,7 @@ def _write_encode_report(encoded: EncodedCorpus, corpus: Corpus, stream: TextIO)
     for row, (symbol, score, cls) in enumerate(
         zip(corpus.items, encoded.scores, encoded.classes.classes), start=1
     ):
-        writer.writerow([row, symbol, score.value, f"{float(score.scale):.6f}", cls])
+        writer.writerow([row, symbol, score.value, f"{score.scale.numerator / score.scale.denominator:.6f}", cls])
     stream.write("\n")
     writer.writerow(["class", "symbol"])
     for slot, symbol in enumerate(encoded.memory.slots, start=1):

@@ -1,14 +1,18 @@
 """Symbol-to-integer-class encoding.
 
-A corpus of symbol strings becomes a padded integer matrix of character
-codes. Every row is compared position-by-position against a chosen
-reference row; the agreement bits, read most-significant-bit first, give
-each row an integer match value. Match values are normalized by the
-corpus maximum into a scale in [0, 1], and the scale is mapped through
+A corpus of symbol strings becomes a zero-padded ``uint32`` matrix of
+character codes, built from one UTF-32 encoding of the joined corpus.
+Every row is compared position-by-position against a chosen reference
+row in one array comparison; the agreement bits are packed eight to a
+byte and each row's bytes, read most-significant-bit first, give its
+integer match value. Match values are normalized by the corpus maximum
+into a scale in [0, 1], and the scale is mapped through
 ``floor(class_level ** scale)`` onto an integer class in
 [1, class_level]. A decodable class -> symbol memory is built alongside,
 with the last corpus row to land on a class owning its slot.
 
+No Python object is made per matrix cell: the cost is a few array passes
+over rows x width cells plus one Python integer and one rational per row.
 Match values are kept as arbitrary-precision integers and scales as exact
 rationals; floating point enters only inside the class formula. All
 functions here are pure and safe to call concurrently.
@@ -21,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+import numpy as np
+
 from .errors import (
     BadClassError,
     BadClassLevelError,
@@ -29,6 +35,7 @@ from .errors import (
     EmptyMemoryError,
     EmptyRowError,
     LengthMismatchError,
+    NulCharacterError,
 )
 
 # Reference-row selector: "last", "first", or a 0-based row index.
@@ -38,27 +45,39 @@ MIN_CLASS_LEVEL = 2
 MAX_CLASS_LEVEL = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolMatrix:
-    """Padded matrix of character codes, one row per corpus item."""
+    """Padded matrix of character codes, one row per corpus item.
+
+    ``codes`` is a read-only ``uint32`` array of shape (rows, width):
+    cell [r, k] is the code point of row r's k-th character, or 0 past
+    the row's end.
+    """
 
     rows: int
     width: int
-    codes: tuple[tuple[int, ...], ...]
+    codes: np.ndarray
     lengths: tuple[int, ...]
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SymbolMatrix):
+            return NotImplemented
+        return (
+            (self.rows, self.width, self.lengths) == (other.rows, other.width, other.lengths)
+            and np.array_equal(self.codes, other.codes)
+        )
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class MatchScore:
     """Positional agreement of one row against the reference row.
 
-    ``bits`` holds 1 where the row's cell equals the reference cell
-    (padding zeros compare equal to padding zeros), ``value`` is the bit
-    vector read MSB-first as an integer, and ``scale`` is value divided by
-    the maximum value over all rows.
+    ``value`` is the row's agreement bits read MSB-first as an integer: bit
+    width-1-k is 1 where the row's cell k equals the reference cell (padding
+    zeros compare equal to padding zeros). ``scale`` is value divided by the
+    maximum value over all rows.
     """
 
-    bits: tuple[int, ...]
     value: int
     scale: Fraction
 
@@ -102,25 +121,30 @@ class EncodedCorpus:
 def symbol_integer_transform(corpus: Sequence[str]) -> SymbolMatrix:
     """Turn symbol strings into a zero-padded matrix of character codes.
 
-    Raises EmptyCorpusError for an empty corpus and EmptyRowError (with the
-    0-based row index) for an empty string. NUL characters are rejected
-    because code 0 is reserved for padding.
+    Raises EmptyCorpusError for an empty corpus, and for the first bad row
+    EmptyRowError for an empty string or NulCharacterError for a NUL
+    character (code 0 is reserved for padding), each with the 0-based row
+    index. Lone surrogates keep their code points, as ord() gives them.
     """
-    if len(corpus) == 0:
+    rows = len(corpus)
+    if rows == 0:
         raise EmptyCorpusError("corpus is empty")
-    for index, word in enumerate(corpus):
-        if word == "":
-            raise EmptyRowError(index)
-        if "\x00" in word:
-            raise ValueError(f"corpus row {index} contains NUL, which collides with padding")
+    lengths = np.fromiter(map(len, corpus), dtype=np.intp, count=rows)
+    text = "".join(corpus)
+    if lengths.min() == 0 or "\x00" in text:
+        for index, word in enumerate(corpus):
+            if word == "":
+                raise EmptyRowError(index)
+            if "\x00" in word:
+                raise NulCharacterError(index)
 
-    lengths = tuple(len(word) for word in corpus)
-    width = max(lengths)
-    codes = tuple(
-        tuple(ord(ch) for ch in word) + (0,) * (width - len(word))
-        for word in corpus
+    width = int(lengths.max())
+    codes = np.zeros((rows, width), dtype=np.uint32)
+    codes[np.arange(width) < lengths[:, None]] = np.frombuffer(
+        text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32
     )
-    return SymbolMatrix(rows=len(corpus), width=width, codes=codes, lengths=lengths)
+    codes.flags.writeable = False
+    return SymbolMatrix(rows=rows, width=width, codes=codes, lengths=tuple(lengths.tolist()))
 
 
 def resolve_reference(reference: Reference, rows: int) -> int:
@@ -145,24 +169,19 @@ def swap_match(matrix: SymbolMatrix, reference: Reference = "last") -> list[Matc
     so wide rows lose nothing.
     """
     ref_index = resolve_reference(reference, matrix.rows)
-    ref_row = matrix.codes[ref_index]
-
-    bit_rows = [
-        tuple(1 if row[k] == ref_row[k] else 0 for k in range(matrix.width))
-        for row in matrix.codes
+    # packbits pads each row's bits with zeros up to whole bytes; the shift
+    # drops that padding from the low end of the big-endian integer.
+    packed = np.packbits(matrix.codes == matrix.codes[ref_index], axis=1)
+    row_bytes = packed.shape[1]
+    pad_bits = 8 * row_bytes - matrix.width
+    data = memoryview(packed.tobytes())
+    values = [
+        int.from_bytes(data[start:start + row_bytes], "big") >> pad_bits
+        for start in range(0, len(data), row_bytes)
     ]
-    values = []
-    for bits in bit_rows:
-        value = 0
-        for bit in bits:
-            value = (value << 1) | bit
-        values.append(value)
 
     max_value = max(values)
-    return [
-        MatchScore(bits=bits, value=value, scale=Fraction(value, max_value))
-        for bits, value in zip(bit_rows, values)
-    ]
+    return [MatchScore(value=value, scale=Fraction(value, max_value)) for value in values]
 
 
 def check_class_level(class_level: int) -> None:
@@ -178,8 +197,11 @@ def class_encode(scores: Sequence[MatchScore], class_level: int) -> ClassSequenc
     check_class_level(class_level)
     if len(scores) == 0:
         raise ValueError("scores is empty")
+    # numerator / denominator is float(scale), correctly rounded, without
+    # the pure-Python Rational.__float__ call.
     classes = tuple(
-        math.floor(class_level ** float(score.scale)) for score in scores
+        math.floor(class_level ** (score.scale.numerator / score.scale.denominator))
+        for score in scores
     )
     return ClassSequence(classes=classes, class_level=class_level)
 

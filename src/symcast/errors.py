@@ -17,6 +17,14 @@ class EmptyRowError(SymcastError):
         self.row_index = row_index
 
 
+class NulCharacterError(SymcastError):
+    """A corpus row contained NUL, whose code 0 is reserved for padding."""
+
+    def __init__(self, row_index: int):
+        super().__init__(f"corpus row {row_index} contains NUL, which collides with padding")
+        self.row_index = row_index
+
+
 class BadReferenceError(SymcastError):
     """The reference-row selector does not resolve to a corpus row."""
 

@@ -126,6 +126,14 @@ class TestEncode:
         assert code == 1
         assert "byte offset 4" in err
 
+    def test_nul_character_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "nul.txt"
+        path.write_bytes(b"Car\nB\x00us\n")
+        code, out, err = run(["encode", "--input", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: corpus row 1 contains NUL, which collides with padding\n"
+
 
 class TestPredict:
     def test_summary_on_stdout_when_trace_goes_to_a_file(

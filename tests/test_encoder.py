@@ -1,7 +1,10 @@
 """Tests for the symbol-to-integer-class encoder."""
 
+import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +29,7 @@ from symcast.errors import (
     EmptyMemoryError,
     EmptyRowError,
     LengthMismatchError,
+    NulCharacterError,
 )
 
 from oracle import encode_reference
@@ -33,19 +37,67 @@ from oracle import encode_reference
 words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)
 corpora = st.lists(words, min_size=2, max_size=8)
 
+# Any character but NUL, with lone surrogates (category Cs) and astral
+# characters drawn on purpose as well as by chance.
+symbols = st.one_of(
+    st.characters(exclude_categories=(), exclude_characters="\x00"),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+    st.characters(min_codepoint=0x10000),
+)
+
+
+@st.composite
+def wide_corpora(draw):
+    """Up to 9 rows, 1-130 wide; each row shares a random prefix with one full-width row."""
+    width = draw(st.integers(min_value=1, max_value=130))
+    base = draw(st.text(symbols, min_size=width, max_size=width))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        shared = draw(st.integers(min_value=0, max_value=width))
+        row = base[:shared] + draw(st.text(symbols, max_size=width - shared))
+        rows.append(row or base[0])
+    rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), base)
+    return rows
+
+
+def naive_bit_string(row, reference, width):
+    """Agreement bits of two rows, first cell first, padding cells equal to each other."""
+    padded_row, padded_reference = row.ljust(width, "\x00"), reference.ljust(width, "\x00")
+    return "".join("1" if a == b else "0" for a, b in zip(padded_row, padded_reference))
+
+
+def wide_lowercase_corpus(rows, width=64, seed=0):
+    """Seeded rows up to `width` wide sharing a random-length prefix with the last row."""
+    rng = random.Random(seed)
+    reference = "".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=width))
+    out = []
+    for _ in range(rows - 1):
+        shared = rng.randrange(width)
+        tail = rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(shared + 1, width) - shared)
+        out.append(reference[:shared] + "".join(tail))
+    return out + [reference]
+
 
 class TestSymbolIntegerTransform:
     def test_single_word_codes(self):
         matrix = symbol_integer_transform(["Car"])
         assert matrix.rows == 1
         assert matrix.width == 3
-        assert matrix.codes == ((67, 97, 114),)
+        assert matrix.codes.tolist() == [[67, 97, 114]]
 
     def test_shorter_rows_are_zero_padded(self):
         matrix = symbol_integer_transform(["ab", "abc"])
-        assert matrix.codes == ((97, 98, 0), (97, 98, 99))
+        assert matrix.codes.tolist() == [[97, 98, 0], [97, 98, 99]]
         assert matrix.lengths == (2, 3)
         assert matrix.width == 3
+
+    def test_codes_are_a_read_only_uint32_array(self):
+        matrix = symbol_integer_transform(["a😀", "\ud800"])
+        assert matrix.codes.dtype == np.uint32
+        assert matrix.codes.shape == (2, 2)
+        assert matrix.codes.tolist() == [[97, 0x1F600], [0xD800, 0]]
+        with pytest.raises(ValueError):
+            matrix.codes[0, 0] = 1
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
@@ -58,8 +110,17 @@ class TestSymbolIntegerTransform:
 
     def test_nul_character_rejected(self):
         # code 0 is the padding value, so a literal NUL would alias padding
-        with pytest.raises(ValueError):
+        with pytest.raises(NulCharacterError) as info:
             symbol_integer_transform(["a\x00b"])
+        assert info.value.row_index == 0
+
+    def test_the_first_bad_row_decides_the_error(self):
+        with pytest.raises(NulCharacterError) as info:
+            symbol_integer_transform(["a", "\x00", ""])
+        assert info.value.row_index == 1
+        with pytest.raises(EmptyRowError) as info:
+            symbol_integer_transform(["a", "", "\x00"])
+        assert info.value.row_index == 1
 
 
 class TestResolveReference:
@@ -84,7 +145,7 @@ class TestSwapMatch:
     def test_three_row_vehicle_corpus(self):
         matrix = symbol_integer_transform(["Car", "Bus", "Bus"])
         scores = swap_match(matrix, "last")
-        assert [s.bits for s in scores] == [(0, 0, 0), (1, 1, 1), (1, 1, 1)]
+        assert [format(s.value, "03b") for s in scores] == ["000", "111", "111"]
         assert [s.value for s in scores] == [0, 7, 7]
         assert [s.scale for s in scores] == [0, 1, 1]
 
@@ -97,7 +158,7 @@ class TestSwapMatch:
     def test_first_reference(self):
         matrix = symbol_integer_transform(["aa", "ab"])
         scores = swap_match(matrix, "first")
-        assert [s.bits for s in scores] == [(1, 1), (1, 0)]
+        assert [format(s.value, "02b") for s in scores] == ["11", "10"]
         assert [s.value for s in scores] == [3, 2]
         assert [s.scale for s in scores] == [Fraction(1), Fraction(2, 3)]
 
@@ -108,6 +169,17 @@ class TestSwapMatch:
         assert scores[0].value == 2  # bits (1, 0)
         assert scores[1].value == 1  # bits (0, 1)
 
+    def test_values_wider_than_one_byte(self):
+        # 9 and 17 cells span 2 and 3 packed bytes; the pad bits must drop off
+        matrix = symbol_integer_transform(["a" * 9, "a" * 8 + "b", "b" * 17, "a" * 17])
+        scores = swap_match(matrix, "last")
+        assert [s.value for s in scores] == [
+            0b11111111100000000,
+            0b11111111000000000,
+            0,
+            2**17 - 1,
+        ]
+
     def test_bad_reference_propagates(self):
         matrix = symbol_integer_transform(["a", "b"])
         with pytest.raises(BadReferenceError):
@@ -117,7 +189,7 @@ class TestSwapMatch:
 class TestClassEncode:
     def test_vehicle_scales(self):
         scores = [
-            MatchScore(bits=(), value=v, scale=Fraction(s)) for v, s in [(0, 0), (7, 1), (7, 1)]
+            MatchScore(value=v, scale=Fraction(s)) for v, s in [(0, 0), (7, 1), (7, 1)]
         ]
         result = class_encode(scores, 5)
         assert result.classes == (1, 5, 5)
@@ -125,16 +197,16 @@ class TestClassEncode:
 
     @pytest.mark.parametrize("level", range(2, 11))
     def test_zero_scale_is_class_one(self, level):
-        scores = [MatchScore(bits=(), value=0, scale=Fraction(0))]
+        scores = [MatchScore(value=0, scale=Fraction(0))]
         assert class_encode(scores, level).classes == (1,)
 
     def test_half_scale_level_four(self):
-        scores = [MatchScore(bits=(), value=1, scale=Fraction(1, 2))]
+        scores = [MatchScore(value=1, scale=Fraction(1, 2))]
         assert class_encode(scores, 4).classes == (2,)
 
     @pytest.mark.parametrize("level", [1, 0, 11, -3])
     def test_level_out_of_range(self, level):
-        scores = [MatchScore(bits=(), value=0, scale=Fraction(0))]
+        scores = [MatchScore(value=0, scale=Fraction(0))]
         with pytest.raises(BadClassLevelError):
             class_encode(scores, level)
 
@@ -147,7 +219,7 @@ class TestClassEncode:
         level=st.integers(min_value=2, max_value=10),
     )
     def test_monotone_in_scale(self, scales, level):
-        scores = [MatchScore(bits=(), value=0, scale=s) for s in scales]
+        scores = [MatchScore(value=0, scale=s) for s in scales]
         classes = class_encode(scores, level).classes
         pairs = sorted(zip(scales, classes))
         for (_, a), (_, b) in zip(pairs, pairs[1:]):
@@ -242,3 +314,50 @@ def test_matches_the_brute_force_oracle(corpus, level, data):
     encoded = encode_corpus(corpus, class_level=level, reference=reference_index)
     assert list(encoded.classes.classes) == expected_classes
     assert list(encoded.memory.slots) == expected_slots
+
+
+@settings(max_examples=100)
+@given(
+    corpus=wide_corpora(),
+    level=st.integers(min_value=2, max_value=10),
+    data=st.data(),
+)
+def test_wide_unicode_rows_match_the_brute_force_oracle(corpus, level, data):
+    reference_index = data.draw(st.integers(min_value=0, max_value=len(corpus) - 1))
+    expected_classes, expected_slots = encode_reference(corpus, level, reference_index)
+    encoded = encode_corpus(corpus, class_level=level, reference=reference_index)
+    assert list(encoded.classes.classes) == expected_classes
+    assert list(encoded.memory.slots) == expected_slots
+
+    width = encoded.matrix.width
+    assert encoded.matrix.codes.tolist() == [
+        [ord(ch) for ch in row] + [0] * (width - len(row)) for row in corpus
+    ]
+    reference = corpus[reference_index]
+    assert [s.value for s in encoded.scores] == [
+        int(naive_bit_string(row, reference, width), 2) for row in corpus
+    ]
+
+
+def test_wide_seeded_corpus_values_match_naive_bit_strings():
+    corpus = wide_lowercase_corpus(2_000, seed=7)
+    encoded = encode_corpus(corpus, class_level=5)
+    assert encoded.matrix.width == 64
+    reference = corpus[-1]
+    assert [s.value for s in encoded.scores] == [
+        int(naive_bit_string(row, reference, 64), 2) for row in corpus
+    ]
+    assert max(s.value for s in encoded.scores) == 2**64 - 1
+
+
+def test_encoding_allocates_no_per_cell_objects():
+    # 1.28M cells; per-cell tuples peaked at 26.6 MiB, the arrays at 11.0 MiB
+    corpus = wide_lowercase_corpus(20_000, seed=3)
+    encode_corpus(corpus[:10], class_level=5)
+    tracemalloc.start()
+    try:
+        encode_corpus(corpus, class_level=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 * 2**20
