@@ -24,7 +24,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,8 +66,7 @@ class LearnerConfig:
         check_class_level(self.class_level)
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """Everything one learning step produced."""
 
     raw_prediction: float
@@ -205,8 +204,9 @@ class Learner:
             if len(winners) == 1:
                 self.deviant_mean = winners[0]
             else:
-                with np.errstate(over="ignore"):  # an overflow raises below
-                    self.deviant_mean = float(np.mean(winners))
+                # np.mean's own summation, without its dispatch; an overflow raises below
+                with np.errstate(over="ignore"):
+                    self.deviant_mean = float(np.add.reduce(np.array(winners))) / len(winners)
 
         self.steps_seen += 1
         if not math.isfinite(self.deviant_mean):
@@ -232,12 +232,14 @@ class Learner:
         residual (previous + candidate - expected) and the candidate itself
         are monotone in i. The key's parts, residual then |candidate|, thus
         fall and then rise along the grid (a weak "V"), and each run of
-        ties in a part is contiguous. ``_ranked`` bisects for the bottom of
-        a part's V and walks outwards, taking at each turn the tied run at
-        the lower of its two fronts; a run longer than the winners still
-        needed is ranked by the next part the same way, and a run tied on
-        both parts by grid index. That costs O(log P + k) candidate
-        evaluations for k winners out of P, O(k log P) at worst.
+        ties in a part is contiguous. ``_ranked`` gallops from the index
+        ``_crossing_index`` computes to the bottom of a part's V and walks
+        outwards, taking at each turn the tied run at the lower of its two
+        fronts; a run longer than the winners still needed is ranked by the
+        next part the same way, and a run tied on both parts by grid index.
+        That costs O(k) candidate evaluations for k winners out of P when
+        the computed index is the bottom, O(log P + k) when it is not, and
+        O(k log P) at worst.
         """
         deviant_mean = self.deviant_mean
         population_size = self.config.population_size
@@ -263,10 +265,40 @@ class Learner:
             value = candidate(index)
             return abs((previous_value + value) - expected), abs(value), index
 
+        start = self._crossing_index(expected - previous_value, weakening, rule_mode)
         winners = _ranked(
-            0, population_size, self.config.k_winners, (residual, candidate), key, rising
+            0, population_size, self.config.k_winners, (residual, candidate), key, rising, start
         )
         return tuple(map(candidate, winners))
+
+    def _crossing_index(self, target: float, weakening: bool, rule_mode: str) -> int:
+        """About the first grid index past the zero of the signed residual.
+
+        Candidate i would equal target (expected - previous) at the real
+        i + 1 = x solved from the grid formula below, so that index is
+        ceil(x) - 1 up to the candidates' rounding. A weakening
+        MULTIPLICATIVE_DIVISIVE candidate, 1 / (mean * grid point), never
+        reaches a target of the other sign or zero, and the bottom of its
+        V is the far end (x = inf). The result only tells ``_ranked``
+        where to start and may lie outside [0, P]. Needs what
+        ``_nearest_candidates`` needs; then no division is by zero and no
+        infinity or NaN reaches ceil.
+        """
+        mean = self.deviant_mean
+        population_size = self.config.population_size
+        max_deviant_adjust = self.config.max_deviant_adjust
+        if rule_mode == ADDITIVE_SUBTRACTIVE:
+            offset = mean - target if weakening else target - mean
+            x = offset * population_size / max_deviant_adjust
+        elif not weakening:
+            x = target / mean * population_size / max_deviant_adjust
+        elif target * mean > 0:
+            x = population_size / (target * mean) / max_deviant_adjust
+        else:
+            x = math.inf
+        if abs(x) <= population_size:
+            return math.ceil(x) - 1
+        return population_size if x > 0 else 0
 
 
 def _ranked(
@@ -276,13 +308,18 @@ def _ranked(
     signed_parts: tuple[Callable[[int], float], ...],
     key: Callable[[int], tuple],
     rising: bool,
+    guess: int,
 ) -> list[int]:
     """The first count indices of [start, stop) in key order.
 
     key(i) is (|f(i)| for each signed function f of the step, then i).
     The indices in [start, stop) tie on the parts before those of
     signed_parts, the functions still to rank by; each of them rises
-    with the index if rising and falls otherwise.
+    with the index if rising and falls otherwise. The search for the
+    bottom of the first signed part's V starts at guess, any integer,
+    clamped into [start, stop]: the result does not depend on it, only
+    the cost, two evaluations when guess is the bottom and O(log d) when
+    it is d indices away.
     """
     if stop - start <= count:
         return sorted(range(start, stop), key=key)
@@ -296,7 +333,23 @@ def _ranked(
     def far_side(index: int) -> bool:
         return (signed(index) >= 0) == rising
 
-    bottom = start + bisect.bisect_left(range(start, stop), True, key=far_side)
+    # The bottom is the first far-side index, or stop. Gallop from the
+    # guess, doubling the stride, to a bracket [low, high] holding it.
+    bottom = min(max(guess, start), stop)
+    low = high = bottom
+    stride = 1
+    if bottom < stop and not far_side(bottom):  # the bottom is to the right
+        low = bottom + 1
+        while low + stride - 1 < stop and not far_side(low + stride - 1):
+            low, stride = low + stride, stride * 2
+        high = min(low + stride - 1, stop)
+    elif bottom > start and far_side(bottom - 1):  # to the left
+        high = bottom - 1
+        while high - stride >= start and far_side(high - stride):
+            high, stride = high - stride, stride * 2
+        low = max(high - stride + 1, start)
+    bottom = low + bisect.bisect_left(range(low, high), True, key=far_side)
+
     left, right = bottom - 1, bottom  # the next index on each side of the V
     left_size = size(left) if left >= start else math.inf
     right_size = size(right) if right < stop else math.inf
@@ -307,23 +360,29 @@ def _ranked(
         tied: list[int] = []
         if left >= start and left_size == lowest:
             edge = left
-            if left > start and size(left - 1) == lowest:  # a longer run of ties
+            left_size = size(left - 1) if left > start else math.inf
+            if left_size == lowest:  # a longer run of ties
                 edge = start + bisect.bisect_left(
                     range(start, left), True, key=lambda index: size(index) == lowest
                 )
-            tied = _ranked(edge, left + 1, needed, later_parts, key, rising)
+                left_size = size(edge - 1) if edge > start else math.inf
+            tied = [left] if edge == left else _ranked(
+                edge, left + 1, needed, later_parts, key, rising, edge
+            )
             left = edge - 1
-            left_size = size(left) if left >= start else math.inf
         if right < stop and right_size == lowest:
             edge = right
-            if right + 1 < stop and size(right + 1) == lowest:
+            right_size = size(right + 1) if right + 1 < stop else math.inf
+            if right_size == lowest:
                 edge = right + bisect.bisect_left(
                     range(right + 1, stop), True, key=lambda index: size(index) != lowest
                 )
-            run = _ranked(right, edge + 1, needed, later_parts, key, rising)
+                right_size = size(edge + 1) if edge + 1 < stop else math.inf
+            run = [right] if edge == right else _ranked(
+                right, edge + 1, needed, later_parts, key, rising, right
+            )
             tied = sorted(tied + run, key=key) if tied else run
             right = edge + 1
-            right_size = size(right) if right < stop else math.inf
         order += tied[:needed]
     return order
 

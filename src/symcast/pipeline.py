@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, TextIO
+from functools import cache, partial
+from typing import Iterable, NamedTuple, TextIO
 
 from .encoder import ClassSequence, SensorMemory, decode_class
 from .errors import BadConfigError, NoTestStepsError, TooShortError, TraceFormatError
@@ -41,8 +42,7 @@ class RunConfig:
         self.learner.validate()
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One prediction step; index is the predicted element's position."""
 
     index: int
@@ -163,11 +163,13 @@ def decode_trace(trace: PredictionTrace, memory: SensorMemory) -> list[DecodedSt
     """Map every step's predicted and expected class back to symbols.
 
     A step is exact only when both classes decode from their own slots.
+    Each class is decoded once.
     """
+    decode = cache(partial(decode_class, memory=memory))
     decoded = []
     for step in trace.steps:
-        predicted_symbol, predicted_exact = decode_class(step.predicted_class, memory)
-        expected_symbol, expected_exact = decode_class(step.expected_class, memory)
+        predicted_symbol, predicted_exact = decode(step.predicted_class)
+        expected_symbol, expected_exact = decode(step.expected_class)
         decoded.append(
             DecodedStep(
                 predicted_symbol=predicted_symbol,

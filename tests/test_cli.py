@@ -271,6 +271,28 @@ class TestPredict:
         assert code == 1
         assert err == "error: learner step 4: deviant mean became -inf\n"
 
+    @pytest.mark.parametrize("max_adjust", ["1e308", "1e-310", "5e-324"])
+    @pytest.mark.parametrize("population", ["1", "7", "100000"])
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_extreme_divisive_steps_end_in_a_result_or_a_named_error(
+        self, carbus_file, tmp_path, max_adjust, population, numeric
+    ):
+        source = carbus_file
+        if numeric:
+            source = tmp_path / "series.txt"
+            source.write_text("3\n70000\n12\n9\n70001\n5\n5\n880\n")
+        args = build_parser().parse_args(
+            ["predict", "--input", str(source), "--rule", "muldiv",
+             "--max-adjust", max_adjust, "--population", population,
+             "--out", str(tmp_path / "trace.csv"), *(["--numeric"] if numeric else [])]
+        )
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = args.func(args)
+        except SymcastError:
+            return
+        assert code == 0
+
     def test_huge_mean_prints_in_exponent_form(self, carbus_file, tmp_path, capsys):
         trace_path = tmp_path / "trace.csv"
         code, out, _ = run(

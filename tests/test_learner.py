@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -393,6 +394,38 @@ def step_cases(draw):
     return config, mean, previous, expected
 
 
+def seeded_step_cases():
+    """20,000 seeded (config, mean, previous, expected) cases, k up to 64."""
+    rng = random.Random(2024)
+    for trial in range(20_000):
+        # one case in a hundred at P = 100,000 keeps the oracle's cost down
+        population = 100_000 if trial % 100 == 0 else rng.choice(ORACLE_POPULATIONS[:-1])
+        config = LearnerConfig(
+            population_size=population,
+            max_deviant_adjust=rng.choice(
+                [2.0, 0.001, 50.0, 1e300, 1e-300, 5e-324, rng.uniform(0.01, 100.0)]
+            ),
+            rule_mode=rng.choice(RULE_MODES),
+            # 8 and more winners reach the unrolled blocks of numpy's summation
+            k_winners=rng.randint(1, min(64, population)),
+            class_level=10,
+        )
+        draw = rng.random()
+        if draw < 0.2:
+            mean = rng.choice(PLATEAU_MEANS)
+        elif draw < 0.3:
+            mean = rng.choice([-1, 1]) * 5e-324 * rng.randint(1, 1000)  # subnormal
+        elif draw < 0.5:
+            mean = rng.choice([-1, 1]) * 10 ** rng.uniform(-300, 308)
+        elif draw < 0.6:
+            mean = rng.choice([-1, 1]) * 1e17 * rng.random()
+        elif draw < 0.7:
+            mean = rng.randint(-40, 40) / 8
+        else:
+            mean = rng.uniform(-20.0, 20.0)
+        yield config, mean, rng.randint(1, 10), rng.randint(1, 10)
+
+
 class TestLearnStepAgainstTheOracle:
     """learn_step walks outwards from the best grid point; the oracle sorts the whole grid."""
 
@@ -401,33 +434,65 @@ class TestLearnStepAgainstTheOracle:
         assert_step_matches_oracle(*case)
 
     def test_twenty_thousand_seeded_cases(self):
-        rng = random.Random(2024)
-        for trial in range(20_000):
-            # one case in a hundred at P = 100,000 keeps the oracle's cost down
-            population = 100_000 if trial % 100 == 0 else rng.choice(ORACLE_POPULATIONS[:-1])
-            config = LearnerConfig(
-                population_size=population,
-                max_deviant_adjust=rng.choice(
-                    [2.0, 0.001, 50.0, 1e300, 1e-300, 5e-324, rng.uniform(0.01, 100.0)]
-                ),
-                rule_mode=rng.choice(RULE_MODES),
-                k_winners=rng.randint(1, min(5, population)),
-                class_level=10,
-            )
-            draw = rng.random()
-            if draw < 0.2:
-                mean = rng.choice(PLATEAU_MEANS)
-            elif draw < 0.3:
-                mean = rng.choice([-1, 1]) * 5e-324 * rng.randint(1, 1000)  # subnormal
-            elif draw < 0.5:
-                mean = rng.choice([-1, 1]) * 10 ** rng.uniform(-300, 308)
-            elif draw < 0.6:
-                mean = rng.choice([-1, 1]) * 1e17 * rng.random()
-            elif draw < 0.7:
-                mean = rng.randint(-40, 40) / 8
+        for case in seeded_step_cases():
+            assert_step_matches_oracle(*case)
+
+
+def step_result(config, mean, previous, expected):
+    """learn_step's winners and new mean, or the error it raised."""
+    learner = Learner(config)
+    learner.deviant_mean = mean
+    try:
+        outcome = learner.learn_step(previous, expected)
+    except NonFiniteStateError as error:
+        return str(error)
+    return [w.hex() for w in outcome.winner_candidates], outcome.new_deviant_mean.hex()
+
+
+class TestSearchStart:
+    """The winner search starts where the grid formula puts the residual's zero crossing."""
+
+    @given(case=step_cases(), data=st.data())
+    def test_any_start_gives_the_same_winners(self, case, data):
+        config = case[0]
+        start = data.draw(
+            st.integers(min_value=-3, max_value=config.population_size + 3), label="start"
+        )
+        computed = step_result(*case)
+        with mock.patch.object(Learner, "_crossing_index", lambda self, *args: start):
+            assert step_result(*case) == computed
+
+    def test_the_start_is_within_one_of_the_bottom(self):
+        # The bottom is where the residual first reaches or passes zero,
+        # or, if it keeps its sign, the end nearer zero.
+        checked = 0
+        for config, mean, previous, expected in seeded_step_cases():
+            signed_diff = (previous + mean) - expected
+            if signed_diff == 0:
+                continue
+            grid = make_adjustment_grid(config.population_size, config.max_deviant_adjust)
+            rule_mode = config.rule_mode
+            with np.errstate(all="ignore"):
+                try:
+                    candidates = adjust_candidates(mean, grid, signed_diff, rule_mode)
+                except DegenerateDivisiveError:
+                    rule_mode = ADDITIVE_SUBTRACTIVE
+                    candidates = adjust_candidates(mean, grid, signed_diff, rule_mode)
+                residuals = (previous + candidates) - expected
+            if residuals.min() < 0 < residuals.max():
+                side = residuals >= 0 if residuals[0] < 0 else residuals <= 0
+                bottom = int(np.argmax(side))
+            elif abs(residuals[0]) != abs(residuals[-1]):
+                bottom = 0 if abs(residuals[0]) < abs(residuals[-1]) else grid.size
             else:
-                mean = rng.uniform(-20.0, 20.0)
-            assert_step_matches_oracle(config, mean, rng.randint(1, 10), rng.randint(1, 10))
+                continue
+            learner = Learner(config)
+            learner.deviant_mean = mean
+            start = learner._crossing_index(expected - previous, signed_diff > 0, rule_mode)
+            clamped = min(max(start, 0), config.population_size)
+            assert abs(clamped - bottom) <= 1, (config, mean.hex(), previous, expected, start)
+            checked += 1
+        assert checked > 5_000
 
 
 class TestStepCost:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symcast.encoder import ClassSequence, SensorMemory
+from symcast.encoder import ClassSequence, SensorMemory, decode_class
 from symcast.errors import (
     BadConfigError,
     EmptyMemoryError,
@@ -19,6 +19,7 @@ from symcast.pipeline import (
     TEST,
     TRACE_HEADER,
     TRAIN,
+    DecodedStep,
     PredictionTrace,
     RunConfig,
     StepRecord,
@@ -292,6 +293,31 @@ class TestDecodeTrace:
         trace = PredictionTrace(steps=(make_step(1, TEST, 2, 2),), cumulative_mape=(0.0,))
         with pytest.raises(EmptyMemoryError):
             decode_trace(trace, SensorMemory(slots=(None,) * 5))
+
+    @given(
+        slots=st.lists(st.one_of(st.none(), st.sampled_from("abc")), min_size=1, max_size=8),
+        data=st.data(),
+    )
+    def test_equals_decode_class_step_by_step(self, slots, data):
+        memory = SensorMemory(slots=tuple(slots))
+        classes = st.integers(min_value=1, max_value=memory.class_level)
+        pairs = data.draw(st.lists(st.tuples(classes, classes), min_size=1, max_size=12))
+        trace = PredictionTrace(
+            steps=tuple(make_step(i, TEST, p, e) for i, (p, e) in enumerate(pairs, start=1)),
+            cumulative_mape=(0.0,) * len(pairs),
+        )
+        if all(slot is None for slot in slots):
+            with pytest.raises(EmptyMemoryError):
+                decode_trace(trace, memory)
+            return
+        expected = []
+        for predicted, observed in pairs:
+            predicted_symbol, predicted_exact = decode_class(predicted, memory)
+            expected_symbol, expected_exact = decode_class(observed, memory)
+            expected.append(
+                DecodedStep(predicted_symbol, expected_symbol, predicted_exact and expected_exact)
+            )
+        assert decode_trace(trace, memory) == expected
 
 
 class TestTraceSerialization:
