@@ -17,6 +17,8 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
+import numpy as np
+
 from . import __version__
 from .encoder import (
     MAX_CLASS_LEVEL,
@@ -191,7 +193,7 @@ def _write_encode_report(encoded: EncodedCorpus, corpus: Corpus, stream: TextIO)
     for row, (symbol, score, cls) in enumerate(
         zip(corpus.items, encoded.scores, encoded.classes.classes), start=1
     ):
-        writer.writerow([row, symbol, score.value, f"{score.scale.numerator / score.scale.denominator:.6f}", cls])
+        writer.writerow([row, symbol, score.value, f"{score.scale:.6f}", cls])
     stream.write("\n")
     writer.writerow(["class", "symbol"])
     for slot, symbol in enumerate(encoded.memory.slots, start=1):
@@ -214,29 +216,28 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def _write_decoded(decoded, stream: TextIO) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["predicted_symbol", "expected_symbol", "exact"])
-    for step in decoded:
-        writer.writerow(
-            [step.predicted_symbol, step.expected_symbol, "true" if step.exact else "false"]
-        )
+    writer.writerows(zip(
+        decoded.predicted_symbol,
+        decoded.expected_symbol,
+        map(("false", "true").__getitem__, decoded.exact),
+    ))
 
 
 def _summary_lines(trace, baseline=None) -> list[str]:
-    test_steps = trace.test_steps()
-    exact = [step for step in test_steps if step.predicted_class == step.expected_class]
+    test_steps = np.count_nonzero(trace.is_test)
+    exact = trace.is_test & (trace.predicted_class == trace.expected_class)
+    counts = np.bincount(trace.expected_class[exact]).tolist()  # walk classes are >= 1
     lines = [
-        f"train_elements: {len(trace.train_steps()) + 1}",
-        f"test_steps: {len(test_steps)}",
-        f"exact_test_matches: {len(exact)}",
+        f"train_elements: {len(trace) - test_steps + 1}",
+        f"test_steps: {test_steps}",
+        f"exact_test_matches: {sum(counts)}",
     ]
-    if exact:
-        counts: dict[int, int] = {}
-        for step in exact:
-            counts[step.expected_class] = counts.get(step.expected_class, 0) + 1
-        breakdown = " ".join(f"{cls}={counts[cls]}" for cls in sorted(counts))
+    if any(counts):
+        breakdown = " ".join(f"{cls}={count}" for cls, count in enumerate(counts) if count)
         lines.append(f"exact_test_matches_by_class: {breakdown}")
     final_mape, _ = mape(trace)
     lines.append(f"final_mape_percent: {final_mape:.6f}")
-    lines.append(f"final_deviant_mean: {format_real(trace.steps[-1].deviant_mean_after)}")
+    lines.append(f"final_deviant_mean: {format_real(float(trace.deviant_mean_after[-1]))}")
     if baseline is not None:
         baseline_mape, _ = mape(baseline)
         lines.append(f"baseline_final_mape_percent: {baseline_mape:.6f}")
@@ -272,18 +273,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_error_series_svg(series: Sequence[float]) -> str:
+def _render_error_series_svg(series: np.ndarray) -> str:
     width, height, margin = 640, 360, 48
-    top = max(max(series), 1e-9)
+    top = max(float(series.max()), 1e-9)
     n = len(series)
-
-    def x_at(i: int) -> float:
-        return margin + (width - 2 * margin) * (i / (n - 1) if n > 1 else 0.5)
-
-    def y_at(value: float) -> float:
-        return height - margin - (height - 2 * margin) * (value / top)
-
-    points = " ".join(f"{x_at(i):.2f},{y_at(v):.2f}" for i, v in enumerate(series))
+    spread = np.arange(n) / (n - 1) if n > 1 else np.full(n, 0.5)
+    x = margin + (width - 2 * margin) * spread
+    y = height - margin - (height - 2 * margin) * (series / top)
+    points = " ".join(map("{:.2f},{:.2f}".format, x.tolist(), y.tolist()))
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">\n'
         f'<rect width="{width}" height="{height}" fill="white"/>\n'
@@ -312,8 +309,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     stream, close = _open_out(args.out)
     try:
         stream.write("test_step,cumulative_mape\n")
-        for step, value in enumerate(series, start=1):
-            stream.write(f"{step},{value:.6f}\n")
+        stream.writelines(map("{},{:.6f}\n".format, range(1, len(series) + 1), series.tolist()))
     finally:
         if close:
             stream.close()

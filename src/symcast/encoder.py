@@ -12,9 +12,9 @@ into a scale in [0, 1], and the scale is mapped through
 with the last corpus row to land on a class owning its slot.
 
 No Python object is made per matrix cell: the cost is a few array passes
-over rows x width cells plus one Python integer and one rational per row.
-Match values are kept as arbitrary-precision integers and scales as exact
-rationals; floating point enters only inside the class formula. All
+over rows x width cells plus one Python integer and one float per row.
+Match values are kept as arbitrary-precision integers; a scale is their
+int true division, the correctly rounded float of the exact ratio. All
 functions here are pure and safe to call concurrently.
 """
 
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
@@ -79,7 +78,7 @@ class MatchScore:
     """
 
     value: int
-    scale: Fraction
+    scale: float
 
 
 @dataclass(frozen=True)
@@ -165,8 +164,8 @@ def swap_match(matrix: SymbolMatrix, reference: Reference = "last") -> list[Matc
 
     Scaling all cells by the shared global maximum preserves cell equality
     exactly, so agreement is computed directly on the integer codes. Match
-    values use arbitrary-precision integers and scales are exact rationals,
-    so wide rows lose nothing.
+    values use arbitrary-precision integers, so wide rows lose nothing, and
+    a scale is the correctly rounded float of value / max_value.
     """
     ref_index = resolve_reference(reference, matrix.rows)
     # packbits pads each row's bits with zeros up to whole bytes; the shift
@@ -181,7 +180,7 @@ def swap_match(matrix: SymbolMatrix, reference: Reference = "last") -> list[Matc
     ]
 
     max_value = max(values)
-    return [MatchScore(value=value, scale=Fraction(value, max_value)) for value in values]
+    return [MatchScore(value=value, scale=value / max_value) for value in values]
 
 
 def check_class_level(class_level: int) -> None:
@@ -197,12 +196,7 @@ def class_encode(scores: Sequence[MatchScore], class_level: int) -> ClassSequenc
     check_class_level(class_level)
     if len(scores) == 0:
         raise ValueError("scores is empty")
-    # numerator / denominator is float(scale), correctly rounded, without
-    # the pure-Python Rational.__float__ call.
-    classes = tuple(
-        math.floor(class_level ** (score.scale.numerator / score.scale.denominator))
-        for score in scores
-    )
+    classes = tuple(math.floor(class_level ** score.scale) for score in scores)
     return ClassSequence(classes=classes, class_level=class_level)
 
 

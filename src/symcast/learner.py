@@ -99,6 +99,13 @@ def round_half_away_from_zero(value: float) -> int:
     return whole
 
 
+def round_half_away_from_zero_array(values: np.ndarray) -> np.ndarray:
+    """round_half_away_from_zero on every element, as whole float64 values."""
+    whole = np.trunc(values)
+    fraction = values - whole
+    return whole + (fraction >= 0.5) - (fraction <= -0.5)
+
+
 def adjust_candidates(
     deviant_mean: float,
     grid: np.ndarray,

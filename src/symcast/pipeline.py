@@ -3,23 +3,27 @@
 A class sequence is walked one step at a time: each element is predicted
 from its predecessor, then observed, and (unless frozen) the learner
 updates immediately. Learning never stops at the train/test split; the
-split only marks where test-error accounting begins. Errors are tracked
-as a running mean absolute percentage error over the test steps, computed
-on the integer classes by the same loop that walks the steps and stored
-in the trace. The persistence baseline walks the same loop with a learner
-that never learns.
+split only marks where test-error accounting begins. A run is kept as
+typed columns, one entry per step. Steps that hold the deviant mean fixed
+(the persistence baseline, whose mean stays 0.0, and the test phase of a
+frozen run) are one array operation on the class array. Errors are
+tracked as a running mean absolute percentage error over the test steps,
+computed on the integer classes once the walk is done and stored in the
+trace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from dataclasses import dataclass, field, fields, replace
+from itertools import islice, repeat, takewhile
 from typing import Iterable, NamedTuple, TextIO
+
+import numpy as np
 
 from .encoder import ClassSequence, SensorMemory, decode_class
 from .errors import BadConfigError, NoTestStepsError, TooShortError, TraceFormatError
-from .learner import Learner, LearnerConfig, with_class_level
+from .learner import Learner, LearnerConfig, round_half_away_from_zero_array, with_class_level
 
 TRAIN = "train"
 TEST = "test"
@@ -55,25 +59,55 @@ class StepRecord(NamedTuple):
     deviant_mean_after: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionTrace:
-    """All steps of one run plus the running test MAPE series (percent)."""
+    """All steps of one run as read-only columns, plus the running test MAPE (percent).
 
-    steps: tuple[StepRecord, ...]
-    cumulative_mape: tuple[float, ...]
+    Every column but cumulative_mape holds one entry per step, in step
+    order, as the StepRecord field of the same name does; is_test marks
+    the test steps. Classes and errors are integers, raw predictions and
+    means float64. cumulative_mape holds one float64 per test step.
+    """
 
-    def test_steps(self) -> list[StepRecord]:
-        return [step for step in self.steps if step.phase == TEST]
+    index: np.ndarray
+    is_test: np.ndarray
+    previous_class: np.ndarray
+    raw_prediction: np.ndarray
+    predicted_class: np.ndarray
+    expected_class: np.ndarray
+    abs_error: np.ndarray
+    deviant_mean_after: np.ndarray
+    cumulative_mape: np.ndarray
 
-    def train_steps(self) -> list[StepRecord]:
-        return [step for step in self.steps if step.phase == TRAIN]
+    def __post_init__(self) -> None:
+        for column in fields(self):
+            array = np.asarray(getattr(self, column.name)).view()
+            array.flags.writeable = False
+            object.__setattr__(self, column.name, array)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PredictionTrace):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    @property
+    def steps(self) -> tuple[StepRecord, ...]:
+        """The steps as records, built anew on each access."""
+        phases = map((TRAIN, TEST).__getitem__, self.is_test.tolist())
+        # previous_class through deviant_mean_after, in StepRecord's order
+        columns = [getattr(self, column.name).tolist() for column in fields(self)[2:-1]]
+        return tuple(map(StepRecord, self.index.tolist(), phases, *columns))
 
 
-@dataclass(frozen=True)
-class DecodedStep:
-    predicted_symbol: str
-    expected_symbol: str
-    exact: bool
+class DecodedTrace(NamedTuple):
+    """Each step's symbols, in step order; exact when both classes decode from their own slots."""
+
+    predicted_symbol: list[str]
+    expected_symbol: list[str]
+    exact: list[bool]
 
 
 def split_index(sequence_length: int, train_fraction: float) -> int:
@@ -89,9 +123,12 @@ def split_index(sequence_length: int, train_fraction: float) -> int:
 def _walk(classes: ClassSequence, config: RunConfig, learning: bool) -> PredictionTrace:
     """Predict each element from its predecessor; update the learner while learning.
 
-    The running test MAPE is accumulated here, step by step, and stored
-    in the trace. Expected classes are always >= 1, so each ratio is
-    defined.
+    Only the steps that learn run in a loop, which stores each step's raw
+    prediction, class and mean into preallocated columns. The others add
+    the mean the learner holds at that point to the previous class. The
+    running test MAPE is then computed from the columns: np.cumsum adds
+    1-D float64 in order, as a running sum would. Expected classes are
+    always >= 1, so each ratio is defined.
     """
     config = replace(config, learner=with_class_level(config.learner, classes.class_level))
     config.validate()
@@ -99,38 +136,32 @@ def _walk(classes: ClassSequence, config: RunConfig, learning: bool) -> Predicti
     split = split_index(length, config.train_fraction)
     learner = Learner(config.learner)
 
-    steps = []
-    series = []
-    ratio_sum = 0.0
-    for index in range(1, length):
-        previous = classes.classes[index - 1]
-        expected = classes.classes[index]
-        phase = TRAIN if index < split else TEST
+    values = np.array(classes.classes, dtype=np.int8)  # classes lie in [1, 10]
+    previous, expected = values[:-1], values[1:]
+    raw = np.empty(length - 1)
+    predicted = np.empty(length - 1, dtype=np.int8)
+    means = np.empty(length - 1)
+    # the leading steps the learner updates on; the rest keep the mean it then holds
+    learned = (split - 1 if config.freeze_after_train else length - 1) if learning else 0
+    observed = islice(classes.classes, 1, learned + 1)
+    for step, outcome in enumerate(map(learner.learn_step, classes.classes, observed)):
+        raw[step] = outcome.raw_prediction
+        predicted[step] = outcome.predicted_class
+        means[step] = outcome.new_deviant_mean
+    fixed = slice(learned, None)  # Learner.predict_next, a column at a time
+    raw[fixed] = previous[fixed] + learner.deviant_mean
+    predicted[fixed] = np.clip(round_half_away_from_zero_array(raw[fixed]), 1, classes.class_level)
+    means[fixed] = learner.deviant_mean
 
-        if learning and not (config.freeze_after_train and phase == TEST):
-            outcome = learner.learn_step(previous, expected)
-            raw, predicted = outcome.raw_prediction, outcome.predicted_class
-        else:
-            raw, predicted = learner.predict_next(previous)
-
-        abs_error = abs(predicted - expected)
-        steps.append(
-            StepRecord(
-                index=index,
-                phase=phase,
-                previous_class=previous,
-                raw_prediction=raw,
-                predicted_class=predicted,
-                expected_class=expected,
-                abs_error=abs_error,
-                deviant_mean_after=learner.deviant_mean,
-            )
-        )
-        if phase == TEST:
-            ratio_sum += abs_error / expected
-            series.append(100.0 * ratio_sum / (len(series) + 1))
-
-    return PredictionTrace(steps=tuple(steps), cumulative_mape=tuple(series))
+    abs_error = np.abs(predicted - expected)
+    series = np.divide(abs_error[split - 1:], expected[split - 1:])
+    np.cumsum(series, out=series)
+    series *= 100.0
+    series /= np.arange(1, len(series) + 1)
+    index = np.arange(1, length, dtype=np.int32)
+    return PredictionTrace(
+        index, index >= split, previous, raw, predicted, expected, abs_error, means, series
+    )
 
 
 def run_continual(classes: ClassSequence, config: RunConfig) -> PredictionTrace:
@@ -152,32 +183,37 @@ def baseline_persistence(classes: ClassSequence, config: RunConfig) -> Predictio
     return _walk(classes, config, learning=False)
 
 
-def mape(trace: PredictionTrace) -> tuple[float, tuple[float, ...]]:
+def mape(trace: PredictionTrace) -> tuple[float, np.ndarray]:
     """Final and per-step running test MAPE, in percent, as stored in the trace."""
-    if not trace.cumulative_mape:
+    if not len(trace.cumulative_mape):
         raise NoTestStepsError("trace has no test steps")
-    return trace.cumulative_mape[-1], trace.cumulative_mape
+    return float(trace.cumulative_mape[-1]), trace.cumulative_mape
 
 
-def decode_trace(trace: PredictionTrace, memory: SensorMemory) -> list[DecodedStep]:
+def decode_trace(trace: PredictionTrace, memory: SensorMemory) -> DecodedTrace:
     """Map every step's predicted and expected class back to symbols.
 
     A step is exact only when both classes decode from their own slots.
-    Each class is decoded once.
+    Each class that occurs is decoded once. A class out of range or a
+    memory with no filled slot raises what decode_class raises for the
+    first such class in step order, predicted before expected.
     """
-    decode = cache(partial(decode_class, memory=memory))
-    decoded = []
-    for step in trace.steps:
-        predicted_symbol, predicted_exact = decode(step.predicted_class)
-        expected_symbol, expected_exact = decode(step.expected_class)
-        decoded.append(
-            DecodedStep(
-                predicted_symbol=predicted_symbol,
-                expected_symbol=expected_symbol,
-                exact=predicted_exact and expected_exact,
-            )
-        )
-    return decoded
+    level = memory.class_level
+    classes = np.column_stack((trace.predicted_class, trace.expected_class)).ravel()
+    bad = (classes < 1) | (classes > level) | all(slot is None for slot in memory.slots)
+    if bad.any():
+        decode_class(int(classes[bad.argmax()]), memory)
+    symbols = np.empty(level + 1, dtype=object)
+    own_slot = np.zeros(level + 1, dtype=bool)
+    for cls in set(classes.tolist()):
+        symbols[cls], own_slot[cls] = decode_class(cls, memory)
+    predicted = trace.predicted_class.astype(np.intp)
+    expected = trace.expected_class.astype(np.intp)
+    return DecodedTrace(
+        predicted_symbol=symbols[predicted].tolist(),
+        expected_symbol=symbols[expected].tolist(),
+        exact=(own_slot[predicted] & own_slot[expected]).tolist(),
+    )
 
 
 def format_real(value: float) -> str:
@@ -188,71 +224,134 @@ def format_real(value: float) -> str:
     return f"{value:.6f}" if abs(value) < 1e15 else f"{value:.6e}"
 
 
+def _texts(column: np.ndarray, end: str = "") -> list[str]:
+    """Each value of column as a trace field followed by end, formed once per distinct value.
+
+    Integers print as they are and reals as format_real prints them, in
+    fixed point throughout when no value of the column reaches 1e15.
+    """
+    form, keys = str, column
+    if column.dtype == np.float64:
+        form = "{:.6f}".format if np.all(np.abs(column) < 1e15) else format_real
+        keys = column.view(np.int64)  # bit patterns, so that -0.0 keeps its sign
+    _, first, positions = np.unique(keys, return_index=True, return_inverse=True)
+    texts = [form(value) + end for value in column[first].tolist()]
+    return np.array(texts, dtype=object)[positions].tolist()
+
+
 def write_trace(trace: PredictionTrace, stream: TextIO) -> None:
     """Emit the delimited trace; reals carry 6 decimal places (see format_real).
 
-    The cumulative_mape column is empty on train steps.
+    The cumulative_mape column is empty on train steps. Each column is
+    formatted as a whole.
     """
+    mape_texts = np.full(len(trace), "", dtype=object)
+    mape_texts[trace.is_test] = list(map("{:.6f}".format, trace.cumulative_mape.tolist()))
     stream.write(TRACE_HEADER + "\n")
-    mape_values = iter(trace.cumulative_mape)
-    for step in trace.steps:
-        mape_field = f"{next(mape_values):.6f}" if step.phase == TEST else ""
-        stream.write(
-            f"{step.index},{step.phase},{step.previous_class},"
-            f"{format_real(step.raw_prediction)},{step.predicted_class},"
-            f"{step.expected_class},{step.abs_error},{mape_field},"
-            f"{format_real(step.deviant_mean_after)}\n"
-        )
+    stream.writelines(map(",".join, zip(
+        map(str, trace.index.tolist()),
+        map((TRAIN, TEST).__getitem__, trace.is_test.tolist()),
+        _texts(trace.previous_class),
+        _texts(trace.raw_prediction),
+        _texts(trace.predicted_class),
+        _texts(trace.expected_class),
+        _texts(trace.abs_error),
+        mape_texts.tolist(),
+        _texts(trace.deviant_mean_after, end="\n"),
+    )))
+
+
+def _reals(texts: list[str]) -> np.ndarray:
+    return np.array(list(map(float, texts)), dtype=np.float64)
+
+
+def _integers(texts: list[str]) -> np.ndarray:
+    values = list(map(int, texts))
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:  # keep integers past 64 bits exact
+        return np.array(values, dtype=object)
+
+
+def _parse_rows(rows: list[str]) -> PredictionTrace:
+    """The rows as columns, or ValueError naming a problem.
+
+    Each check runs over all rows before the next starts, in the order
+    in which they ran on each row when rows were read one at a time, so
+    for a single row the message names its first problem.
+    """
+    commas = list(map(str.count, rows, repeat(",")))
+    if set(commas) != {8}:
+        raise ValueError(f"expected 9 fields, got {next(c for c in commas if c != 8) + 1}")
+    text = ",".join(rows)
+    table = text.split(",")
+    index, phase, previous, raw, predicted, expected, abs_error, mape_fields, mean = (
+        table[position::9] for position in range(9)
+    )
+    if not set(phase) <= {TRAIN, TEST}:
+        raise ValueError(f"bad phase {next(p for p in phase if p not in (TRAIN, TEST))!r}")
+    is_test = list(map(TEST.__eq__, phase))
+    if list(map(bool, mape_fields)) != is_test:
+        if next(test for test, mape in zip(is_test, mape_fields) if test != bool(mape)):
+            raise ValueError("test step missing cumulative_mape")
+        raise ValueError("train step carries cumulative_mape")
+    mape_texts = list(filter(None, mape_fields))
+    trace = PredictionTrace(  # the arguments convert in the order the rows' fields did
+        cumulative_mape=_reals(mape_texts),
+        index=_integers(index),
+        is_test=np.array(is_test, dtype=bool),
+        previous_class=_integers(previous),
+        raw_prediction=_reals(raw),
+        predicted_class=_integers(predicted),
+        expected_class=_integers(expected),
+        abs_error=_integers(abs_error),
+        deviant_mean_after=_reals(mean),
+    )
+    if "_" in text:
+        raise ValueError(f"digit separator '_' in {next(f for f in table if '_' in f)!r}")
+    for texts, column in ((mape_texts, trace.cumulative_mape), (raw, trace.raw_prediction),
+                          (mean, trace.deviant_mean_after)):
+        finite = np.isfinite(column)
+        if not finite.all():
+            raise ValueError(f"non-finite real {texts[finite.argmin()]!r}")
+    return trace
 
 
 def read_trace(lines: Iterable[str]) -> PredictionTrace:
     """Parse the first trace block from an iterable of lines.
 
     Stops at the first blank line. Reals come back at the precision
-    they were written with. Raises TraceFormatError with the
-    1-based line number on any malformed content.
+    they were written with. Raises TraceFormatError with the 1-based
+    line number on any malformed content: a wrong field count or phase,
+    a misplaced cumulative_mape, a field int() or float() refuses, a
+    '_' anywhere (int() and float() would read it as a digit separator),
+    or a real that is not finite. The block is parsed column by column;
+    only when that fails is it halved, down to its first bad line.
     """
-    steps = []
-    series = []
-    header_seen = False
-    for line_number, line in enumerate(lines, start=1):
-        line = line.rstrip("\r\n")
-        if not header_seen:
-            if line != TRACE_HEADER:
-                raise TraceFormatError(line_number, "missing or wrong trace header")
-            header_seen = True
-            continue
-        if line == "":
-            break
-        fields = line.split(",")
-        if len(fields) != 9:
-            raise TraceFormatError(line_number, f"expected 9 fields, got {len(fields)}")
-        try:
-            phase = fields[1]
-            if phase not in (TRAIN, TEST):
-                raise ValueError(f"bad phase {phase!r}")
-            if phase == TEST:
-                if fields[7] == "":
-                    raise ValueError("test step missing cumulative_mape")
-                series.append(float(fields[7]))
-            elif fields[7] != "":
-                raise ValueError("train step carries cumulative_mape")
-            steps.append(
-                StepRecord(
-                    index=int(fields[0]),
-                    phase=phase,
-                    previous_class=int(fields[2]),
-                    raw_prediction=float(fields[3]),
-                    predicted_class=int(fields[4]),
-                    expected_class=int(fields[5]),
-                    abs_error=int(fields[6]),
-                    deviant_mean_after=float(fields[8]),
-                )
-            )
-        except ValueError as exc:
-            raise TraceFormatError(line_number, str(exc)) from exc
-    if not header_seen:
+    lines = iter(lines)
+    header = next(lines, None)
+    if header is None:
         raise TraceFormatError(1, "empty trace file")
-    if not steps:
+    if header.rstrip("\r\n") != TRACE_HEADER:
+        raise TraceFormatError(1, "missing or wrong trace header")
+    rows = list(takewhile(bool, map(str.rstrip, lines, repeat("\r\n"))))
+    if not rows:
         raise TraceFormatError(2, "trace has no step rows")
-    return PredictionTrace(steps=tuple(steps), cumulative_mape=tuple(series))
+    try:
+        return _parse_rows(rows)
+    except ValueError:
+        # rows[low:high] holds the first row that fails alone
+        low, high = 0, len(rows)
+        while high - low > 1:
+            middle = (low + high) // 2
+            try:
+                _parse_rows(rows[low:middle])
+            except ValueError:
+                high = middle
+            else:
+                low = middle
+        try:
+            _parse_rows(rows[low:high])
+        except ValueError as exc:
+            raise TraceFormatError(low + 2, str(exc)) from exc
+        raise

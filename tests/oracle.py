@@ -1,12 +1,21 @@
-"""Independent brute-force reference for the integer-class encoding.
+"""Independent, deliberately naive references that the tests check symcast against.
 
-This is deliberately naive: an explicit padded matrix, float division by the
-global maximum, positional float equality, string binarization, and a nested
-slot-filling loop. It shares no code with symcast.encoder and exists only to
-cross-check it. Keep it dumb; do not "optimize" it toward the real encoder.
+encode_reference re-derives the integer-class encoding: an explicit padded
+matrix, float division by the global maximum, positional float equality,
+string binarization, and a nested slot-filling loop. It shares no code with
+symcast.encoder. Keep it dumb; do not "optimize" it toward the real encoder.
+
+The functions after it walk, write, read and decode a trace one step or one
+line at a time, and place the report chart's points one at a time, the way
+symcast did before it worked on columns. They use only the learner's scalar
+step and decode_class from symcast.
 """
 
 import math
+from dataclasses import replace
+
+from symcast.encoder import decode_class
+from symcast.learner import Learner
 
 
 def encode_reference(corpus, class_level, reference_index):
@@ -46,3 +55,130 @@ def encode_reference(corpus, class_level, reference_index):
                 slots[j - 1] = corpus[r]
 
     return classes, slots
+
+
+TRAIN = "train"
+TEST = "test"
+TRACE_HEADER = (
+    "step,phase,prev_class,raw_prediction,predicted_class,expected_class,"
+    "abs_error,cumulative_mape,deviant_mean"
+)
+
+
+def walk_reference(classes, class_level, learner_config, train_fraction,
+                   freeze_after_train, learning):
+    """Return (rows, series): one StepRecord-ordered tuple per step and the running test MAPE.
+
+    Each step predicts from its predecessor with the learner's scalar
+    predict_next, and learns with learn_step unless the walk does not
+    learn or is frozen in the test phase.
+    """
+    learner = Learner(replace(learner_config, class_level=class_level))
+    split = max(1, math.floor(train_fraction * len(classes)))
+    rows = []
+    series = []
+    ratio_sum = 0.0
+    for index in range(1, len(classes)):
+        previous = classes[index - 1]
+        expected = classes[index]
+        phase = TRAIN if index < split else TEST
+        if learning and not (freeze_after_train and phase == TEST):
+            outcome = learner.learn_step(previous, expected)
+            raw, predicted = outcome.raw_prediction, outcome.predicted_class
+        else:
+            raw, predicted = learner.predict_next(previous)
+        abs_error = abs(predicted - expected)
+        rows.append((index, phase, previous, raw, predicted, expected, abs_error,
+                     learner.deviant_mean))
+        if phase == TEST:
+            ratio_sum += abs_error / expected
+            series.append(100.0 * ratio_sum / (len(series) + 1))
+    return rows, series
+
+
+def _format_real(value):
+    return f"{value:.6f}" if abs(value) < 1e15 else f"{value:.6e}"
+
+
+def write_trace_reference(rows, series):
+    """The trace text, one line per step."""
+    lines = [TRACE_HEADER + "\n"]
+    mape_values = iter(series)
+    for index, phase, previous, raw, predicted, expected, abs_error, mean in rows:
+        mape_field = f"{next(mape_values):.6f}" if phase == TEST else ""
+        lines.append(
+            f"{index},{phase},{previous},{_format_real(raw)},{predicted},"
+            f"{expected},{abs_error},{mape_field},{_format_real(mean)}\n"
+        )
+    return "".join(lines)
+
+
+def read_trace_reference(lines):
+    """Parse the first trace block line by line; returns (rows, series).
+
+    Raises ValueError((line_number, message)) where the pipeline's reader
+    raises TraceFormatError. It accepts whatever int() and float() accept.
+    """
+    rows = []
+    series = []
+    header_seen = False
+    for line_number, line in enumerate(lines, start=1):
+        line = line.rstrip("\r\n")
+        if not header_seen:
+            if line != TRACE_HEADER:
+                raise ValueError((line_number, "missing or wrong trace header"))
+            header_seen = True
+            continue
+        if line == "":
+            break
+        fields = line.split(",")
+        if len(fields) != 9:
+            raise ValueError((line_number, f"expected 9 fields, got {len(fields)}"))
+        try:
+            phase = fields[1]
+            if phase not in (TRAIN, TEST):
+                raise ValueError(f"bad phase {phase!r}")
+            if phase == TEST:
+                if fields[7] == "":
+                    raise ValueError("test step missing cumulative_mape")
+                series.append(float(fields[7]))
+            elif fields[7] != "":
+                raise ValueError("train step carries cumulative_mape")
+            rows.append((int(fields[0]), phase, int(fields[2]), float(fields[3]),
+                         int(fields[4]), int(fields[5]), int(fields[6]), float(fields[8])))
+        except ValueError as exc:
+            raise ValueError((line_number, str(exc))) from exc
+    if not header_seen:
+        raise ValueError((1, "empty trace file"))
+    if not rows:
+        raise ValueError((2, "trace has no step rows"))
+    return rows, series
+
+
+def decode_reference(pairs, memory):
+    """(predicted_symbol, expected_symbol, exact) per (predicted, expected) pair, in order.
+
+    Decodes every class with symcast.encoder.decode_class, predicted first,
+    so the first bad class raises.
+    """
+    decoded = []
+    for predicted, expected in pairs:
+        predicted_symbol, predicted_exact = decode_class(predicted, memory)
+        expected_symbol, expected_exact = decode_class(expected, memory)
+        decoded.append((predicted_symbol, expected_symbol, predicted_exact and expected_exact))
+    return decoded
+
+
+def svg_points_reference(series):
+    """The report chart's polyline points, computed one point at a time."""
+    width, height, margin = 640, 360, 48
+    top = max(max(series), 1e-9)
+    n = len(series)
+
+    def x_at(i):
+        return margin + (width - 2 * margin) * (i / (n - 1) if n > 1 else 0.5)
+
+    def y_at(value):
+        return height - margin - (height - 2 * margin) * (value / top)
+
+    return " ".join(f"{x_at(i):.2f},{y_at(v):.2f}" for i, v in enumerate(series))

@@ -6,12 +6,15 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcast.cli import build_parser, main
+from symcast.cli import _render_error_series_svg, build_parser, main
 from symcast.errors import SymcastError
+
+from oracle import svg_points_reference
 
 VEHICLE_ENCODING = """\
 row_index,symbol,match_value,scale,class
@@ -501,6 +504,34 @@ class TestReport:
         code, _, _ = run(["report", "--input", str(trace_path)], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_mape_is_an_input_error(self, tmp_path, capsys, value):
+        header = (
+            "step,phase,prev_class,raw_prediction,predicted_class,expected_class,"
+            "abs_error,cumulative_mape,deviant_mean"
+        )
+        trace_path = tmp_path / "non_finite.csv"
+        trace_path.write_text(
+            header + "\n1,test,1,1.000000,1,5,4,80.000000,2.000000\n"
+            f"2,test,5,5.000000,5,5,0,{value},2.000000\n"
+        )
+        svg = tmp_path / "chart.svg"
+        code, out, err = run(["report", "--input", str(trace_path), "--svg", str(svg)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: line 3: non-finite real {value!r}\n"
+        assert not svg.exists()
+
+    def test_digit_separator_is_an_input_error(self, carbus_file, tmp_path, capsys):
+        trace_path = self.make_trace(carbus_file, tmp_path, capsys)
+        lines = trace_path.read_text().splitlines()
+        lines[3] = lines[3].replace("400.000000", "4_00.000000")
+        trace_path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(["report", "--input", str(trace_path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 4: digit separator '_' in '4_00.000000'\n"
+
     def test_svg_output_is_deterministic(self, carbus_file, tmp_path, capsys):
         trace_path = self.make_trace(carbus_file, tmp_path, capsys)
         svg_a = tmp_path / "a.svg"
@@ -514,6 +545,11 @@ class TestReport:
         content = svg_a.read_text()
         assert content.startswith("<svg")
         assert "polyline" in content
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=900.0), min_size=1, max_size=60))
+    def test_chart_points_equal_the_per_point_reference(self, series):
+        svg = _render_error_series_svg(np.array(series))
+        assert f'<polyline points="{svg_points_reference(series)}"' in svg
 
     def test_report_out_file(self, carbus_file, tmp_path, capsys):
         trace_path = self.make_trace(carbus_file, tmp_path, capsys)

@@ -160,7 +160,7 @@ class TestSwapMatch:
         scores = swap_match(matrix, "first")
         assert [format(s.value, "02b") for s in scores] == ["11", "10"]
         assert [s.value for s in scores] == [3, 2]
-        assert [s.scale for s in scores] == [Fraction(1), Fraction(2, 3)]
+        assert [s.scale for s in scores] == [1.0, 2 / 3]
 
     def test_bits_read_most_significant_first(self):
         # agreement only in the leading position must outweigh the trailing one
@@ -180,6 +180,17 @@ class TestSwapMatch:
             2**17 - 1,
         ]
 
+    @given(width=st.integers(min_value=1, max_value=130), data=st.data())
+    def test_scale_is_the_correctly_rounded_ratio(self, width, data):
+        # int true division rounds the exact rational once, as float(Fraction) does
+        value = data.draw(st.integers(min_value=0, max_value=2**width - 1))
+        reference = "a" * width
+        row = "".join("a" if (value >> (width - 1 - k)) & 1 else "b" for k in range(width))
+        scores = swap_match(symbol_integer_transform([row, reference]), "last")
+        assert scores[0].value == value
+        assert scores[0].scale == float(Fraction(value, 2**width - 1))
+        assert type(scores[0].scale) is float
+
     def test_bad_reference_propagates(self):
         matrix = symbol_integer_transform(["a", "b"])
         with pytest.raises(BadReferenceError):
@@ -189,7 +200,7 @@ class TestSwapMatch:
 class TestClassEncode:
     def test_vehicle_scales(self):
         scores = [
-            MatchScore(value=v, scale=Fraction(s)) for v, s in [(0, 0), (7, 1), (7, 1)]
+            MatchScore(value=v, scale=s) for v, s in [(0, 0.0), (7, 1.0), (7, 1.0)]
         ]
         result = class_encode(scores, 5)
         assert result.classes == (1, 5, 5)
@@ -197,16 +208,16 @@ class TestClassEncode:
 
     @pytest.mark.parametrize("level", range(2, 11))
     def test_zero_scale_is_class_one(self, level):
-        scores = [MatchScore(value=0, scale=Fraction(0))]
+        scores = [MatchScore(value=0, scale=0.0)]
         assert class_encode(scores, level).classes == (1,)
 
     def test_half_scale_level_four(self):
-        scores = [MatchScore(value=1, scale=Fraction(1, 2))]
+        scores = [MatchScore(value=1, scale=0.5)]
         assert class_encode(scores, 4).classes == (2,)
 
     @pytest.mark.parametrize("level", [1, 0, 11, -3])
     def test_level_out_of_range(self, level):
-        scores = [MatchScore(value=0, scale=Fraction(0))]
+        scores = [MatchScore(value=0, scale=0.0)]
         with pytest.raises(BadClassLevelError):
             class_encode(scores, level)
 
@@ -215,7 +226,7 @@ class TestClassEncode:
             class_encode([], 5)
 
     @given(
-        scales=st.lists(st.fractions(min_value=0, max_value=1, max_denominator=64), min_size=2, max_size=12),
+        scales=st.lists(st.floats(min_value=0, max_value=1), min_size=2, max_size=12),
         level=st.integers(min_value=2, max_value=10),
     )
     def test_monotone_in_scale(self, scales, level):

@@ -1,25 +1,35 @@
 """Tests for the train/predict/evaluate pipeline."""
 
 import io
+import math
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcast.encoder import ClassSequence, SensorMemory, decode_class
 from symcast.errors import (
     BadConfigError,
+    SymcastError,
     EmptyMemoryError,
     NoTestStepsError,
     TooShortError,
     TraceFormatError,
 )
-from symcast.learner import LearnerConfig
+from symcast.learner import (
+    ADDITIVE_SUBTRACTIVE,
+    MULTIPLICATIVE_DIVISIVE,
+    LearnerConfig,
+    round_half_away_from_zero,
+    round_half_away_from_zero_array,
+)
 from symcast.pipeline import (
     TEST,
     TRACE_HEADER,
     TRAIN,
-    DecodedStep,
     PredictionTrace,
     RunConfig,
     StepRecord,
@@ -33,9 +43,22 @@ from symcast.pipeline import (
     write_trace,
 )
 
+from oracle import decode_reference, read_trace_reference, walk_reference, write_trace_reference
+
 
 def sequence(values, level=5):
     return ClassSequence(classes=tuple(values), class_level=level)
+
+
+def trace_of(steps, cumulative_mape):
+    """A trace holding the given StepRecords as its columns."""
+    columns = list(zip(*steps))
+    is_test = [phase == TEST for phase in columns[1]]
+    return PredictionTrace(columns[0], is_test, *columns[2:], cumulative_mape)
+
+
+def steps_in(trace, phase):
+    return [step for step in trace.steps if step.phase == phase]
 
 
 def make_step(index, phase, predicted, expected):
@@ -102,12 +125,12 @@ class TestRunContinual:
         assert [s.deviant_mean_after for s in trace.steps] == [
             2.0, 0.0, -2.0, 0.0, 0.0, 0.0, 0.0, 2.0,
         ]
-        assert trace.cumulative_mape == (400.0, 200.0, 400.0 / 3.0, 100.0, 80.0, 80.0)
+        assert trace.cumulative_mape.tolist() == [400.0, 200.0, 400.0 / 3.0, 100.0, 80.0, 80.0]
 
     def test_vehicle_corpus_matches_the_published_pairs(self, carbus_encoded):
         """Test-phase predictions land on (1, 1) exactly four times."""
         trace = run_continual(carbus_encoded.classes, RunConfig())
-        pairs = [(s.predicted_class, s.expected_class) for s in trace.test_steps()]
+        pairs = [(s.predicted_class, s.expected_class) for s in steps_in(trace, TEST)]
         assert pairs == [(5, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 5)]
         assert pairs.count((1, 1)) == 4
 
@@ -115,7 +138,7 @@ class TestRunContinual:
         trace = run_continual(sequence([2, 2, 2, 2, 2]), RunConfig())
         assert all(s.predicted_class == 2 for s in trace.steps)
         assert all(s.abs_error == 0 for s in trace.steps)
-        assert set(trace.cumulative_mape) == {0.0}
+        assert set(trace.cumulative_mape.tolist()) == {0.0}
 
     def test_ramp_locks_on_after_one_step(self):
         trace = run_continual(sequence([1, 2, 3, 4, 5]), RunConfig(train_fraction=0.4))
@@ -130,8 +153,8 @@ class TestRunContinual:
             trace = run_continual(classes, RunConfig())
             assert len(trace.steps) == len(classes) - 1
             split = split_index(len(classes), 0.35)
-            assert len(trace.train_steps()) == split - 1
-            assert len(trace.test_steps()) == len(classes) - split
+            assert len(steps_in(trace, TRAIN)) == split - 1
+            assert len(steps_in(trace, TEST)) == len(classes) - split
 
     def test_step_indices_are_sequential(self, carbus_encoded):
         trace = run_continual(carbus_encoded.classes, RunConfig())
@@ -182,22 +205,20 @@ class TestMape:
         assert set(series) == {0.0}
 
     def test_single_test_step(self):
-        trace = PredictionTrace(
-            steps=(make_step(1, TEST, 1, 5),), cumulative_mape=(80.0,)
-        )
+        trace = trace_of((make_step(1, TEST, 1, 5),), cumulative_mape=(80.0,))
         final, series = mape(trace)
         assert final == 80.0
-        assert series == (80.0,)
+        assert series.tolist() == [80.0]
 
     def test_running_mean_over_two_steps(self):
         # both steps are test steps, with errors 0/1 and 4/5
         trace = baseline_persistence(sequence([1, 1, 5]), RunConfig())
         final, series = mape(trace)
-        assert series == (0.0, 40.0)
+        assert series.tolist() == [0.0, 40.0]
         assert final == 40.0
 
     def test_trace_without_test_steps(self):
-        trace = PredictionTrace(steps=(make_step(1, TRAIN, 1, 1),), cumulative_mape=())
+        trace = trace_of((make_step(1, TRAIN, 1, 1),), cumulative_mape=())
         with pytest.raises(NoTestStepsError):
             mape(trace)
 
@@ -207,7 +228,7 @@ class TestMape:
         final, series = mape(trace)
         assert final >= 0.0
         assert all(v >= 0.0 for v in series)
-        exact = all(s.abs_error == 0 for s in trace.test_steps())
+        exact = all(s.abs_error == 0 for s in steps_in(trace, TEST))
         assert (final == 0.0) == exact
 
 
@@ -222,7 +243,7 @@ class TestBaselinePersistence:
 
     def test_vehicle_corpus_predictions(self, carbus_encoded):
         trace = baseline_persistence(carbus_encoded.classes, RunConfig())
-        assert [s.predicted_class for s in trace.test_steps()] == [5, 1, 1, 1, 1, 1]
+        assert [s.predicted_class for s in steps_in(trace, TEST)] == [5, 1, 1, 1, 1, 1]
 
     def test_same_split_as_the_learner_trace(self, carbus_encoded):
         config = RunConfig()
@@ -249,11 +270,11 @@ class TestStepLoopOracle:
     def test_stored_mape_is_the_naive_running_mean(self, run):
         classes, config = run
         for trace in (run_continual(classes, config), baseline_persistence(classes, config)):
-            ratios = [s.abs_error / s.expected_class for s in trace.test_steps()]
+            ratios = [s.abs_error / s.expected_class for s in steps_in(trace, TEST)]
             naive = tuple(
                 100.0 * sum(ratios[:count]) / count for count in range(1, len(ratios) + 1)
             )
-            assert trace.cumulative_mape == naive
+            assert tuple(trace.cumulative_mape.tolist()) == naive
 
     @given(run=runs())
     def test_baseline_rows_repeat_the_previous_class(self, run):
@@ -268,9 +289,10 @@ class TestDecodeTrace:
     def test_vehicle_test_steps_decode_to_words(self, carbus_encoded):
         trace = run_continual(carbus_encoded.classes, RunConfig())
         decoded = decode_trace(trace, carbus_encoded.memory)
-        assert len(decoded) == len(trace.steps)
-        test_decoded = decoded[2:]
-        assert [(d.predicted_symbol, d.expected_symbol) for d in test_decoded] == [
+        assert len(decoded.predicted_symbol) == len(decoded.expected_symbol) == len(trace.steps)
+        assert len(decoded.exact) == len(trace.steps)
+        test_decoded = list(zip(decoded.predicted_symbol, decoded.expected_symbol))[2:]
+        assert test_decoded == [
             ("Bus", "Car"),
             ("Car", "Car"),
             ("Car", "Car"),
@@ -278,19 +300,17 @@ class TestDecodeTrace:
             ("Car", "Car"),
             ("Car", "Bus"),
         ]
-        assert all(d.exact for d in decoded)
+        assert all(decoded.exact)
 
     def test_redundant_class_decodes_inexactly(self, carbus_encoded):
-        trace = PredictionTrace(
-            steps=(make_step(1, TEST, 3, 5),), cumulative_mape=(40.0,)
-        )
+        trace = trace_of((make_step(1, TEST, 3, 5),), cumulative_mape=(40.0,))
         decoded = decode_trace(trace, carbus_encoded.memory)
-        assert decoded[0].predicted_symbol == "Car"
-        assert decoded[0].expected_symbol == "Bus"
-        assert not decoded[0].exact
+        assert decoded.predicted_symbol[0] == "Car"
+        assert decoded.expected_symbol[0] == "Bus"
+        assert not decoded.exact[0]
 
     def test_empty_memory_propagates(self):
-        trace = PredictionTrace(steps=(make_step(1, TEST, 2, 2),), cumulative_mape=(0.0,))
+        trace = trace_of((make_step(1, TEST, 2, 2),), cumulative_mape=(0.0,))
         with pytest.raises(EmptyMemoryError):
             decode_trace(trace, SensorMemory(slots=(None,) * 5))
 
@@ -302,8 +322,8 @@ class TestDecodeTrace:
         memory = SensorMemory(slots=tuple(slots))
         classes = st.integers(min_value=1, max_value=memory.class_level)
         pairs = data.draw(st.lists(st.tuples(classes, classes), min_size=1, max_size=12))
-        trace = PredictionTrace(
-            steps=tuple(make_step(i, TEST, p, e) for i, (p, e) in enumerate(pairs, start=1)),
+        trace = trace_of(
+            tuple(make_step(i, TEST, p, e) for i, (p, e) in enumerate(pairs, start=1)),
             cumulative_mape=(0.0,) * len(pairs),
         )
         if all(slot is None for slot in slots):
@@ -315,9 +335,9 @@ class TestDecodeTrace:
             predicted_symbol, predicted_exact = decode_class(predicted, memory)
             expected_symbol, expected_exact = decode_class(observed, memory)
             expected.append(
-                DecodedStep(predicted_symbol, expected_symbol, predicted_exact and expected_exact)
+                (predicted_symbol, expected_symbol, predicted_exact and expected_exact)
             )
-        assert decode_trace(trace, memory) == expected
+        assert list(zip(*decode_trace(trace, memory))) == expected
 
 
 class TestTraceSerialization:
@@ -408,3 +428,274 @@ class TestTraceSerialization:
     def test_empty_file_rejected(self):
         with pytest.raises(TraceFormatError):
             read_trace(io.StringIO(""))
+
+
+def assert_walks_match_the_oracle(classes, config):
+    walks = ((run_continual(classes, config), True), (baseline_persistence(classes, config), False))
+    for trace, learning in walks:
+        rows, series = walk_reference(classes.classes, classes.class_level, config.learner,
+                                      config.train_fraction, config.freeze_after_train, learning)
+        buffer = io.StringIO()
+        write_trace(trace, buffer)
+        assert buffer.getvalue() == write_trace_reference(rows, series)
+        assert [value.hex() for value in trace.cumulative_mape.tolist()] == [
+            value.hex() for value in series
+        ]
+        assert trace.steps == tuple(rows)
+
+
+@st.composite
+def oracle_runs(draw):
+    level = draw(st.integers(min_value=2, max_value=10))
+    values = draw(st.lists(st.integers(min_value=1, max_value=level), min_size=2, max_size=50))
+    population = draw(st.integers(min_value=1, max_value=300))
+    learner = LearnerConfig(
+        population_size=population,
+        max_deviant_adjust=draw(st.floats(min_value=0.01, max_value=4.0)),
+        rule_mode=draw(st.sampled_from([ADDITIVE_SUBTRACTIVE, MULTIPLICATIVE_DIVISIVE])),
+        bias=draw(st.sampled_from([0.0, 0.25, -0.5, 1e300])),
+        k_winners=draw(st.integers(min_value=1, max_value=min(64, population))),
+    )
+    config = RunConfig(
+        train_fraction=draw(st.floats(min_value=0.01, max_value=0.99)),
+        learner=learner,
+        freeze_after_train=draw(st.booleans()),
+    )
+    return sequence(values, level), config
+
+
+class TestColumnarWalkOracle:
+    """Both walks, written out, against the per-step loop in tests/oracle.py."""
+
+    @settings(max_examples=200)
+    @given(run=oracle_runs())
+    def test_trace_bytes_and_series_equal_the_oracle(self, run):
+        assert_walks_match_the_oracle(*run)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_seeded_sticky_streams(self, seed):
+        rng = random.Random(seed)
+        level = 2 + seed % 9
+        values = [rng.randint(1, level)]
+        while len(values) < 300:
+            values.append(values[-1] if rng.random() < 0.3 else rng.randint(1, level))
+        learner = LearnerConfig(
+            population_size=1000,
+            rule_mode=(ADDITIVE_SUBTRACTIVE, MULTIPLICATIVE_DIVISIVE)[seed % 2],
+            k_winners=(1, 2, 3, 8, 64)[seed % 5],
+            bias=(0.0, 0.1)[seed % 3 == 0],
+        )
+        config = RunConfig(
+            train_fraction=(0.35, 0.9, 0.05)[seed % 3],
+            learner=learner,
+            freeze_after_train=seed % 4 == 1,
+        )
+        assert_walks_match_the_oracle(sequence(values, level), config)
+
+    def test_huge_means_print_in_exponent_form(self, carbus_encoded):
+        assert_walks_match_the_oracle(
+            carbus_encoded.classes, RunConfig(learner=LearnerConfig(bias=1e308))
+        )
+
+    @pytest.mark.parametrize(
+        "value",
+        [0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.49999999999999994, -0.49999999999999994,
+         2.0**52, -(2.0**52), 2.0**52 - 0.5, -(2.0**52 - 0.5), 2.0**53, -(2.0**53),
+         1e308, -1e308, 0.0, -0.0],
+    )
+    def test_vectorised_rounding_equals_the_scalar(self, value):
+        rounded = round_half_away_from_zero_array(np.array([value, -value]))
+        assert [int(whole) for whole in rounded] == [
+            round_half_away_from_zero(value), round_half_away_from_zero(-value)
+        ]
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
+    def test_vectorised_rounding_equals_the_scalar_anywhere(self, values):
+        rounded = round_half_away_from_zero_array(np.array(values, dtype=np.float64))
+        assert [int(whole) for whole in rounded] == list(map(round_half_away_from_zero, values))
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=200))
+    def test_cumsum_adds_in_order(self, values):
+        # the walk's running MAPE relies on this to equal a running sum bit for bit
+        running, total = [], 0.0
+        for value in values:
+            total += value
+            running.append(total)
+        assert np.cumsum(np.array(values, dtype=np.float64)).tolist() == running
+
+    def test_a_long_trace_holds_at_most_40_bytes_per_step(self):
+        # a sticky stream: the columns' size does not depend on the values,
+        # and long runs of repeats keep the traced walk fast
+        rng = random.Random(11)
+        values = [3]
+        while len(values) < 100_001:
+            values.append(values[-1] if rng.random() < 0.99 else rng.randint(1, 5))
+        classes = sequence(values)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = run_continual(classes, RunConfig(train_fraction=0.01))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 100_000
+        assert held <= 40 * 100_000
+
+
+def valid_trace_text(draw):
+    level = draw(st.integers(min_value=2, max_value=10))
+    values = draw(st.lists(st.integers(min_value=1, max_value=level), min_size=3, max_size=12))
+    config = RunConfig(train_fraction=draw(st.floats(min_value=0.1, max_value=0.9)))
+    buffer = io.StringIO()
+    write_trace(run_continual(sequence(values, level), config), buffer)
+    return buffer.getvalue()
+
+
+BAD_INTS = st.sampled_from(
+    ["", "x", "1.5", " 3", "+2", "-0", "1_0", "\u0663", "99999999999999999999999", "0x10", "1e3"]
+)
+BAD_REALS = st.sampled_from(
+    ["", "x", "nan", "inf", "-inf", "NaN", "1e400", "-1e999", "1_0.5", "0x1p3", " 1.5",
+     "1.5.2", "infinity", "1e5", "-0.0"]
+) | st.floats().map(repr)
+ODD_TEXT = st.text(alphabet=st.characters(blacklist_characters="\n"), max_size=5)
+
+
+@st.composite
+def mutated_traces(draw):
+    """A valid trace with one change; returns (text, changed line number or None)."""
+    lines = valid_trace_text(draw).split("\n")  # header, rows, then ""
+    line_number = draw(st.integers(min_value=2, max_value=len(lines) - 1))
+    fields = lines[line_number - 1].split(",")
+    test_row = fields[1] == TEST
+    kind = draw(st.sampled_from(
+        ["int", "real", "count", "phase", "mape", "blank", "crlf", "text"]
+    ))
+    if kind == "int":
+        fields[draw(st.sampled_from([0, 2, 4, 5, 6]))] = draw(BAD_INTS | ODD_TEXT)
+    elif kind == "real":
+        fields[draw(st.sampled_from([3, 8, 7] if test_row else [3, 8]))] = draw(BAD_REALS)
+    elif kind == "count":
+        if draw(st.booleans()):
+            fields.pop(draw(st.integers(min_value=0, max_value=8)))
+        else:
+            fields.insert(draw(st.integers(min_value=0, max_value=9)), draw(ODD_TEXT))
+    elif kind == "phase":
+        fields[1] = draw(st.sampled_from(["", "Test", "TRAIN", "validate", "train ", TEST, TRAIN]))
+    elif kind == "mape":
+        fields[7] = "" if test_row else draw(st.sampled_from(["1.000000", "0", "x"]))
+    elif kind == "text":
+        fields[draw(st.integers(min_value=0, max_value=8))] = draw(ODD_TEXT)
+    lines[line_number - 1] = ",".join(fields)
+    if kind == "blank":
+        lines.insert(line_number - 1, "")
+        return "\n".join(lines), None
+    if kind == "crlf":
+        return "\r\n".join(lines), None
+    return "\n".join(lines), line_number
+
+
+def newly_rejected(text, line_number):
+    """Whether the changed row has a '_' or a non-finite real, which read_trace now refuses."""
+    if line_number is None:
+        return False
+    fields = text.split("\n")[line_number - 1].split(",")
+    if len(fields) != 9:
+        return "_" in "".join(fields)
+    reals = [fields[3], fields[8]] + ([fields[7]] if fields[1] == TEST else [])
+    for real in reals:
+        try:
+            if not math.isfinite(float(real)):
+                return True
+        except ValueError:
+            pass
+    return "_" in "".join(fields)
+
+
+class TestReaderOracle:
+    """read_trace against the per-line reader in tests/oracle.py."""
+
+    @settings(max_examples=400)
+    @given(case=mutated_traces())
+    def test_same_error_or_same_columns(self, case):
+        text, line_number = case
+        try:
+            rows, series = read_trace_reference(io.StringIO(text))
+            reference_error = None
+        except ValueError as exc:
+            reference_error = exc.args[0]
+        try:
+            trace = read_trace(io.StringIO(text))
+        except TraceFormatError as exc:
+            if reference_error is not None:
+                assert (exc.line_number, str(exc)) == (
+                    reference_error[0], f"line {reference_error[0]}: {reference_error[1]}"
+                )
+            else:
+                assert newly_rejected(text, line_number)
+                assert exc.line_number == line_number
+            return
+        assert reference_error is None
+        assert not newly_rejected(text, line_number)
+        assert trace.steps == tuple(rows)
+        assert trace.cumulative_mape.tolist() == series
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "NaN", "-Infinity"])
+    @pytest.mark.parametrize("position", [3, 7, 8])
+    def test_non_finite_reals_are_refused_with_their_line(self, carbus_encoded, value, position):
+        buffer = io.StringIO()
+        write_trace(run_continual(carbus_encoded.classes, RunConfig()), buffer)
+        lines = buffer.getvalue().splitlines()
+        fields = lines[5].split(",")
+        fields[position] = value
+        lines[5] = ",".join(fields)
+        with pytest.raises(TraceFormatError) as info:
+            read_trace(io.StringIO("\n".join(lines) + "\n"))
+        assert info.value.line_number == 6
+        assert "non-finite real" in str(info.value)
+
+    @pytest.mark.parametrize("position,value", [(0, "1_0"), (3, "1_0.5"), (4, "1_1"), (7, "4_0.0")])
+    def test_digit_separators_are_refused_with_their_line(self, carbus_encoded, position, value):
+        buffer = io.StringIO()
+        write_trace(run_continual(carbus_encoded.classes, RunConfig()), buffer)
+        lines = buffer.getvalue().splitlines()
+        fields = lines[4].split(",")
+        fields[position] = value
+        lines[4] = ",".join(fields)
+        with pytest.raises(TraceFormatError) as info:
+            read_trace(io.StringIO("\n".join(lines) + "\n"))
+        assert info.value.line_number == 5
+        assert "'_'" in str(info.value)
+
+    def test_integers_past_64_bits_stay_exact(self):
+        text = TRACE_HEADER + "\n" + f"{2**70 + 1},test,1,1.000000,1,{2**64},4,80.000000,2.000000\n"
+        trace = read_trace(io.StringIO(text))
+        assert trace.steps[0].index == 2**70 + 1
+        assert trace.steps[0].expected_class == 2**64
+
+
+class TestDecoderOracle:
+    """decode_trace against decode_class one step at a time."""
+
+    @settings(max_examples=300)
+    @given(
+        slots=st.lists(st.one_of(st.none(), st.sampled_from(["a", "b,c", 'd"e'])),
+                       min_size=1, max_size=10),
+        data=st.data(),
+    )
+    def test_same_error_or_same_columns(self, slots, data):
+        memory = SensorMemory(slots=tuple(slots))
+        classes = st.integers(min_value=-1, max_value=memory.class_level + 2)
+        pairs = data.draw(st.lists(st.tuples(classes, classes), max_size=12))
+        steps = tuple(make_step(i, TEST, p, e) for i, (p, e) in enumerate(pairs, start=1))
+        trace = trace_of(steps, (0.0,) * len(pairs)) if steps else PredictionTrace(
+            *(np.zeros(0, dtype=np.int64),) * 9
+        )
+        try:
+            expected = decode_reference(pairs, memory)
+        except SymcastError as exc:
+            with pytest.raises(type(exc)) as info:
+                decode_trace(trace, memory)
+            assert str(info.value) == str(exc)
+            return
+        assert list(zip(*decode_trace(trace, memory))) == expected
