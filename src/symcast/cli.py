@@ -214,13 +214,15 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _write_decoded(decoded, stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["predicted_symbol", "expected_symbol", "exact"])
-    writer.writerows(zip(
-        decoded.predicted_symbol,
-        decoded.expected_symbol,
-        map(("false", "true").__getitem__, decoded.exact),
-    ))
+    """The decoded steps as CSV; each of the at most class_level² distinct rows is formed once."""
+    rows = list(zip(decoded.predicted_symbol, decoded.expected_symbol, decoded.exact))
+    texts = {}
+    for row in set(rows):
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\n").writerow((*row[:2], "true" if row[2] else "false"))
+        texts[row] = line.getvalue()
+    stream.write("predicted_symbol,expected_symbol,exact\n")
+    stream.writelines(map(texts.__getitem__, rows))
 
 
 def _summary_lines(trace, baseline=None) -> list[str]:

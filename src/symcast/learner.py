@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -46,8 +47,10 @@ class LearnerConfig:
     class_level: int = 5
 
     def validate(self) -> None:
-        if self.population_size < 1:
-            raise BadConfigError("population_size", f"must be >= 1, got {self.population_size}")
+        if not 1 <= self.population_size <= sys.maxsize:
+            raise BadConfigError(
+                "population_size", f"must be in [1, {sys.maxsize}], got {self.population_size}"
+            )
         if not (0 < self.max_deviant_adjust < math.inf):
             raise BadConfigError(
                 "max_deviant_adjust", f"must be finite and > 0, got {self.max_deviant_adjust}"
@@ -190,15 +193,16 @@ class Learner:
         learning. Raises NonFiniteStateError when the update leaves the
         mean infinite or NaN.
         """
-        raw, predicted_class = self.predict_next(previous_value)
+        config = self.config
+        raw = previous_value + self.deviant_mean  # predict_next, inlined: it runs every step
+        predicted_class = min(max(round_half_away_from_zero(raw), 1), config.class_level)
         signed_diff = raw - expected
         used_fallback = False
 
         if signed_diff == 0:
-            self.apply_bias()
+            self.deviant_mean += config.bias
             winners: tuple[float, ...] = ()
         else:
-            config = self.config
             rule_mode = config.rule_mode
             # |grid[i]| >= grid[0], so a product is zero only if the first one is
             if rule_mode == MULTIPLICATIVE_DIVISIVE and (
@@ -218,14 +222,9 @@ class Learner:
         self.steps_seen += 1
         if not math.isfinite(self.deviant_mean):
             raise NonFiniteStateError(self.steps_seen, self.deviant_mean)
+        # positional: a NamedTuple binds keywords several times slower
         return StepOutcome(
-            raw_prediction=raw,
-            predicted_class=predicted_class,
-            expected=expected,
-            signed_diff=signed_diff,
-            winner_candidates=winners,
-            new_deviant_mean=self.deviant_mean,
-            used_fallback=used_fallback,
+            raw, predicted_class, expected, signed_diff, winners, self.deviant_mean, used_fallback
         )
 
     def _nearest_candidates(
@@ -237,20 +236,27 @@ class Learner:
         product. Grid point i is computed as make_adjustment_grid computes
         it, and candidate i moves one way along the grid, so the signed
         residual (previous + candidate - expected) and the candidate itself
-        are monotone in i. The key's parts, residual then |candidate|, thus
-        fall and then rise along the grid (a weak "V"), and each run of
-        ties in a part is contiguous. ``_ranked`` gallops from the index
-        ``_crossing_index`` computes to the bottom of a part's V and walks
-        outwards, taking at each turn the tied run at the lower of its two
-        fronts; a run longer than the winners still needed is ranked by the
-        next part the same way, and a run tied on both parts by grid index.
-        That costs O(k) candidate evaluations for k winners out of P when
-        the computed index is the bottom, O(log P + k) when it is not, and
-        O(k log P) at worst.
+        are monotone in i. |residual| thus falls and then rises along the
+        grid (a weak "V"): a strict local minimum, strictly below both
+        neighbours, is the unique global one, and from it |residual| never
+        falls going outwards.
+
+        The walk evaluates |residual| at the index ``_crossing_index``
+        computes and at its two neighbours, and steps at most three times
+        towards a smaller value. A strict minimum there is the first
+        winner; the next ones come from merging the two fronts outwards by
+        the full key (|residual|, |candidate|, index). That is 3 candidate
+        evaluations for k = 1 when the computed index is the bottom, plus
+        one per step and one per further winner. ``_ranked``, the one place
+        that orders tied runs, takes the whole step, at O(log P + k) to
+        O(k log P) evaluations, when the walk ends on no strict minimum or
+        a front's next index ties its |residual| (a plateau, where
+        |candidate| orders the run); its ranges need P <= sys.maxsize.
         """
         deviant_mean = self.deviant_mean
-        population_size = self.config.population_size
-        max_deviant_adjust = self.config.max_deviant_adjust
+        config = self.config
+        population_size = config.population_size
+        max_deviant_adjust = config.max_deviant_adjust
         weakening = signed_diff > 0
         if rule_mode == ADDITIVE_SUBTRACTIVE:
             rising = not weakening  # whether candidates grow with the index
@@ -265,16 +271,47 @@ class Learner:
                 product = deviant_mean * (max_deviant_adjust * ((index + 1) / population_size))
                 return 1.0 / product if weakening else product
 
+        def size(index: int) -> float:  # |residual|, inf off the grid
+            if 0 <= index < population_size:
+                return abs((previous_value + candidate(index)) - expected)
+            return math.inf
+
+        start = self._crossing_index(expected - previous_value, weakening, rule_mode)
+        bottom = min(max(start, 0), population_size - 1)
+        below, at, above = size(bottom - 1), size(bottom), size(bottom + 1)
+        for _ in range(3):
+            if below < at:
+                bottom, below, at, above = bottom - 1, size(bottom - 2), below, at
+            elif above < at:
+                bottom, below, at, above = bottom + 1, at, above, size(bottom + 2)
+            else:
+                break
+        if at < below and at < above:
+            order = [bottom]
+            left, right = bottom - 1, bottom + 1  # the fronts: the next index on each side
+            while len(order) < config.k_winners:
+                tie = below == above
+                if tie and (size(left - 1) == below or size(right + 1) == above):
+                    break  # the fronts tie with a plateau behind one, or at inf
+                if below < above or tie and abs(candidate(left)) <= abs(candidate(right)):
+                    order.append(left)
+                    left, below, taken = left - 1, size(left - 1), below
+                else:
+                    order.append(right)
+                    right, above, taken = right + 1, size(right + 1), above
+                if not tie and min(below, above) == taken:
+                    break  # the taken front's next index ties it
+            else:
+                return (candidate(bottom),) if len(order) == 1 else tuple(map(candidate, order))
+
         def residual(index: int) -> float:
             return (previous_value + candidate(index)) - expected
 
         def key(index: int) -> tuple[float, float, int]:
-            value = candidate(index)
-            return abs((previous_value + value) - expected), abs(value), index
+            return size(index), abs(candidate(index)), index
 
-        start = self._crossing_index(expected - previous_value, weakening, rule_mode)
         winners = _ranked(
-            0, population_size, self.config.k_winners, (residual, candidate), key, rising, start
+            0, population_size, config.k_winners, (residual, candidate), key, rising, start
         )
         return tuple(map(candidate, winners))
 
@@ -286,7 +323,7 @@ class Learner:
         ceil(x) - 1 up to the candidates' rounding. A weakening
         MULTIPLICATIVE_DIVISIVE candidate, 1 / (mean * grid point), never
         reaches a target of the other sign or zero, and the bottom of its
-        V is the far end (x = inf). The result only tells ``_ranked``
+        V is the far end (x = inf). The result only tells the search
         where to start and may lie outside [0, P]. Needs what
         ``_nearest_candidates`` needs; then no division is by zero and no
         infinity or NaN reaches ceil.

@@ -253,6 +253,22 @@ class TestPredict:
         assert "k_winners" in err
         assert "flag --k-winners" in err
 
+    @pytest.mark.parametrize("k_winners", ["1", "3"])
+    def test_a_population_past_sys_maxsize_is_a_config_error(self, tmp_path, capsys, k_winners):
+        source = tmp_path / "two.txt"
+        source.write_text("abc\nxyz\n", encoding="utf-8")
+        code, out, err = run(
+            [
+                "predict", "--input", str(source),
+                "--population", "100000000000000000000", "--k-winners", k_winners,
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "flag --population" in err
+        assert "Traceback" not in err
+        assert out == ""
+
     @pytest.mark.parametrize("flag,value", [("--lp", "inf"), ("--lp", "nan"), ("--max-adjust", "inf")])
     @pytest.mark.parametrize("input_exists", [True, False])
     def test_non_finite_setting_is_a_config_error(

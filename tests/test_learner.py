@@ -1,7 +1,9 @@
 """Tests for the deviant-mean learner and its update rules."""
 
+import io
 import math
 import random
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -10,7 +12,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from test_benchmark_contract import workloads  # perfbench/workloads.py, loaded read-only
+
+from symcast import learner as learner_module
+from symcast.encoder import encode_corpus
 from symcast.errors import BadConfigError, DegenerateDivisiveError, NonFiniteStateError
+from symcast.ingest import read_numeric_series, read_text_corpus
 from symcast.learner import (
     ADDITIVE_SUBTRACTIVE,
     MULTIPLICATIVE_DIVISIVE,
@@ -101,6 +108,8 @@ class TestConfigValidation:
             (dict(bias=math.inf), "bias"),
             (dict(bias=-math.inf), "bias"),
             (dict(bias=math.nan), "bias"),
+            # grid indices past sys.maxsize overflow range() and bisect
+            (dict(population_size=sys.maxsize + 1), "population_size"),
         ],
     )
     def test_bad_field_is_named(self, kwargs, field):
@@ -495,6 +504,51 @@ class TestSearchStart:
         assert checked > 5_000
 
 
+def stream_classes(name, steps):
+    """The first steps + 1 classes of a perfbench workload's seed-0 input, encoded by default."""
+    workload = workloads.WORKLOADS[name]
+    rows = workload.make_rows(random.Random(0), workload.rows)
+    read = read_numeric_series if workload.numeric else read_text_corpus
+    corpus = read(io.BytesIO(("\n".join(rows) + "\n").encode()), source=name)
+    return encode_corpus(corpus.items, class_level=5, reference="last").classes.classes[: steps + 1]
+
+
+MARKOV_STEPS = 5_000  # a prefix of predict-full's stream, with the default config
+NUMERIC = LearnerConfig(population_size=100_000, rule_mode=MULTIPLICATIVE_DIVISIVE)
+
+
+class TestBenchmarkStreams:
+    """learn_step against the oracle on the class streams the benchmark runs."""
+
+    @pytest.mark.parametrize(
+        "name,steps,config",
+        [("predict-full", MARKOV_STEPS, LearnerConfig()), ("learn-pop100k", 200, NUMERIC)],
+    )
+    def test_every_step_matches_the_oracle(self, name, steps, config):
+        classes = stream_classes(name, steps)
+        learner = Learner(config)
+        for previous, expected in zip(classes, classes[1:]):
+            winners, new_mean, _ = oracle_step(config, learner.deviant_mean, previous, expected)
+            outcome = learner.learn_step(previous, expected)
+            assert [w.hex() for w in outcome.winner_candidates] == [w.hex() for w in winners]
+            assert outcome.new_deviant_mean.hex() == new_mean.hex()
+
+    def test_the_walk_alone_serves_the_markov_stream(self):
+        classes = stream_classes("predict-full", MARKOV_STEPS)
+        learner = Learner(LearnerConfig())
+        with mock.patch.object(learner_module, "_ranked", wraps=learner_module._ranked) as ranked:
+            for previous, expected in zip(classes, classes[1:]):
+                learner.learn_step(previous, expected)
+        assert ranked.call_count == 0
+
+    def test_plateaus_go_to_ranked(self):
+        with mock.patch.object(learner_module, "_ranked", wraps=learner_module._ranked) as ranked:
+            for case in seeded_step_cases():
+                if case[1] in PLATEAU_MEANS:
+                    step_result(*case)
+        assert ranked.call_count >= 1
+
+
 class TestStepCost:
     def test_one_step_allocates_nothing_population_sized(self):
         learner = Learner(
@@ -509,6 +563,17 @@ class TestStepCost:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+
+class TestLargestPopulation:
+    @pytest.mark.parametrize("k_winners", [1, 3])
+    def test_a_plateau_at_sys_maxsize_still_steps(self, k_winners):
+        # every candidate rounds to the mean, so the whole grid is one tied run
+        learner = Learner(LearnerConfig(population_size=sys.maxsize, k_winners=k_winners))
+        learner.deviant_mean = 1e17
+        outcome = learner.learn_step(1, 5)
+        assert outcome.winner_candidates == (1e17,) * k_winners
+        assert outcome.new_deviant_mean == 1e17
 
 
 class TestNonFiniteState:
