@@ -25,6 +25,7 @@ from .encoder import (
     MIN_CLASS_LEVEL,
     EncodedCorpus,
     Reference,
+    check_class_level,
     encode_corpus,
 )
 from .errors import BadConfigError, BadReferenceError, SymcastError
@@ -46,9 +47,9 @@ _CONFIG_ERRORS = (BadConfigError, BadReferenceError)
 
 @dataclass
 class Settings:
-    """Merged view of all tunable parameters; the defaults are the configs'."""
+    """Merged view of all tunable parameters; the defaults are the configs' but class_level's."""
 
-    class_level: int = LearnerConfig.class_level
+    class_level: int = 5
     reference: Reference = "last"
     train_fraction: float = RunConfig.train_fraction
     population: int = LearnerConfig.population_size
@@ -65,7 +66,6 @@ class Settings:
             rule_mode=self.rule,
             bias=self.lp,
             k_winners=self.k_winners,
-            class_level=self.class_level,
         )
 
     def run_config(self) -> RunConfig:
@@ -120,25 +120,31 @@ _SETTING_NAMES = {
 
 
 def _read_config_file(path: str) -> dict[str, tuple[str, int]]:
-    """Flat key = value file with # comments; returns raw values + line numbers."""
+    """Flat key = value UTF-8 file with # comments; returns raw values + line numbers."""
     entries: dict[str, tuple[str, int]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise BadConfigError(
-                    "config file", f"{path} line {line_number}: expected key = value"
-                )
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _FIELDS:
-                raise BadConfigError(
-                    "config file", f"{path} line {line_number}: unknown key {key!r}"
-                )
-            entries[key] = (value, line_number)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_number = data.count(b"\n", 0, exc.start) + 1
+        raise BadConfigError("config file", f"{path} line {line_number}: not valid UTF-8") from None
+    for line_number, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise BadConfigError(
+                "config file", f"{path} line {line_number}: expected key = value"
+            )
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _FIELDS:
+            raise BadConfigError(
+                "config file", f"{path} line {line_number}: unknown key {key!r}"
+            )
+        entries[key] = (value, line_number)
     return entries
 
 
@@ -166,6 +172,7 @@ def _merge_settings(args: argparse.Namespace) -> Settings:
 
     try:
         settings.run_config().validate()
+        check_class_level(settings.class_level)
     except BadConfigError as exc:
         name = _SETTING_NAMES.get(exc.field, exc.field)
         raise BadConfigError(name, f"{exc.reason} (from {sources[name]})") from None

@@ -1,7 +1,8 @@
 """Deviant-mean learner with mismatch-driven candidate updates.
 
 The learner keeps one scalar offset (the deviant mean) that is added to
-the previous observation to form the next prediction. After each
+the previous observation to form the next raw prediction; it knows no
+class range (the walk in pipeline rounds and clamps). After each
 observation the signed mismatch between the raw prediction and the
 observed value picks an update direction: a positive mismatch weakens the
 mean, a negative one reinforces it. A fixed grid of adjustment magnitudes
@@ -24,12 +25,11 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .encoder import check_class_level
 from .errors import BadConfigError, DegenerateDivisiveError, NonFiniteStateError
 
 ADDITIVE_SUBTRACTIVE = "addsub"
@@ -44,7 +44,6 @@ class LearnerConfig:
     rule_mode: str = ADDITIVE_SUBTRACTIVE
     bias: float = 0.0
     k_winners: int = 1
-    class_level: int = 5
 
     def validate(self) -> None:
         if not 1 <= self.population_size <= sys.maxsize:
@@ -66,15 +65,12 @@ class LearnerConfig:
                 "k_winners",
                 f"must be <= population_size ({self.population_size}), got {self.k_winners}",
             )
-        check_class_level(self.class_level)
 
 
 class StepOutcome(NamedTuple):
     """Everything one learning step produced."""
 
     raw_prediction: float
-    predicted_class: int
-    expected: int
     signed_diff: float
     winner_candidates: tuple[float, ...]
     new_deviant_mean: float
@@ -92,23 +88,6 @@ def make_adjustment_grid(population_size: int, max_deviant_adjust: float) -> np.
     return grid
 
 
-def round_half_away_from_zero(value: float) -> int:
-    whole = math.trunc(value)
-    fraction = value - whole
-    if fraction >= 0.5:
-        return whole + 1
-    if fraction <= -0.5:
-        return whole - 1
-    return whole
-
-
-def round_half_away_from_zero_array(values: np.ndarray) -> np.ndarray:
-    """round_half_away_from_zero on every element, as whole float64 values."""
-    whole = np.trunc(values)
-    fraction = values - whole
-    return whole + (fraction >= 0.5) - (fraction <= -0.5)
-
-
 def adjust_candidates(
     deviant_mean: float,
     grid: np.ndarray,
@@ -123,7 +102,7 @@ def adjust_candidates(
     since the mean could then never move again.
     """
     if signed_diff == 0:
-        raise ValueError("signed_diff must be nonzero; the zero branch is apply_bias")
+        raise ValueError("signed_diff must be nonzero; a zero mismatch only applies the bias")
     if rule_mode == ADDITIVE_SUBTRACTIVE:
         if signed_diff > 0:
             return deviant_mean - grid
@@ -174,17 +153,6 @@ class Learner:
         self.deviant_mean = 0.0
         self.steps_seen = 0
 
-    def predict_next(self, current_value: int) -> tuple[float, int]:
-        """Raw prediction (current + deviant mean) and its clamped class."""
-        raw = current_value + self.deviant_mean
-        rounded = round_half_away_from_zero(raw)
-        predicted_class = min(max(rounded, 1), self.config.class_level)
-        return raw, predicted_class
-
-    def apply_bias(self) -> None:
-        """Zero-mismatch branch: shift the mean by the configured bias."""
-        self.deviant_mean += self.config.bias
-
     def learn_step(self, previous_value: int, expected: int) -> StepOutcome:
         """Predict from previous_value, observe expected, update the mean.
 
@@ -194,8 +162,7 @@ class Learner:
         mean infinite or NaN.
         """
         config = self.config
-        raw = previous_value + self.deviant_mean  # predict_next, inlined: it runs every step
-        predicted_class = min(max(round_half_away_from_zero(raw), 1), config.class_level)
+        raw = previous_value + self.deviant_mean
         signed_diff = raw - expected
         used_fallback = False
 
@@ -223,9 +190,7 @@ class Learner:
         if not math.isfinite(self.deviant_mean):
             raise NonFiniteStateError(self.steps_seen, self.deviant_mean)
         # positional: a NamedTuple binds keywords several times slower
-        return StepOutcome(
-            raw, predicted_class, expected, signed_diff, winners, self.deviant_mean, used_fallback
-        )
+        return StepOutcome(raw, signed_diff, winners, self.deviant_mean, used_fallback)
 
     def _nearest_candidates(
         self, previous_value: int, expected: int, signed_diff: float, rule_mode: str
@@ -310,9 +275,7 @@ class Learner:
         def key(index: int) -> tuple[float, float, int]:
             return size(index), abs(candidate(index)), index
 
-        winners = _ranked(
-            0, population_size, config.k_winners, (residual, candidate), key, rising, start
-        )
+        winners = _ranked(0, population_size, config.k_winners, (residual, candidate), key, rising)
         return tuple(map(candidate, winners))
 
     def _crossing_index(self, target: float, weakening: bool, rule_mode: str) -> int:
@@ -352,18 +315,14 @@ def _ranked(
     signed_parts: tuple[Callable[[int], float], ...],
     key: Callable[[int], tuple],
     rising: bool,
-    guess: int,
 ) -> list[int]:
     """The first count indices of [start, stop) in key order.
 
     key(i) is (|f(i)| for each signed function f of the step, then i).
     The indices in [start, stop) tie on the parts before those of
     signed_parts, the functions still to rank by; each of them rises
-    with the index if rising and falls otherwise. The search for the
-    bottom of the first signed part's V starts at guess, any integer,
-    clamped into [start, stop]: the result does not depend on it, only
-    the cost, two evaluations when guess is the bottom and O(log d) when
-    it is d indices away.
+    with the index if rising and falls otherwise. One bisection over
+    the whole range finds the bottom of the first signed part's V.
     """
     if stop - start <= count:
         return sorted(range(start, stop), key=key)
@@ -377,22 +336,8 @@ def _ranked(
     def far_side(index: int) -> bool:
         return (signed(index) >= 0) == rising
 
-    # The bottom is the first far-side index, or stop. Gallop from the
-    # guess, doubling the stride, to a bracket [low, high] holding it.
-    bottom = min(max(guess, start), stop)
-    low = high = bottom
-    stride = 1
-    if bottom < stop and not far_side(bottom):  # the bottom is to the right
-        low = bottom + 1
-        while low + stride - 1 < stop and not far_side(low + stride - 1):
-            low, stride = low + stride, stride * 2
-        high = min(low + stride - 1, stop)
-    elif bottom > start and far_side(bottom - 1):  # to the left
-        high = bottom - 1
-        while high - stride >= start and far_side(high - stride):
-            high, stride = high - stride, stride * 2
-        low = max(high - stride + 1, start)
-    bottom = low + bisect.bisect_left(range(low, high), True, key=far_side)
+    # the bottom is the first far-side index, or stop
+    bottom = start + bisect.bisect_left(range(start, stop), True, key=far_side)
 
     left, right = bottom - 1, bottom  # the next index on each side of the V
     left_size = size(left) if left >= start else math.inf
@@ -411,7 +356,7 @@ def _ranked(
                 )
                 left_size = size(edge - 1) if edge > start else math.inf
             tied = [left] if edge == left else _ranked(
-                edge, left + 1, needed, later_parts, key, rising, edge
+                edge, left + 1, needed, later_parts, key, rising
             )
             left = edge - 1
         if right < stop and right_size == lowest:
@@ -423,14 +368,10 @@ def _ranked(
                 )
                 right_size = size(edge + 1) if edge + 1 < stop else math.inf
             run = [right] if edge == right else _ranked(
-                right, edge + 1, needed, later_parts, key, rising, right
+                right, edge + 1, needed, later_parts, key, rising
             )
             tied = sorted(tied + run, key=key) if tied else run
             right = edge + 1
         order += tied[:needed]
     return order
 
-
-def with_class_level(config: LearnerConfig, class_level: int) -> LearnerConfig:
-    """Copy of config with its clamping range pinned to a class sequence."""
-    return replace(config, class_level=class_level)

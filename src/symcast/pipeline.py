@@ -15,15 +15,15 @@ trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import islice, repeat, takewhile
 from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
-from .encoder import ClassSequence, SensorMemory, decode_class
-from .errors import BadConfigError, NoTestStepsError, TooShortError, TraceFormatError
-from .learner import Learner, LearnerConfig, round_half_away_from_zero_array, with_class_level
+from .encoder import ClassSequence, SensorMemory, check_class_level, decode_class
+from .errors import BadClassError, BadConfigError, NoTestStepsError, TooShortError, TraceFormatError
+from .learner import Learner, LearnerConfig
 
 TRAIN = "train"
 TEST = "test"
@@ -120,38 +120,49 @@ def split_index(sequence_length: int, train_fraction: float) -> int:
     return max(1, math.floor(train_fraction * sequence_length))
 
 
+def round_half_away_from_zero_array(values: np.ndarray) -> np.ndarray:
+    """Each element rounded to the nearest whole number, halves away from zero, as float64."""
+    whole = np.trunc(values)
+    fraction = values - whole
+    return whole + (fraction >= 0.5) - (fraction <= -0.5)
+
+
 def _walk(classes: ClassSequence, config: RunConfig, learning: bool) -> PredictionTrace:
     """Predict each element from its predecessor; update the learner while learning.
 
     Only the steps that learn run in a loop, which stores each step's raw
-    prediction, class and mean into preallocated columns. The others add
-    the mean the learner holds at that point to the previous class. The
-    running test MAPE is then computed from the columns: np.cumsum adds
-    1-D float64 in order, as a running sum would. Expected classes are
-    always >= 1, so each ratio is defined.
+    prediction and mean into preallocated columns. The others add the
+    mean the learner holds at that point to the previous class. One array
+    pass then rounds every raw prediction half away from zero and clamps
+    it to [1, class_level]: the learner knows no class range. The running
+    test MAPE is computed from the columns: np.cumsum adds 1-D float64 in
+    order, as a running sum would. A class outside [1, class_level]
+    raises BadClassError, so each ratio is defined.
     """
-    config = replace(config, learner=with_class_level(config.learner, classes.class_level))
     config.validate()
+    level = classes.class_level
+    check_class_level(level)
+    values = np.array(classes.classes)
+    outside = (values < 1) | (values > level)
+    if outside.any():
+        raise BadClassError(f"class {values[outside.argmax()]} out of range [1, {level}]")
     length = len(classes)
     split = split_index(length, config.train_fraction)
     learner = Learner(config.learner)
 
-    values = np.array(classes.classes, dtype=np.int8)  # classes lie in [1, 10]
+    values = values.astype(np.int8)
     previous, expected = values[:-1], values[1:]
     raw = np.empty(length - 1)
-    predicted = np.empty(length - 1, dtype=np.int8)
     means = np.empty(length - 1)
     # the leading steps the learner updates on; the rest keep the mean it then holds
     learned = (split - 1 if config.freeze_after_train else length - 1) if learning else 0
     observed = islice(classes.classes, 1, learned + 1)
     for step, outcome in enumerate(map(learner.learn_step, classes.classes, observed)):
         raw[step] = outcome.raw_prediction
-        predicted[step] = outcome.predicted_class
         means[step] = outcome.new_deviant_mean
-    fixed = slice(learned, None)  # Learner.predict_next, a column at a time
-    raw[fixed] = previous[fixed] + learner.deviant_mean
-    predicted[fixed] = np.clip(round_half_away_from_zero_array(raw[fixed]), 1, classes.class_level)
-    means[fixed] = learner.deviant_mean
+    raw[learned:] = previous[learned:] + learner.deviant_mean
+    means[learned:] = learner.deviant_mean
+    predicted = np.clip(round_half_away_from_zero_array(raw), 1, level).astype(np.int8)
 
     abs_error = np.abs(predicted - expected)
     series = np.divide(abs_error[split - 1:], expected[split - 1:])
@@ -167,8 +178,8 @@ def _walk(classes: ClassSequence, config: RunConfig, learning: bool) -> Predicti
 def run_continual(classes: ClassSequence, config: RunConfig) -> PredictionTrace:
     """Walk the sequence, predicting each element from its predecessor.
 
-    The learner's clamping range is pinned to the sequence's class level.
-    With freeze_after_train=True the learner stops updating once the test
+    Predicted classes are clamped to the sequence's class level. With
+    freeze_after_train=True the learner stops updating once the test
     phase begins (ablation mode); by default learning is continual.
     """
     return _walk(classes, config, learning=True)

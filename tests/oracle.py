@@ -8,11 +8,11 @@ symcast.encoder. Keep it dumb; do not "optimize" it toward the real encoder.
 The functions after it walk, write, read and decode a trace one step or one
 line at a time, and place the report chart's points one at a time, the way
 symcast did before it worked on columns. They use only the learner's scalar
-step and decode_class from symcast.
+step and decode_class from symcast. round_half_away_from_zero is the scalar
+rounding rule that the walk applies to whole columns.
 """
 
 import math
-from dataclasses import replace
 
 from symcast.encoder import decode_class
 from symcast.learner import Learner
@@ -65,15 +65,26 @@ TRACE_HEADER = (
 )
 
 
+def round_half_away_from_zero(value):
+    whole = math.trunc(value)
+    fraction = value - whole
+    if fraction >= 0.5:
+        return whole + 1
+    if fraction <= -0.5:
+        return whole - 1
+    return whole
+
+
 def walk_reference(classes, class_level, learner_config, train_fraction,
                    freeze_after_train, learning):
     """Return (rows, series): one StepRecord-ordered tuple per step and the running test MAPE.
 
-    Each step predicts from its predecessor with the learner's scalar
-    predict_next, and learns with learn_step unless the walk does not
-    learn or is frozen in the test phase.
+    Each step predicts from its predecessor plus the learner's mean,
+    rounded half away from zero and clamped to [1, class_level], and
+    learns with learn_step unless the walk does not learn or is frozen
+    in the test phase.
     """
-    learner = Learner(replace(learner_config, class_level=class_level))
+    learner = Learner(learner_config)
     split = max(1, math.floor(train_fraction * len(classes)))
     rows = []
     series = []
@@ -82,11 +93,10 @@ def walk_reference(classes, class_level, learner_config, train_fraction,
         previous = classes[index - 1]
         expected = classes[index]
         phase = TRAIN if index < split else TEST
+        raw = previous + learner.deviant_mean
         if learning and not (freeze_after_train and phase == TEST):
-            outcome = learner.learn_step(previous, expected)
-            raw, predicted = outcome.raw_prediction, outcome.predicted_class
-        else:
-            raw, predicted = learner.predict_next(previous)
+            learner.learn_step(previous, expected)
+        predicted = min(max(round_half_away_from_zero(raw), 1), class_level)
         abs_error = abs(predicted - expected)
         rows.append((index, phase, previous, raw, predicted, expected, abs_error,
                      learner.deviant_mean))

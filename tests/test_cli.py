@@ -430,6 +430,18 @@ class TestConfigFile:
         assert code == 2
         assert f"config file {config} line 2" in err
 
+    def test_a_config_file_not_in_utf8_names_the_file_and_line(
+        self, carbus_file, tmp_path, capsys
+    ):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"# settings\nclass_level = \xff3\n")
+        code, out, err = run(
+            ["encode", "--input", str(carbus_file), "--config", str(config)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: config file: {config} line 2: not valid UTF-8\n"
+
     def test_missing_config_file_is_an_input_error(self, carbus_file, tmp_path, capsys):
         code, _, _ = run(
             [

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracle import round_half_away_from_zero
 from test_benchmark_contract import workloads  # perfbench/workloads.py, loaded read-only
 
 from symcast import learner as learner_module
-from symcast.encoder import encode_corpus
+from symcast.encoder import ClassSequence, encode_corpus
 from symcast.errors import BadConfigError, DegenerateDivisiveError, NonFiniteStateError
 from symcast.ingest import read_numeric_series, read_text_corpus
 from symcast.learner import (
@@ -26,10 +27,9 @@ from symcast.learner import (
     LearnerConfig,
     adjust_candidates,
     make_adjustment_grid,
-    round_half_away_from_zero,
     select_winners,
-    with_class_level,
 )
+from symcast.pipeline import RunConfig, round_half_away_from_zero_array, run_continual
 
 nonzero_diffs = st.floats(min_value=-10, max_value=10, allow_nan=False).filter(
     lambda d: d != 0
@@ -89,7 +89,9 @@ class TestAdjustmentGrid:
     ],
 )
 def test_round_half_away_from_zero(value, expected):
+    # the scalar reference and the walk's array form
     assert round_half_away_from_zero(value) == expected
+    assert round_half_away_from_zero_array(np.array([value])).tolist() == [expected]
 
 
 class TestConfigValidation:
@@ -102,7 +104,7 @@ class TestConfigValidation:
             (dict(rule_mode="banana"), "rule_mode"),
             (dict(k_winners=0), "k_winners"),
             (dict(population_size=10, k_winners=11), "k_winners"),
-            (dict(class_level=0), "class_level"),
+            (dict(max_deviant_adjust=-math.inf), "max_deviant_adjust"),
             (dict(max_deviant_adjust=math.inf), "max_deviant_adjust"),
             (dict(max_deviant_adjust=math.nan), "max_deviant_adjust"),
             (dict(bias=math.inf), "bias"),
@@ -120,39 +122,36 @@ class TestConfigValidation:
     def test_defaults_are_valid(self):
         LearnerConfig().validate()
 
-    def test_with_class_level(self):
-        config = with_class_level(LearnerConfig(), 8)
-        assert config.class_level == 8
-        assert config.population_size == 1000
+
+def predicted_after_a_bias_step(bias, current, level=5):
+    """The walk's raw prediction and class for current, once an exact step has set the mean to bias.
+
+    The learner knows no class range: the walk rounds and clamps its raw prediction.
+    """
+    classes = ClassSequence(classes=(current, current, current), class_level=level)
+    step = run_continual(classes, RunConfig(learner=LearnerConfig(bias=bias))).steps[1]
+    return step.raw_prediction, step.predicted_class
 
 
 class TestPredictNext:
     def test_zero_mean_identity(self):
         learner = Learner(LearnerConfig())
-        assert learner.predict_next(1) == (1.0, 1)
+        assert learner.learn_step(1, 1).raw_prediction == 1.0
+        assert predicted_after_a_bias_step(0.0, 1) == (1.0, 1)
 
     def test_negative_raw_clamps_to_one(self):
-        learner = Learner(LearnerConfig())
-        learner.deviant_mean = -2.0
-        raw, cls = learner.predict_next(1)
-        assert raw == -1.0
-        assert cls == 1
+        assert predicted_after_a_bias_step(-2.0, 1) == (-1.0, 1)
 
     def test_high_raw_clamps_to_the_class_level(self):
-        learner = Learner(LearnerConfig())
-        learner.deviant_mean = 2.0
-        raw, cls = learner.predict_next(5)
-        assert raw == 7.0
-        assert cls == 5
+        assert predicted_after_a_bias_step(2.0, 5) == (7.0, 5)
 
     @given(
         mean=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
         current=st.integers(min_value=1, max_value=5),
     )
     def test_predicted_class_always_in_range(self, mean, current):
-        learner = Learner(LearnerConfig())
-        learner.deviant_mean = mean
-        _, cls = learner.predict_next(current)
+        raw, cls = predicted_after_a_bias_step(mean, current)
+        assert raw == current + mean
         assert 1 <= cls <= 5
 
 
@@ -246,22 +245,26 @@ class TestSelectWinners:
 
 
 class TestApplyBias:
+    """A zero mismatch only shifts the mean by the bias."""
+
     def test_positive_bias(self):
         learner = Learner(LearnerConfig(bias=0.01))
         learner.deviant_mean = 1.0
-        learner.apply_bias()
+        outcome = learner.learn_step(2, 3)
+        assert outcome.signed_diff == 0.0
         assert learner.deviant_mean == pytest.approx(1.01)
 
     def test_zero_bias_is_identity(self):
         learner = Learner(LearnerConfig())
         learner.deviant_mean = 1.0
-        learner.apply_bias()
+        learner.learn_step(2, 3)
         assert learner.deviant_mean == 1.0
 
     def test_bias_on_a_negative_mean(self):
         learner = Learner(LearnerConfig(bias=0.5))
         learner.deviant_mean = -2.0
-        learner.apply_bias()
+        outcome = learner.learn_step(5, 3)
+        assert outcome.winner_candidates == ()
         assert learner.deviant_mean == -1.5
 
 
@@ -270,7 +273,6 @@ class TestLearnStep:
         learner = Learner(LearnerConfig())
         outcome = learner.learn_step(1, 5)
         assert outcome.raw_prediction == 1.0
-        assert outcome.predicted_class == 1
         assert outcome.signed_diff == -4.0
         assert outcome.winner_candidates == (2.0,)
         assert outcome.new_deviant_mean == 2.0
@@ -282,7 +284,6 @@ class TestLearnStep:
         learner.deviant_mean = 2.0
         outcome = learner.learn_step(5, 5)
         assert outcome.raw_prediction == 7.0
-        assert outcome.predicted_class == 5
         assert outcome.signed_diff == 2.0
         assert outcome.new_deviant_mean == 0.0
 
@@ -327,7 +328,7 @@ class TestLearnStep:
         assert abs(learner.deviant_mean - 1.0) <= 0.002
         for previous, expected in [(2, 3), (3, 4), (4, 5)]:
             outcome = learner.learn_step(previous, expected)
-            assert outcome.predicted_class == expected
+            assert round_half_away_from_zero(outcome.raw_prediction) == expected
 
     def test_replays_are_bit_identical(self):
         pairs = [(1, 5), (5, 5), (5, 1), (1, 1), (1, 3), (3, 2)]
@@ -389,7 +390,6 @@ def step_cases(draw):
         ),
         rule_mode=draw(st.sampled_from(RULE_MODES)),
         k_winners=draw(st.integers(min_value=1, max_value=min(5, population))),
-        class_level=10,
     )
     mean = draw(
         st.one_of(
@@ -417,7 +417,6 @@ def seeded_step_cases():
             rule_mode=rng.choice(RULE_MODES),
             # 8 and more winners reach the unrolled blocks of numpy's summation
             k_winners=rng.randint(1, min(64, population)),
-            class_level=10,
         )
         draw = rng.random()
         if draw < 0.2:

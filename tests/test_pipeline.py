@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from symcast.encoder import ClassSequence, SensorMemory, decode_class
 from symcast.errors import (
+    BadClassError,
+    BadClassLevelError,
     BadConfigError,
     SymcastError,
     EmptyMemoryError,
@@ -23,8 +25,6 @@ from symcast.learner import (
     ADDITIVE_SUBTRACTIVE,
     MULTIPLICATIVE_DIVISIVE,
     LearnerConfig,
-    round_half_away_from_zero,
-    round_half_away_from_zero_array,
 )
 from symcast.pipeline import (
     TEST,
@@ -38,12 +38,19 @@ from symcast.pipeline import (
     format_real,
     mape,
     read_trace,
+    round_half_away_from_zero_array,
     run_continual,
     split_index,
     write_trace,
 )
 
-from oracle import decode_reference, read_trace_reference, walk_reference, write_trace_reference
+from oracle import (
+    decode_reference,
+    read_trace_reference,
+    round_half_away_from_zero,
+    walk_reference,
+    write_trace_reference,
+)
 
 
 def sequence(values, level=5):
@@ -167,11 +174,33 @@ class TestRunContinual:
         )
 
     def test_learner_config_is_pinned_to_the_sequence_level(self):
-        # class_level 9 sequence with a learner configured for level 5:
-        # predictions must still be allowed to reach 9
+        # the learner knows no class level; the walk clamps to the sequence's,
+        # so predictions on a level-9 sequence reach 9 and no further
         classes = sequence([1, 9, 9, 9, 9, 9], level=9)
-        trace = run_continual(classes, RunConfig(learner=LearnerConfig(class_level=5)))
+        trace = run_continual(classes, RunConfig(learner=LearnerConfig(bias=2.0)))
         assert any(s.predicted_class == 9 for s in trace.steps)
+        assert any(s.raw_prediction > 9.5 for s in trace.steps)
+        assert max(s.predicted_class for s in trace.steps) == 9
+
+    @pytest.mark.parametrize(
+        "values,bad",
+        [((0, 1, 0, 1), 0), ((200, 1, 1, 1), 200), ((7, 1, 9, 1), 7), ((1, 5, 5, 1), None)],
+    )
+    def test_classes_must_lie_in_the_level_range(self, values, bad):
+        # a hand-built sequence at level 5; the first class outside [1, 5] is named
+        for walk in (run_continual, baseline_persistence):
+            if bad is None:
+                trace = walk(sequence(values), RunConfig())
+                assert trace.expected_class.tolist() == list(values[1:])
+                continue
+            with pytest.raises(BadClassError) as info:
+                walk(sequence(values), RunConfig())
+            assert str(info.value) == f"class {bad} out of range [1, 5]"
+
+    @pytest.mark.parametrize("level", [0, 1, 11])
+    def test_a_sequence_level_out_of_range_is_refused(self, level):
+        with pytest.raises(BadClassLevelError):
+            run_continual(sequence((1, 1, 1), level), RunConfig())
 
     def test_too_short_sequence_rejected(self):
         with pytest.raises(TooShortError):
