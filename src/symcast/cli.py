@@ -15,6 +15,8 @@ import csv
 import io
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -194,17 +196,31 @@ def _open_out(path: str | None) -> tuple[TextIO, bool]:
     return open(path, "w", encoding="utf-8", newline=""), True
 
 
+def _csv_fields(texts: Sequence[str]) -> Sequence[str]:
+    """texts as CSV fields: unchanged, or each quoted by csv's own rule if any needs it."""
+    joined = "".join(texts)
+    if not any(special in joined for special in ',"\r\n'):
+        return texts
+    # writerow returns what write returns, here the formatted row itself
+    echo = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    return [echo.writerow((text,))[:-1] for text in texts]
+
+
 def _write_encode_report(encoded: EncodedCorpus, corpus: Corpus, stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["row_index", "symbol", "match_value", "scale", "class"])
-    for row, (symbol, score, cls) in enumerate(
-        zip(corpus.items, encoded.scores, encoded.classes.classes), start=1
-    ):
-        writer.writerow([row, symbol, score.value, f"{score.scale:.6f}", cls])
-    stream.write("\n")
-    writer.writerow(["class", "symbol"])
-    for slot, symbol in enumerate(encoded.memory.slots, start=1):
-        writer.writerow([slot, "[]" if symbol is None else symbol])
+    slots = ["[]" if symbol is None else symbol for symbol in encoded.memory.slots]
+    limit = sys.get_int_max_str_digits()
+    # A match value has as many bits as its row has cells, and CPython refuses to
+    # print an int of more than 4,300 digits; lift that limit here only.
+    sys.set_int_max_str_digits(0)
+    try:
+        stream.write("row_index,symbol,match_value,scale,class\n")
+        stream.writelines(map("{},{},{},{:.6f},{}\n".format, range(1, len(corpus.items) + 1),
+                              _csv_fields(corpus.items), map(attrgetter("value"), encoded.scores),
+                              map(attrgetter("scale"), encoded.scores), encoded.classes.classes))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    stream.write("\nclass,symbol\n")
+    stream.writelines(map("{},{}\n".format, range(1, len(slots) + 1), _csv_fields(slots)))
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
@@ -223,11 +239,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def _write_decoded(decoded, stream: TextIO) -> None:
     """The decoded steps as CSV; each of the at most class_level² distinct rows is formed once."""
     rows = list(zip(decoded.predicted_symbol, decoded.expected_symbol, decoded.exact))
-    texts = {}
-    for row in set(rows):
-        line = io.StringIO()
-        csv.writer(line, lineterminator="\n").writerow((*row[:2], "true" if row[2] else "false"))
-        texts[row] = line.getvalue()
+    texts = {row: "{},{},{}\n".format(*_csv_fields(row[:2]), "true" if row[2] else "false")
+             for row in set(rows)}
     stream.write("predicted_symbol,expected_symbol,exact\n")
     stream.writelines(map(texts.__getitem__, rows))
 

@@ -3,16 +3,17 @@
 A corpus of symbol strings becomes a zero-padded ``uint32`` matrix of
 character codes, built from one UTF-32 encoding of the joined corpus.
 Every row is compared position-by-position against a chosen reference
-row in one array comparison; the agreement bits are packed eight to a
-byte and each row's bytes, read most-significant-bit first, give its
-integer match value. Match values are normalized by the corpus maximum
-into a scale in [0, 1], and the scale is mapped through
-``floor(class_level ** scale)`` onto an integer class in
-[1, class_level]. A decodable class -> symbol memory is built alongside,
-with the last corpus row to land on a class owning its slot.
+row in one array comparison; the agreement bits, padded on the left to
+whole 64-bit words and packed, are read as big-endian words, which give
+each row's integer match value most-significant-bit first. Match values
+are normalized by the corpus maximum into a scale in [0, 1], and the
+scale is mapped through ``floor(class_level ** scale)`` onto an integer
+class in [1, class_level]. A decodable class -> symbol memory is built
+alongside, with the last corpus row to land on a class owning its slot.
 
 No Python object is made per matrix cell: the cost is a few array passes
-over rows x width cells plus one Python integer and one float per row.
+over rows x width cells plus one Python integer and one float per row
+(and one integer per extra word column for rows wider than 64).
 Match values are kept as arbitrary-precision integers; a scale is their
 int true division, the correctly rounded float of the exact ratio. All
 functions here are pure and safe to call concurrently.
@@ -167,16 +168,14 @@ def swap_match(matrix: SymbolMatrix, reference: Reference = "last") -> list[Matc
     a scale is the correctly rounded float of value / max_value.
     """
     ref_index = resolve_reference(reference, matrix.rows)
-    # packbits pads each row's bits with zeros up to whole bytes; the shift
-    # drops that padding from the low end of the big-endian integer.
-    packed = np.packbits(matrix.codes == matrix.codes[ref_index], axis=1)
-    row_bytes = packed.shape[1]
-    pad_bits = 8 * row_bytes - matrix.width
-    data = memoryview(packed.tobytes())
-    values = [
-        int.from_bytes(data[start:start + row_bytes], "big") >> pad_bits
-        for start in range(0, len(data), row_bytes)
-    ]
+    # Zero bits padded on the left fill each row to whole 64-bit words, read
+    # big-endian without a shift; wider rows fold in one word column at a time.
+    words = np.packbits(
+        np.pad(matrix.codes == matrix.codes[ref_index], ((0, 0), (-matrix.width % 64, 0))), axis=1
+    ).view(">u8")
+    values = words[:, 0].tolist()
+    for column in words.T[1:]:
+        values = [(high << 64) | low for high, low in zip(values, column.tolist())]
 
     max_value = max(values)
     # positional: a NamedTuple binds keywords several times slower

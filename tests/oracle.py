@@ -2,8 +2,11 @@
 
 encode_reference re-derives the integer-class encoding: an explicit padded
 matrix, float division by the global maximum, positional float equality,
-string binarization, and a nested slot-filling loop. It shares no code with
-symcast.encoder. Keep it dumb; do not "optimize" it toward the real encoder.
+string binarization (match_reference, which also gives the match values),
+and a nested slot-filling loop. It shares no code with symcast.encoder. Keep
+it dumb; do not "optimize" it toward the real encoder. encode_report_reference
+and decoded_report_reference write the encode CSV and the --decode block one
+csv.writer row at a time, so csv alone decides what is quoted.
 
 The functions after it walk, write, read and decode a trace one step or one
 line at a time, and place the report chart's points one at a time, the way
@@ -12,17 +15,18 @@ step and decode_class from symcast. round_half_away_from_zero is the scalar
 rounding rule that the walk applies to whole columns.
 """
 
+import csv
 import math
 
 from symcast.encoder import decode_class
 from symcast.learner import Learner
 
 
-def encode_reference(corpus, class_level, reference_index):
-    """Return (classes, memory_slots) for a list of symbol strings.
+def match_reference(corpus, reference_index):
+    """Return (values, scales): each row's agreement bits against the reference row.
 
-    classes is a list of ints in [1, class_level]; memory_slots is a list of
-    class_level entries, each None or the last symbol that landed on it.
+    values[r] is row r's bit string read as a base-2 int, first cell first;
+    scales[r] is values[r] over the largest value, by float division.
     """
     n_rows = len(corpus)
     width = max(len(word) for word in corpus)
@@ -45,16 +49,47 @@ def encode_reference(corpus, class_level, reference_index):
 
     values = [int(bits, 2) for bits in bit_strings]
     value_max = max(values)
-    scales = [value / value_max for value in values]
+    return values, [value / value_max for value in values]
+
+
+def encode_reference(corpus, class_level, reference_index):
+    """Return (classes, memory_slots) for a list of symbol strings.
+
+    classes is a list of ints in [1, class_level]; memory_slots is a list of
+    class_level entries, each None or the last symbol that landed on it.
+    """
+    _, scales = match_reference(corpus, reference_index)
     classes = [math.floor(class_level ** scale) for scale in scales]
 
     slots = [None] * class_level
-    for r in range(n_rows):
+    for r in range(len(corpus)):
         for j in range(1, class_level + 1):
             if classes[r] == j:
                 slots[j - 1] = corpus[r]
 
     return classes, slots
+
+
+def encode_report_reference(encoded, corpus, stream):
+    """The `symcast encode` CSV, one csv.writer row per corpus row and per class slot."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["row_index", "symbol", "match_value", "scale", "class"])
+    for row, (symbol, score, cls) in enumerate(
+        zip(corpus.items, encoded.scores, encoded.classes.classes), start=1
+    ):
+        writer.writerow([row, symbol, score.value, f"{score.scale:.6f}", cls])
+    stream.write("\n")
+    writer.writerow(["class", "symbol"])
+    for slot, symbol in enumerate(encoded.memory.slots, start=1):
+        writer.writerow([slot, "[]" if symbol is None else symbol])
+
+
+def decoded_report_reference(decoded, stream):
+    """The `predict --decode` block, one csv.writer row per step."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["predicted_symbol", "expected_symbol", "exact"])
+    for predicted, expected, exact in zip(*decoded):
+        writer.writerow([predicted, expected, "true" if exact else "false"])
 
 
 TRAIN = "train"

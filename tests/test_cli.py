@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import csv
 import io
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,10 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcast.cli import _render_error_series_svg, build_parser, main
+from symcast.cli import (
+    _render_error_series_svg,
+    _write_decoded,
+    _write_encode_report,
+    build_parser,
+    main,
+)
+from symcast.encoder import encode_corpus
 from symcast.errors import SymcastError
+from symcast.ingest import Corpus
+from symcast.pipeline import DecodedTrace
 
-from oracle import svg_points_reference
+from oracle import decoded_report_reference, encode_report_reference, svg_points_reference
 
 VEHICLE_ENCODING = """\
 row_index,symbol,match_value,scale,class
@@ -44,6 +55,12 @@ VEHICLE_SUMMARY = [
     "final_mape_percent: 80.000000",
     "final_deviant_mean: 2.000000",
 ]
+
+
+def written(write, *args):
+    stream = io.StringIO()
+    write(*args, stream)
+    return stream.getvalue()
 
 
 def run(argv, capsys):
@@ -136,6 +153,59 @@ class TestEncode:
         assert code == 1
         assert out == ""
         assert err == "error: corpus row 1 contains NUL, which collides with padding\n"
+
+    def test_symbols_with_commas_and_quotes_read_back_unchanged(self, tmp_path, capsys):
+        path = tmp_path / "quoted.txt"
+        path.write_text('a,b\nc"d\n', encoding="utf-8")
+        code, out, _ = run(["encode", "--input", str(path)], capsys)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [row[1] for row in rows[1:3]] == ["a,b", 'c"d']
+        assert rows[-1] == ["5", 'c"d']
+
+    def test_a_row_past_the_int_digit_limit_writes_its_match_value_in_full(
+        self, tmp_path, capsys
+    ):
+        # 20,000 agreement bits make a match value of 6,021 decimal digits
+        path = tmp_path / "wide.txt"
+        path.write_text("a" * 20000 + "\n" + "b" * 20000 + "\n", encoding="ascii")
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(["encode", "--input", str(path)], capsys)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(2**20000 - 1)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert out.splitlines()[1:3] == [
+            f"1,{'a' * 20000},0,0.000000,1",
+            f"2,{'b' * 20000},{expected},1.000000,5",
+        ]
+
+
+# Corpora with nothing csv must quote, and corpora where some symbols need it.
+PLAIN_ALPHABET = "ab []é😀"
+QUOTING_ALPHABET = PLAIN_ALPHABET + ',"\r\n'
+
+
+class TestWritersAgainstReference:
+    @pytest.mark.parametrize("alphabet", [PLAIN_ALPHABET, QUOTING_ALPHABET])
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_encode_report_and_decode_block_match_the_per_row_writers(self, alphabet, data):
+        symbol = st.one_of(st.text(alphabet, min_size=1, max_size=8), st.just("[]"))
+        items = tuple(data.draw(st.lists(symbol, min_size=1, max_size=12)))
+        level = data.draw(st.integers(min_value=2, max_value=10))
+        encoded = encode_corpus(items, level)
+        corpus = Corpus(items=items, source="<drawn>")
+        assert (written(_write_encode_report, encoded, corpus)
+                == written(encode_report_reference, encoded, corpus))
+
+        pairs = st.tuples(st.sampled_from(items), st.sampled_from(items), st.booleans())
+        steps = data.draw(st.lists(pairs, min_size=1, max_size=12))
+        decoded = DecodedTrace(*map(list, zip(*steps)))
+        assert written(_write_decoded, decoded) == written(decoded_report_reference, decoded)
 
 
 class TestPredict:

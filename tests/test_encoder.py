@@ -32,7 +32,7 @@ from symcast.errors import (
     NulCharacterError,
 )
 
-from oracle import encode_reference
+from oracle import encode_reference, match_reference
 
 words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)
 corpora = st.lists(words, min_size=2, max_size=8)
@@ -190,6 +190,26 @@ class TestSwapMatch:
         assert scores[0].value == value
         assert scores[0].scale == float(Fraction(value, 2**width - 1))
         assert type(scores[0].scale) is float
+
+    @pytest.mark.parametrize("width", [1, 8, 63, 64, 65, 127, 128, 129, 130])
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_word_boundaries_match_the_oracle(self, width, data):
+        # rows fill whole 64-bit words or spill one cell into the next word
+        row = st.text(alphabet="ab", min_size=1, max_size=width)
+        rows = data.draw(st.lists(row, min_size=1, max_size=6))
+        reference = data.draw(st.text(alphabet="ab", min_size=max(1, width - 3),
+                                      max_size=max(1, width - 1)))  # narrower, past width 1
+        corpus = [*rows, data.draw(st.text(alphabet="ab", min_size=width, max_size=width)),
+                  reference]  # the copy of the reference agrees on every cell
+        corpus.insert(data.draw(st.integers(min_value=0, max_value=len(corpus))), reference)
+        reference_index = corpus.index(reference)
+        scores = swap_match(symbol_integer_transform(corpus), reference_index)
+        values, scales = match_reference(corpus, reference_index)
+        assert [s.value for s in scores] == values
+        assert [s.scale for s in scores] == scales
+        assert scores[reference_index] == (2**width - 1, 1.0)
+        assert scores[-1] == (2**width - 1, 1.0)
 
     def test_bad_reference_propagates(self):
         matrix = symbol_integer_transform(["a", "b"])
