@@ -14,10 +14,10 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import Sequence, TextIO
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -47,35 +47,18 @@ from .pipeline import (
 _CONFIG_ERRORS = (BadConfigError, BadReferenceError)
 
 
-@dataclass
-class Settings:
-    """Merged view of all tunable parameters; the defaults are the configs' but class_level's."""
+class Settings(NamedTuple):
+    """The merged settings; perfbench also reads run_config() and learner_config()."""
 
     class_level: int = 5
     reference: Reference = "last"
-    train_fraction: float = RunConfig.train_fraction
-    population: int = LearnerConfig.population_size
-    max_adjust: float = LearnerConfig.max_deviant_adjust
-    rule: str = LearnerConfig.rule_mode
-    lp: float = LearnerConfig.bias
-    k_winners: int = LearnerConfig.k_winners
-    freeze_after_train: bool = RunConfig.freeze_after_train
+    run: RunConfig = RunConfig()
 
     def learner_config(self) -> LearnerConfig:
-        return LearnerConfig(
-            population_size=self.population,
-            max_deviant_adjust=self.max_adjust,
-            rule_mode=self.rule,
-            bias=self.lp,
-            k_winners=self.k_winners,
-        )
+        return self.run.learner
 
     def run_config(self) -> RunConfig:
-        return RunConfig(
-            train_fraction=self.train_fraction,
-            learner=self.learner_config(),
-            freeze_after_train=self.freeze_after_train,
-        )
+        return self.run
 
 
 def _parse_reference(text: str) -> Reference:
@@ -99,25 +82,26 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-# field name -> (flag spelling, type conversion); ranges are checked by the configs
+# setting name (also its config-file key) -> (flag, type conversion, the class
+# and field that hold the value, help); ranges are checked by the configs
 _FIELDS = {
-    "class_level": ("--class-level", int),
-    "reference": ("--reference", _parse_reference),
-    "train_fraction": ("--train-fraction", float),
-    "population": ("--population", int),
-    "max_adjust": ("--max-adjust", float),
-    "rule": ("--rule", str),
-    "lp": ("--lp", float),
-    "k_winners": ("--k-winners", int),
-    "freeze_after_train": ("--freeze-after-train", _parse_bool),
-}
-
-# LearnerConfig field name -> Settings field name, where the two differ
-_SETTING_NAMES = {
-    "population_size": "population",
-    "max_deviant_adjust": "max_adjust",
-    "rule_mode": "rule",
-    "bias": "lp",
+    "class_level": ("--class-level", int, Settings, "class_level",
+                    f"number of integer classes, {MIN_CLASS_LEVEL}..{MAX_CLASS_LEVEL}"),
+    "reference": ("--reference", _parse_reference, Settings, "reference",
+                  "reference row: last, first, or a 1-based row number"),
+    "train_fraction": ("--train-fraction", float, RunConfig, "train_fraction",
+                       "fraction of elements used as the train prefix"),
+    "population": ("--population", int, LearnerConfig, "population_size",
+                   "number of candidate adjustment magnitudes"),
+    "max_adjust": ("--max-adjust", float, LearnerConfig, "max_deviant_adjust",
+                   "largest adjustment magnitude"),
+    "rule": ("--rule", str, LearnerConfig, "rule_mode",
+             f"update rule: {ADDITIVE_SUBTRACTIVE} or {MULTIPLICATIVE_DIVISIVE}"),
+    "lp": ("--lp", float, LearnerConfig, "bias", "bias added when a prediction is exact"),
+    "k_winners": ("--k-winners", int, LearnerConfig, "k_winners",
+                  "how many candidates the winner scan keeps"),
+    "freeze_after_train": ("--freeze-after-train", _parse_bool, RunConfig, "freeze_after_train",
+                           "stop learning when the test phase begins"),
 }
 
 
@@ -155,9 +139,9 @@ def _merge_settings(args: argparse.Namespace) -> Settings:
     if getattr(args, "config", None):
         file_entries = _read_config_file(args.config)
 
-    settings = Settings()
-    sources: dict[str, str] = {}
-    for name, (flag, parser) in _FIELDS.items():
+    given: dict[type, dict] = {Settings: {}, RunConfig: {}, LearnerConfig: {}}
+    sources: dict[str, tuple[str, str]] = {}  # field -> (setting name, where it was given)
+    for name, (flag, parse, owner, field, _) in _FIELDS.items():
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             raw, source = flag_value, f"flag {flag}"
@@ -166,18 +150,20 @@ def _merge_settings(args: argparse.Namespace) -> Settings:
             source = f"config file {args.config} line {line_number}"
         else:
             continue
-        sources[name] = source
         try:
-            setattr(settings, name, parser(raw))
+            given[owner][field] = parse(raw)
         except ValueError as exc:
             raise BadConfigError(name, f"{exc} (from {source})") from None
+        sources[field] = name, source
 
+    run = RunConfig(learner=LearnerConfig(**given[LearnerConfig]), **given[RunConfig])
+    settings = Settings(**given[Settings], run=run)
     try:
-        settings.run_config().validate()
+        run.validate()
         check_class_level(settings.class_level)
     except BadConfigError as exc:
-        name = _SETTING_NAMES.get(exc.field, exc.field)
-        raise BadConfigError(name, f"{exc.reason} (from {sources[name]})") from None
+        name, source = sources[exc.field]
+        raise BadConfigError(name, f"{exc.reason} (from {source})") from None
     return settings
 
 
@@ -189,11 +175,14 @@ def _read_corpus(args: argparse.Namespace) -> Corpus:
         return reader(handle, source=args.input)
 
 
-def _open_out(path: str | None) -> tuple[TextIO, bool]:
-    """Output stream plus whether it must be closed (i.e. is a real file)."""
+@contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """Standard output for no path or '-', else the file, closed on leaving."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        yield stream
 
 
 def _csv_fields(texts: Sequence[str]) -> Sequence[str]:
@@ -227,12 +216,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
     corpus = _read_corpus(args)
     encoded = encode_corpus(corpus.items, settings.class_level, settings.reference)
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         _write_encode_report(encoded, corpus, stream)
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -270,13 +255,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     settings = _merge_settings(args)
     corpus = _read_corpus(args)
     encoded = encode_corpus(corpus.items, settings.class_level, settings.reference)
-    run_config = settings.run_config()
 
-    trace = run_continual(encoded.classes, run_config)
-    baseline = baseline_persistence(encoded.classes, run_config) if args.baseline else None
+    trace = run_continual(encoded.classes, settings.run)
+    baseline = baseline_persistence(encoded.classes, settings.run) if args.baseline else None
 
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         write_trace(trace, stream)
         if baseline is not None:
             stream.write("\n")
@@ -284,12 +267,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
         if args.decode:
             stream.write("\n")
             _write_decoded(decode_trace(trace, encoded.memory), stream)
-    finally:
-        if close:
-            stream.close()
 
     # Keep stdout machine-parseable when the trace itself goes to stdout.
-    summary_stream = sys.stdout if close else sys.stderr
+    summary_stream = sys.stderr if stream is sys.stdout else sys.stdout
     for line in _summary_lines(trace, baseline):
         print(line, file=summary_stream)
     return 0
@@ -328,13 +308,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     _, series = mape(trace)
 
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         stream.write("test_step,cumulative_mape\n")
         stream.writelines(map("{},{:.6f}\n".format, range(1, len(series) + 1), series.tolist()))
-    finally:
-        if close:
-            stream.close()
 
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as handle:
@@ -347,21 +323,15 @@ def _add_common_io(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (default: stdout)")
 
 
+def _add_setting(parser: argparse.ArgumentParser, name: str, **kwargs) -> None:
+    flag, *_, help_text = _FIELDS[name]
+    parser.add_argument(flag, dest=name, help=help_text, **kwargs)
+
+
 def _add_config_flags(parser: argparse.ArgumentParser, names: Sequence[str]) -> None:
     parser.add_argument("--config", help="key = value configuration file")
-    helps = {
-        "class_level": f"number of integer classes, {MIN_CLASS_LEVEL}..{MAX_CLASS_LEVEL}",
-        "reference": "reference row: last, first, or a 1-based row number",
-        "train_fraction": "fraction of elements used as the train prefix",
-        "population": "number of candidate adjustment magnitudes",
-        "max_adjust": "largest adjustment magnitude",
-        "rule": f"update rule: {ADDITIVE_SUBTRACTIVE} or {MULTIPLICATIVE_DIVISIVE}",
-        "lp": "bias added when a prediction is exact",
-        "k_winners": "how many candidates the winner scan keeps",
-    }
     for name in names:
-        flag, _ = _FIELDS[name]
-        parser.add_argument(flag, dest=name, metavar="V", help=helps[name])
+        _add_setting(parser, name, metavar="V")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,9 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="append a persistence-baseline trace")
     predict.add_argument("--decode", action="store_true",
                          help="append decoded symbol pairs")
-    predict.add_argument("--freeze-after-train", dest="freeze_after_train",
-                         action="store_const", const="true",
-                         help="stop learning when the test phase begins")
+    _add_setting(predict, "freeze_after_train", action="store_const", const="true")
     predict.set_defaults(func=cmd_predict)
 
     report = commands.add_parser("report", help="error-response series from a trace")

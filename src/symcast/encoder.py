@@ -13,7 +13,7 @@ alongside, with the last corpus row to land on a class owning its slot.
 
 No Python object is made per matrix cell: the cost is a few array passes
 over rows x width cells plus one Python integer and one float per row
-(and one integer per extra word column for rows wider than 64).
+(and one ``int.from_bytes`` call per row for rows wider than 64).
 Match values are kept as arbitrary-precision integers; a scale is their
 int true division, the correctly rounded float of the exact ratio. All
 functions here are pure and safe to call concurrently.
@@ -169,13 +169,14 @@ def swap_match(matrix: SymbolMatrix, reference: Reference = "last") -> list[Matc
     """
     ref_index = resolve_reference(reference, matrix.rows)
     # Zero bits padded on the left fill each row to whole 64-bit words, read
-    # big-endian without a shift; wider rows fold in one word column at a time.
-    words = np.packbits(
+    # big-endian without a shift; a wider row is read as one big-endian int.
+    packed = np.packbits(
         np.pad(matrix.codes == matrix.codes[ref_index], ((0, 0), (-matrix.width % 64, 0))), axis=1
-    ).view(">u8")
-    values = words[:, 0].tolist()
-    for column in words.T[1:]:
-        values = [(high << 64) | low for high, low in zip(values, column.tolist())]
+    )
+    if packed.shape[1] == 8:
+        values = packed.view(">u8")[:, 0].tolist()
+    else:
+        values = [int.from_bytes(row, "big") for row in packed]
 
     max_value = max(values)
     # positional: a NamedTuple binds keywords several times slower

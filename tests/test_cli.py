@@ -14,6 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcast.cli import (
+    _FIELDS,
+    Settings,
+    _merge_settings,
     _render_error_series_svg,
     _write_decoded,
     _write_encode_report,
@@ -23,7 +26,7 @@ from symcast.cli import (
 from symcast.encoder import encode_corpus
 from symcast.errors import SymcastError
 from symcast.ingest import Corpus
-from symcast.pipeline import DecodedTrace
+from symcast.pipeline import DecodedTrace, RunConfig
 
 from oracle import decoded_report_reference, encode_report_reference, svg_points_reference
 
@@ -530,6 +533,73 @@ class TestConfigFile:
         )
         assert code == 0
         assert "train_elements: 4" in err
+
+
+# Per setting: a value it refuses, and one it accepts that changes a run on MIXED_CORPUS.
+BAD_VALUES = {
+    "class_level": "11", "reference": "0", "train_fraction": "1", "population": "0",
+    "max_adjust": "nan", "rule": "mul", "lp": "inf", "k_winners": "0",
+    "freeze_after_train": "maybe",
+}
+GOOD_VALUES = {
+    "class_level": "3", "reference": "2", "train_fraction": "0.5", "population": "3",
+    "max_adjust": "1.5", "rule": "muldiv", "lp": "0.25", "k_winners": "2",
+    "freeze_after_train": "yes",
+}
+MIXED_CORPUS = "abcd abce abxx axxx abcd abcf abzz abcd xbcd abcd abce abcd".split()
+VALUE_FLAGS = [name for name in _FIELDS if name != "freeze_after_train"]  # that flag takes no value
+
+
+class TestSettingsTable:
+    def test_the_value_tables_name_every_setting(self):
+        assert set(BAD_VALUES) == set(GOOD_VALUES) == set(_FIELDS)
+
+    @pytest.mark.parametrize("name", VALUE_FLAGS)
+    def test_a_bad_flag_value_names_the_setting_and_the_flag(self, name, carbus_file, capsys):
+        flag = _FIELDS[name][0]
+        code, out, err = run(["predict", "--input", str(carbus_file), flag, BAD_VALUES[name]],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {name}: ")
+        assert err.endswith(f" (from flag {flag})\n")
+
+    @pytest.mark.parametrize("name", list(_FIELDS))
+    def test_a_bad_file_value_names_the_setting_the_file_and_the_line(
+        self, name, carbus_file, tmp_path, capsys
+    ):
+        config = tmp_path / "run.conf"
+        config.write_text(f"# header\n{name} = {BAD_VALUES[name]}\n")
+        code, out, err = run(
+            ["predict", "--input", str(carbus_file), "--config", str(config)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {name}: ")
+        assert err.endswith(f" (from config file {config} line 2)\n")
+
+    @pytest.mark.parametrize("name", list(_FIELDS))
+    def test_a_file_value_runs_as_the_same_flag_value(self, name, tmp_path, capsys):
+        corpus = tmp_path / "mixed.txt"
+        corpus.write_text("\n".join(MIXED_CORPUS) + "\n")
+        config = tmp_path / "run.conf"
+        config.write_text(f"{name} = {GOOD_VALUES[name]}\n")
+        flag = _FIELDS[name][0]
+
+        def predicted(label, *extra):
+            trace = tmp_path / f"{label}.csv"
+            code, out, err = run(
+                ["predict", "--input", str(corpus), "--out", str(trace), *extra], capsys
+            )
+            assert (code, err) == (0, "")
+            return trace.read_bytes(), out
+
+        by_flag = predicted("flag", flag, *([GOOD_VALUES[name]] if name in VALUE_FLAGS else []))
+        assert predicted("file", "--config", str(config)) == by_flag
+        assert predicted("default") != by_flag
+
+    @pytest.mark.parametrize("command", ["encode", "predict"])
+    def test_no_flags_merge_to_the_defaults(self, command):
+        args = build_parser().parse_args([command, "--input", "-"])
+        assert _merge_settings(args) == Settings(5, "last", RunConfig())
 
 
 class TestReport:

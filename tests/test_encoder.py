@@ -381,6 +381,22 @@ def test_wide_seeded_corpus_values_match_naive_bit_strings():
     assert max(s.value for s in encoded.scores) == 2**64 - 1
 
 
+@pytest.mark.parametrize("width,seed", [(1_000, 11), (20_000, 12)])
+def test_multi_word_rows_match_naive_bit_strings(width, seed):
+    # rows share random-length prefixes, so their many words hold distinct bits and a
+    # word read out of order shows; the reference stops short of the widest row
+    corpus = wide_lowercase_corpus(12, width, seed)
+    corpus.insert(5, corpus[-1][: width - 70])
+    scores = swap_match(symbol_integer_transform(corpus), 5)
+    assert [s.value for s in scores] == [
+        int(naive_bit_string(row, corpus[5], width), 2) for row in corpus
+    ]
+    values, scales = match_reference(corpus, 5)
+    assert [s.value for s in scores] == values
+    assert [s.scale for s in scores] == scales
+    assert len({s.value for s in scores}) == len(corpus)
+
+
 def test_encoding_allocates_no_per_cell_objects():
     # 1.28M cells; per-cell tuples peaked at 26.6 MiB, the arrays at 11.0 MiB
     corpus = wide_lowercase_corpus(20_000, seed=3)
