@@ -210,6 +210,12 @@ class TestWritersAgainstReference:
         decoded = DecodedTrace(*map(list, zip(*steps)))
         assert written(_write_decoded, decoded) == written(decoded_report_reference, decoded)
 
+    def test_a_symbol_with_a_lone_cr_is_written_as_csv_writes_it(self):
+        # its only special character; csv quotes it where its rule quotes "\r"
+        # outside the line terminator
+        decoded = DecodedTrace(["a\rb"], ["c"], [False])
+        assert written(_write_decoded, decoded) == written(decoded_report_reference, decoded)
+
 
 class TestPredict:
     def test_summary_on_stdout_when_trace_goes_to_a_file(

@@ -39,6 +39,10 @@ class TestReadTextCorpus:
     def test_carriage_return_terminators(self, data):
         assert read_text_corpus(stream(data)).items == ("a", "b")
 
+    def test_whitespace_only_rows_are_items(self):
+        corpus = read_text_corpus(stream(b"a\n \n\t\nb\n"))
+        assert corpus.items == ("a", " ", "\t", "b")
+
     def test_interior_whitespace_is_preserved(self):
         corpus = read_text_corpus(stream(b"two words\n  indented\n"))
         assert corpus.items == ("two words", "  indented")

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracle import round_half_away_from_zero
@@ -21,6 +21,7 @@ from symcast.errors import BadConfigError, DegenerateDivisiveError, NonFiniteSta
 from symcast.ingest import read_numeric_series, read_text_corpus
 from symcast.learner import (
     ADDITIVE_SUBTRACTIVE,
+    MEMO_ENTRIES,
     MULTIPLICATIVE_DIVISIVE,
     RULE_MODES,
     Learner,
@@ -516,6 +517,123 @@ MARKOV_STEPS = 5_000  # a prefix of predict-full's stream, with the default conf
 NUMERIC = LearnerConfig(population_size=100_000, rule_mode=MULTIPLICATIVE_DIVISIVE)
 
 
+def kept_fields(outcome):
+    """What a kept outcome must repeat, with every real as its bit pattern."""
+    return (
+        [winner.hex() for winner in outcome.winner_candidates],
+        outcome.new_deviant_mean.hex(),
+        outcome.raw_prediction.hex(),
+        outcome.signed_diff.hex(),
+        outcome.used_fallback,
+    )
+
+
+def assert_step_matches_a_fresh_learner(learner, previous, expected):
+    """One step of learner against a fresh learner from the same mean, which keeps nothing yet."""
+    reference = Learner(learner.config)
+    reference.deviant_mean = learner.deviant_mean
+    steps = learner.steps_seen + 1
+    case = (learner.config, learner.deviant_mean.hex(), previous, expected)
+    try:
+        want = reference.learn_step(previous, expected)
+    except NonFiniteStateError:
+        with pytest.raises(NonFiniteStateError):
+            learner.learn_step(previous, expected)
+        return
+    outcome = learner.learn_step(previous, expected)
+    assert kept_fields(outcome) == kept_fields(want), case
+    assert learner.deviant_mean.hex() == want.new_deviant_mean.hex(), case
+    assert learner.steps_seen == steps, case
+
+
+def assert_stream_matches_fresh_learners(config, classes):
+    learner = Learner(config)
+    for previous, expected in zip(classes, classes[1:]):
+        assert_step_matches_a_fresh_learner(learner, previous, expected)
+    return learner
+
+
+@st.composite
+def kept_outcome_configs(draw):
+    return LearnerConfig(
+        population_size=draw(st.sampled_from([8, 1000])),
+        max_deviant_adjust=draw(st.sampled_from([2.0, 0.25])),
+        rule_mode=draw(st.sampled_from(RULE_MODES)),
+        bias=draw(st.sampled_from([0.0, -0.0, 0.37])),
+        k_winners=draw(st.sampled_from([1, 3, 8])),
+    )
+
+
+class TestKeptOutcomes:
+    """A learner returns the outcome it kept when a step's inputs repeat."""
+
+    @given(
+        config=kept_outcome_configs(),
+        classes=st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=80),
+    )
+    def test_drawn_streams_match_fresh_learners(self, config, classes):
+        assert_stream_matches_fresh_learners(config, classes)
+
+    def test_a_zero_mean_keeps_its_sign(self):
+        # -0.0 == 0.0, but with a bias of -0.0 each steps to itself
+        learner = Learner(LearnerConfig(bias=-0.0))
+        for mean in (-0.0, 0.0, -0.0, 0.0):
+            learner.deviant_mean = mean
+            assert_step_matches_a_fresh_learner(learner, 3, 3)
+            assert learner.deviant_mean.hex() == mean.hex()
+
+    def test_a_repeat_returns_the_kept_outcome_and_counts_the_step(self):
+        learner = Learner(LearnerConfig())
+        first = learner.learn_step(1, 5)
+        learner.deviant_mean = 0.0
+        assert learner.learn_step(1, 5) is first
+        assert learner.deviant_mean == first.new_deviant_mean == 2.0
+        assert learner.steps_seen == 2
+
+    def test_the_store_holds_at_most_memo_entries(self):
+        learner = Learner(LearnerConfig())
+        for step in range(MEMO_ENTRIES + 500):
+            learner.deviant_mean = step / 7  # every step's inputs are new
+            learner.learn_step(1, 5)
+        assert len(learner._outcomes) == MEMO_ENTRIES
+        assert learner.steps_seen == MEMO_ENTRIES + 500
+
+
+class TestWinnersMean:
+    """Fewer than 8 winners are added in order in Python; numpy's mean is the reference."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from(
+                    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, -1.7976931348623157e308]
+                ),
+            ),
+            min_size=2,
+            max_size=7,
+        )
+    )
+    @example([-0.0, -0.0])
+    @example([1.7e308, 1.7e308])
+    @example([-1.7e308, -1.7e308, 1.0])
+    def test_two_to_seven_winners_match_numpy(self, winners):
+        with np.errstate(over="ignore"):
+            expected = float(np.mean(np.array(winners)))
+        assert learner_module._mean(tuple(winners)).hex() == expected.hex()
+
+    @pytest.mark.parametrize("k_winners", range(3, 9))
+    def test_an_overflowing_sum_of_winners_is_a_named_error(self, k_winners):
+        # every winner is finite, their sum is not; TestNonFiniteState has k = 2
+        learner = Learner(
+            LearnerConfig(population_size=k_winners, max_deviant_adjust=1.7e308,
+                          k_winners=k_winners)
+        )
+        with pytest.raises(NonFiniteStateError):
+            learner.learn_step(1, 5)
+
+
 class TestBenchmarkStreams:
     """learn_step against the oracle on the class streams the benchmark runs."""
 
@@ -531,6 +649,22 @@ class TestBenchmarkStreams:
             outcome = learner.learn_step(previous, expected)
             assert [w.hex() for w in outcome.winner_candidates] == [w.hex() for w in winners]
             assert outcome.new_deviant_mean.hex() == new_mean.hex()
+
+    @pytest.mark.parametrize(
+        "name,config",
+        [
+            ("predict-full", LearnerConfig()),
+            ("learn-pop100k", NUMERIC),
+            # 12,114 distinct step inputs: the store fills, later steps are computed
+            ("predict-full", LearnerConfig(k_winners=4)),
+        ],
+    )
+    def test_kept_outcomes_match_fresh_learners(self, name, config):
+        classes = stream_classes(name, workloads.WORKLOADS[name].rows)
+        learner = assert_stream_matches_fresh_learners(config, classes)
+        assert learner.steps_seen == len(classes) - 1
+        if config.k_winners == 4:
+            assert len(learner._outcomes) == MEMO_ENTRIES
 
     def test_the_walk_alone_serves_the_markov_stream(self):
         classes = stream_classes("predict-full", MARKOV_STEPS)
@@ -562,6 +696,23 @@ class TestStepCost:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+    def test_a_run_of_kept_steps_allocates_nothing_that_grows(self):
+        learner = Learner(LearnerConfig())
+        pairs = [(1, 5), (5, 1)] * 5_000  # the mean cycles 0.0 -> 2.0 -> 0.0
+        for previous, expected in pairs[:4]:
+            learner.learn_step(previous, expected)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for previous, expected in pairs:
+                learner.learn_step(previous, expected)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(learner._outcomes) == 2
+        assert held - before < 1024
+        assert peak - before < 4096
 
 
 class TestLargestPopulation:

@@ -389,6 +389,21 @@ class TestTraceSerialization:
         write_trace(parsed, second)
         assert first.getvalue() == second.getvalue()
 
+    @pytest.mark.parametrize(
+        "means",
+        [
+            ("1.000000e+15", "2.000000"),  # a column reaching 1e15 prints in exponent form
+            ("-0.000000", "0.000000"),  # each zero keeps its sign
+            ("0.000000", "-0.000000"),
+        ],
+    )
+    def test_edge_reals_survive_read_then_write(self, means):
+        rows = [f"{index},train,1,1.000000,1,1,0,,{mean}\n" for index, mean in enumerate(means)]
+        text = TRACE_HEADER + "\n" + "".join(rows)
+        buffer = io.StringIO()
+        write_trace(read_trace(io.StringIO(text)), buffer)
+        assert buffer.getvalue() == text
+
     def test_read_preserves_step_fields(self, carbus_encoded):
         trace = run_continual(carbus_encoded.classes, RunConfig())
         buffer = io.StringIO()
