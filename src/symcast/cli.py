@@ -190,9 +190,10 @@ def _csv_fields(texts: Sequence[str]) -> Sequence[str]:
     joined = "".join(texts)
     if not any(special in joined for special in ',"\r\n'):
         return texts
-    # writerow returns what write returns, here the formatted row itself
-    echo = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
-    return [echo.writerow((text,))[:-1] for text in texts]
+    # writerow returns what write returns, here the formatted row itself; csv
+    # quotes the terminator's characters, so "\r\n" makes it quote a lone CR
+    echo = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n")
+    return [echo.writerow((text,))[:-2] for text in texts]
 
 
 def _write_encode_report(encoded: EncodedCorpus, corpus: Corpus, stream: TextIO) -> None:

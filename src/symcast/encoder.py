@@ -3,20 +3,20 @@
 A corpus of symbol strings becomes a zero-padded ``uint32`` matrix of
 character codes, built from one UTF-32 encoding of the joined corpus.
 Every row is compared position-by-position against a chosen reference
-row in one array comparison; the agreement bits, padded on the left to
-whole 64-bit words and packed, are read as big-endian words, which give
-each row's integer match value most-significant-bit first. Match values
-are normalized by the corpus maximum into a scale in [0, 1], and the
-scale is mapped through ``floor(class_level ** scale)`` onto an integer
-class in [1, class_level]. A decodable class -> symbol memory is built
-alongside, with the last corpus row to land on a class owning its slot.
+row in one array comparison; its agreement bits, padded on the left to
+whole bytes and packed, read big-endian as its integer match value. One
+``np.unique`` over the packed rows finds the distinct values, ascending;
+each is normalized by the last, the maximum, into a scale in [0, 1] and
+mapped through ``floor(class_level ** scale)`` onto a class in
+[1, class_level]. A decodable class -> symbol memory is built alongside,
+with the last corpus row to land on a class owning its slot.
 
-No Python object is made per matrix cell: the cost is a few array passes
-over rows x width cells plus one Python integer and one float per row
-(and one ``int.from_bytes`` call per row for rows wider than 64).
-Match values are kept as arbitrary-precision integers; a scale is their
-int true division, the correctly rounded float of the exact ratio. All
-functions here are pure and safe to call concurrently.
+The cost is a few array passes and one sort over the rows, plus one
+``int.from_bytes``, ``MatchScore`` and class per distinct match value;
+rows with equal values share one ``MatchScore``. Match values are kept
+as arbitrary-precision integers; a scale is their int true division, the
+correctly rounded float of the exact ratio. All functions here are pure
+and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -159,28 +159,30 @@ def resolve_reference(reference: Reference, rows: int) -> int:
     raise BadReferenceError(f"unknown reference selector: {reference!r}")
 
 
-def swap_match(matrix: SymbolMatrix, reference: Reference = "last") -> list[MatchScore]:
-    """Score every row's positional agreement against the reference row.
+def _distinct_scores(matrix: SymbolMatrix,
+                     reference: Reference) -> tuple[list[MatchScore], list[int]]:
+    """The distinct match scores in ascending order, and each row's index into them.
 
     Scaling all cells by the shared global maximum preserves cell equality
     exactly, so agreement is computed directly on the integer codes. Match
     values use arbitrary-precision integers, so wide rows lose nothing, and
     a scale is the correctly rounded float of value / max_value.
     """
-    ref_index = resolve_reference(reference, matrix.rows)
-    # Zero bits padded on the left fill each row to whole 64-bit words, read
-    # big-endian without a shift; a wider row is read as one big-endian int.
-    packed = np.packbits(
-        np.pad(matrix.codes == matrix.codes[ref_index], ((0, 0), (-matrix.width % 64, 0))), axis=1
-    )
-    if packed.shape[1] == 8:
-        values = packed.view(">u8")[:, 0].tolist()
-    else:
-        values = [int.from_bytes(row, "big") for row in packed]
-
-    max_value = max(values)
+    agree = matrix.codes == matrix.codes[resolve_reference(reference, matrix.rows)]
+    # Zero bits padded on the left fill each row to whole bytes; a packed row
+    # viewed as one fixed-width void compares as its big-endian number does.
+    packed = np.packbits(np.pad(agree, ((0, 0), (-matrix.width % 8, 0))), axis=1)
+    distinct, inverse = np.unique(packed.view(f"V{packed.shape[1]}")[:, 0], return_inverse=True)
+    values = [int.from_bytes(row, "big") for row in distinct.tolist()]
+    max_value = values[-1]
     # positional: a NamedTuple binds keywords several times slower
-    return [MatchScore(value, value / max_value) for value in values]
+    return [MatchScore(value, value / max_value) for value in values], inverse.tolist()
+
+
+def swap_match(matrix: SymbolMatrix, reference: Reference = "last") -> list[MatchScore]:
+    """Each row's positional agreement with the reference row; equal values share one score."""
+    distinct, rows = _distinct_scores(matrix, reference)
+    return list(map(distinct.__getitem__, rows))
 
 
 def check_class_level(class_level: int) -> None:
@@ -236,16 +238,12 @@ def decode_class(cls: int, memory: SensorMemory) -> tuple[str, bool]:
     return symbol, False
 
 
-def encode_corpus(
-    corpus: Sequence[str],
-    class_level: int,
-    reference: Reference = "last",
-) -> EncodedCorpus:
-    """Run the full encoding chain over a corpus."""
+def encode_corpus(corpus: Sequence[str], class_level: int,
+                  reference: Reference = "last") -> EncodedCorpus:
+    """Run the full encoding chain over a corpus, scoring each distinct match value once."""
     matrix = symbol_integer_transform(corpus)
-    scores = swap_match(matrix, reference)
-    classes = class_encode(scores, class_level)
-    memory = build_sensor_memory(corpus, classes)
-    return EncodedCorpus(
-        matrix=matrix, scores=tuple(scores), classes=classes, memory=memory
-    )
+    distinct, rows = _distinct_scores(matrix, reference)
+    distinct_classes = class_encode(distinct, class_level).classes
+    classes = ClassSequence(tuple(map(distinct_classes.__getitem__, rows)), class_level)
+    scores = tuple(map(distinct.__getitem__, rows))
+    return EncodedCorpus(matrix, scores, classes, build_sensor_memory(corpus, classes))

@@ -6,7 +6,8 @@ string binarization (match_reference, which also gives the match values),
 and a nested slot-filling loop. It shares no code with symcast.encoder. Keep
 it dumb; do not "optimize" it toward the real encoder. encode_report_reference
 and decoded_report_reference write the encode CSV and the --decode block one
-csv.writer row at a time, so csv alone decides what is quoted.
+csv.writer row at a time, so csv alone decides what is quoted; each row
+ends in "\n", and csv quotes a field holding "\r" or "\n".
 
 The functions after it walk, write, read and decode a trace one step or one
 line at a time, and place the report chart's points one at a time, the way
@@ -16,6 +17,7 @@ rounding rule that the walk applies to whole columns.
 """
 
 import csv
+import io
 import math
 
 from symcast.encoder import decode_class
@@ -70,26 +72,31 @@ def encode_reference(corpus, class_level, reference_index):
     return classes, slots
 
 
+def _write_row(stream, fields):
+    """One csv.writer row ending in "\n"; csv is given "\r\n" so that it quotes a lone CR."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\r\n").writerow(fields)
+    stream.write(line.getvalue()[:-2] + "\n")
+
+
 def encode_report_reference(encoded, corpus, stream):
     """The `symcast encode` CSV, one csv.writer row per corpus row and per class slot."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["row_index", "symbol", "match_value", "scale", "class"])
+    _write_row(stream, ["row_index", "symbol", "match_value", "scale", "class"])
     for row, (symbol, score, cls) in enumerate(
         zip(corpus.items, encoded.scores, encoded.classes.classes), start=1
     ):
-        writer.writerow([row, symbol, score.value, f"{score.scale:.6f}", cls])
+        _write_row(stream, [row, symbol, score.value, f"{score.scale:.6f}", cls])
     stream.write("\n")
-    writer.writerow(["class", "symbol"])
+    _write_row(stream, ["class", "symbol"])
     for slot, symbol in enumerate(encoded.memory.slots, start=1):
-        writer.writerow([slot, "[]" if symbol is None else symbol])
+        _write_row(stream, [slot, "[]" if symbol is None else symbol])
 
 
 def decoded_report_reference(decoded, stream):
     """The `predict --decode` block, one csv.writer row per step."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["predicted_symbol", "expected_symbol", "exact"])
+    _write_row(stream, ["predicted_symbol", "expected_symbol", "exact"])
     for predicted, expected, exact in zip(*decoded):
-        writer.writerow([predicted, expected, "true" if exact else "false"])
+        _write_row(stream, [predicted, expected, "true" if exact else "false"])
 
 
 TRAIN = "train"

@@ -3,8 +3,9 @@
 perfbench/workloads.py rebuilds every workload's expected CLI outputs
 in-process. It reads PredictionTrace.steps, cli._merge_settings and the
 cli.Settings it returns (class_level, reference, run_config() and
-learner_config()), cli._write_decoded and cli._write_encode_report, and
-times Learner.learn_step on a Learner built from learner_config().
+learner_config()), cli._write_decoded and cli._write_encode_report,
+EncodedCorpus.scores[i].value and EncodedCorpus.matrix.width, and times
+Learner.learn_step on a Learner built from learner_config().
 perfbench/spans.py wraps the functions its TARGETS list names (among them
 learner.adjust_candidates and learner.select_winners) and reads
 StepOutcome.signed_diff and StepOutcome.used_fallback. perfbench/expected.json
@@ -24,6 +25,7 @@ import pytest
 
 from oracle import encode_reference
 
+from symcast.encoder import encode_corpus
 from symcast.learner import Learner, StepOutcome
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -49,6 +51,12 @@ def test_every_span_target_resolves(owner, attribute):
 
 def test_step_outcome_has_the_fields_the_spans_count():
     assert {"signed_diff", "used_fallback"} <= set(StepOutcome._fields)
+
+
+def test_encoded_corpus_has_the_fields_the_workloads_read():
+    encoded = encode_corpus(["Car", "Bus", "Bu"], class_level=5)
+    assert encoded.matrix.width == 3
+    assert [encoded.scores[row].value for row in range(3)] == [0b000, 0b110, 0b111]
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

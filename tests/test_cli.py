@@ -211,10 +211,23 @@ class TestWritersAgainstReference:
         assert written(_write_decoded, decoded) == written(decoded_report_reference, decoded)
 
     def test_a_symbol_with_a_lone_cr_is_written_as_csv_writes_it(self):
-        # its only special character; csv quotes it where its rule quotes "\r"
-        # outside the line terminator
+        # its only special character; left unquoted, csv.reader refuses the row
         decoded = DecodedTrace(["a\rb"], ["c"], [False])
-        assert written(_write_decoded, decoded) == written(decoded_report_reference, decoded)
+        items = ("a\rb", "c")
+        encoded = encode_corpus(items, 5)
+        corpus = Corpus(items=items, source="<lone CR>")
+        encode_rows = [["row_index", "symbol", "match_value", "scale", "class"],
+                       ["1", "a\rb", "0", "0.000000", "1"], ["2", "c", "7", "1.000000", "5"], [],
+                       ["class", "symbol"], ["1", "a\rb"], ["2", "[]"], ["3", "[]"], ["4", "[]"],
+                       ["5", "c"]]
+        decode_rows = [["predicted_symbol", "expected_symbol", "exact"], ["a\rb", "c", "false"]]
+        for ours, reference, args, rows in [
+            (_write_encode_report, encode_report_reference, (encoded, corpus), encode_rows),
+            (_write_decoded, decoded_report_reference, (decoded,), decode_rows),
+        ]:
+            text = written(ours, *args)
+            assert text == written(reference, *args)
+            assert list(csv.reader(io.StringIO(text))) == rows
 
 
 class TestPredict:

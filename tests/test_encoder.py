@@ -1,5 +1,6 @@
 """Tests for the symbol-to-integer-class encoder."""
 
+import io
 import random
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symcast.cli import _write_encode_report
 from symcast.encoder import (
     ClassSequence,
     MatchScore,
@@ -32,7 +34,9 @@ from symcast.errors import (
     NulCharacterError,
 )
 
-from oracle import encode_reference, match_reference
+from symcast.ingest import Corpus
+
+from oracle import encode_reference, encode_report_reference, match_reference
 
 words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)
 corpora = st.lists(words, min_size=2, max_size=8)
@@ -408,3 +412,76 @@ def test_encoding_allocates_no_per_cell_objects():
     finally:
         tracemalloc.stop()
     assert peak < 13 * 2**20
+
+
+DISTINCT_WIDTHS = [1, 63, 64, 65, 128, 129]
+
+
+@st.composite
+def repeating_corpora(draw, width):
+    """Up to 40 rows from a vocabulary of 1-4 words, one of them `width` wide and in the corpus."""
+    vocabulary = [draw(st.text(alphabet="ab", min_size=width, max_size=width)),
+                  *draw(st.lists(st.text(alphabet="ab", min_size=1, max_size=width), max_size=3))]
+    rows = draw(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=40))
+    return rows if width in map(len, rows) else [*rows, vocabulary[0]]
+
+
+def check_against_the_references(corpus, level, selector):
+    """swap_match, encode_corpus and the encode CSV agree with tests/oracle.py."""
+    reference_index = {"first": 0, "last": len(corpus) - 1}.get(selector, selector)
+    values, scales = match_reference(corpus, reference_index)
+    scores = swap_match(symbol_integer_transform(corpus), selector)
+    assert [s.value for s in scores] == values
+    assert [s.scale for s in scores] == scales
+
+    encoded = encode_corpus(corpus, level, selector)
+    assert encoded.scores == tuple(scores)
+    # rows with equal match values share one score
+    assert len({id(s) for s in encoded.scores}) == len(set(values))
+    classes, slots = encode_reference(corpus, level, reference_index)
+    assert list(encoded.classes.classes) == classes
+    assert list(encoded.memory.slots) == slots
+    assert encoded.classes.class_level == level
+
+    streams = io.StringIO(), io.StringIO()
+    report = Corpus(items=tuple(corpus), source="<drawn>")
+    _write_encode_report(encoded, report, streams[0])
+    encode_report_reference(encoded, report, streams[1])
+    assert streams[0].getvalue() == streams[1].getvalue()
+
+
+class TestDistinctValues:
+    """Each distinct match value is scored and classed once, then spread back to its rows."""
+
+    @pytest.mark.parametrize("width", DISTINCT_WIDTHS)
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_repeating_corpora_match_the_references(self, width, data):
+        corpus = data.draw(repeating_corpora(width))
+        selector = data.draw(st.one_of(st.sampled_from(["first", "last"]),
+                                       st.integers(min_value=0, max_value=len(corpus) - 1)))
+        check_against_the_references(corpus, data.draw(st.integers(2, 10)), selector)
+
+    @pytest.mark.parametrize("width", DISTINCT_WIDTHS)
+    @pytest.mark.parametrize("selector", ["first", "last", 2])
+    def test_rows_that_are_all_equal_share_the_top_score(self, width, selector):
+        corpus = ["a" * width] * 5
+        check_against_the_references(corpus, 7, selector)
+        encoded = encode_corpus(corpus, 7, selector)
+        assert set(encoded.scores) == {(2**width - 1, 1.0)}
+        assert encoded.classes.classes == (7,) * 5
+
+    @pytest.mark.parametrize("width", DISTINCT_WIDTHS)
+    @pytest.mark.parametrize("selector", ["first", "last", 0])
+    def test_a_one_row_corpus_is_its_own_reference(self, width, selector):
+        check_against_the_references(["b" * width], 3, selector)
+
+    def test_rows_drawn_from_five_words_share_five_scores(self):
+        rng = random.Random(5)
+        words = ["a", "ab", "abc", "abcd", "abcde"]
+        corpus = rng.choices(words, k=19_999) + ["abcde"]
+        scores = encode_corpus(corpus, class_level=5).scores
+        assert len(scores) == 20_000
+        assert len({id(s) for s in scores}) == 5
+        assert len({s.value for s in scores}) == 5
+        assert len({id(s) for s in swap_match(symbol_integer_transform(corpus))}) == 5
