@@ -190,8 +190,7 @@ def _csv_fields(texts: Sequence[str]) -> Sequence[str]:
     joined = "".join(texts)
     if not any(special in joined for special in ',"\r\n'):
         return texts
-    # writerow returns what write returns, here the formatted row itself; csv
-    # quotes the terminator's characters, so "\r\n" makes it quote a lone CR
+    # writerow returns the formatted row; csv quotes a lone CR only if "\r" ends rows
     echo = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n")
     return [echo.writerow((text,))[:-2] for text in texts]
 

@@ -5,24 +5,24 @@ character codes, built from one UTF-32 encoding of the joined corpus.
 Every row is compared position-by-position against a chosen reference
 row in one array comparison; its agreement bits, padded on the left to
 whole bytes and packed, read big-endian as its integer match value. One
-``np.unique`` over the packed rows finds the distinct values, ascending;
+``np.lexsort`` over the packed bytes finds the distinct values, ascending;
 each is normalized by the last, the maximum, into a scale in [0, 1] and
 mapped through ``floor(class_level ** scale)`` onto a class in
 [1, class_level]. A decodable class -> symbol memory is built alongside,
 with the last corpus row to land on a class owning its slot.
 
-The cost is a few array passes and one sort over the rows, plus one
-``int.from_bytes``, ``MatchScore`` and class per distinct match value;
-rows with equal values share one ``MatchScore``. Match values are kept
-as arbitrary-precision integers; a scale is their int true division, the
-correctly rounded float of the exact ratio. All functions here are pure
-and safe to call concurrently.
+The cost is a few array passes and a sort linear in the packed bytes, plus
+one ``int.from_bytes``, ``MatchScore`` and class per distinct match value;
+rows with equal values share one ``MatchScore``. Match values are exact
+integers and a scale is their int true division, the correctly rounded
+float of the exact ratio. All functions here are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -163,17 +163,19 @@ def _distinct_scores(matrix: SymbolMatrix,
                      reference: Reference) -> tuple[list[MatchScore], list[int]]:
     """The distinct match scores in ascending order, and each row's index into them.
 
-    Scaling all cells by the shared global maximum preserves cell equality
-    exactly, so agreement is computed directly on the integer codes. Match
-    values use arbitrary-precision integers, so wide rows lose nothing, and
-    a scale is the correctly rounded float of value / max_value.
+    Agreement is computed directly on the integer codes: scaling all cells by
+    one shared maximum would not change which cells are equal.
     """
     agree = matrix.codes == matrix.codes[resolve_reference(reference, matrix.rows)]
-    # Zero bits padded on the left fill each row to whole bytes; a packed row
-    # viewed as one fixed-width void compares as its big-endian number does.
+    # Padded on the left to whole bytes, a packed row reads big-endian as its value;
+    # a stable pass per byte, the first byte last, sorts the rows in linear time.
     packed = np.packbits(np.pad(agree, ((0, 0), (-matrix.width % 8, 0))), axis=1)
-    distinct, inverse = np.unique(packed.view(f"V{packed.shape[1]}")[:, 0], return_inverse=True)
-    values = [int.from_bytes(row, "big") for row in distinct.tolist()]
+    order = np.lexsort(packed.T[::-1])
+    starts = np.r_[True, np.diff(packed[order], axis=0).any(axis=1)]  # a new value begins
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    distinct = packed[order[starts]].view(f"V{packed.shape[1]}")[:, 0].tolist()
+    values = list(map(int.from_bytes, distinct, repeat("big")))
     max_value = values[-1]
     # positional: a NamedTuple binds keywords several times slower
     return [MatchScore(value, value / max_value) for value in values], inverse.tolist()

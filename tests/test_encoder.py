@@ -463,6 +463,15 @@ class TestDistinctValues:
         check_against_the_references(corpus, data.draw(st.integers(2, 10)), selector)
 
     @pytest.mark.parametrize("width", DISTINCT_WIDTHS)
+    @pytest.mark.parametrize("selector", ["first", "last", 7])
+    def test_corpora_of_mostly_distinct_values_match_the_references(self, width, selector):
+        # random rows up to `width` cells: past a few cells nearly every row holds
+        # its own value, and values differ in every byte of the packed rows
+        rng = random.Random(width)
+        corpus = ["".join(rng.choices("ab", k=rng.randint(1, width))) for _ in range(299)]
+        check_against_the_references(corpus + ["a" * width], 6, selector)
+
+    @pytest.mark.parametrize("width", DISTINCT_WIDTHS)
     @pytest.mark.parametrize("selector", ["first", "last", 2])
     def test_rows_that_are_all_equal_share_the_top_score(self, width, selector):
         corpus = ["a" * width] * 5
