@@ -30,7 +30,6 @@ from .errors import (
     BadEncodingError,
     BadNumberError,
     BadReferenceError,
-    DegenerateDivisiveError,
     EmptyCorpusError,
     EmptyMemoryError,
     EmptyRowError,
@@ -49,15 +48,11 @@ from .learner import (
     Learner,
     LearnerConfig,
     StepOutcome,
-    adjust_candidates,
-    make_adjustment_grid,
-    select_winners,
 )
 from .pipeline import (
     DecodedTrace,
     PredictionTrace,
     RunConfig,
-    StepRecord,
     baseline_persistence,
     decode_trace,
     mape,
@@ -79,7 +74,6 @@ __all__ = [
     "ClassSequence",
     "Corpus",
     "DecodedTrace",
-    "DegenerateDivisiveError",
     "EmptyCorpusError",
     "EmptyMemoryError",
     "EmptyRowError",
@@ -95,26 +89,22 @@ __all__ = [
     "RunConfig",
     "SensorMemory",
     "StepOutcome",
-    "StepRecord",
     "SymbolMatrix",
     "SymcastError",
     "TooShortError",
     "TraceFormatError",
-    "adjust_candidates",
     "baseline_persistence",
     "build_sensor_memory",
     "class_encode",
     "decode_class",
     "decode_trace",
     "encode_corpus",
-    "make_adjustment_grid",
     "mape",
     "read_numeric_series",
     "read_text_corpus",
     "read_trace",
     "resolve_reference",
     "run_continual",
-    "select_winners",
     "split_index",
     "swap_match",
     "symbol_integer_transform",

@@ -51,21 +51,19 @@ class SymbolMatrix:
 
     ``codes`` is a read-only ``uint32`` array of shape (rows, width):
     cell [r, k] is the code point of row r's k-th character, or 0 past
-    the row's end.
+    the row's end. NUL is refused, so a row's length is its count of
+    nonzero codes. rows and width restate the shape, and equality
+    compares the codes alone.
     """
 
     rows: int
     width: int
     codes: np.ndarray
-    lengths: tuple[int, ...]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymbolMatrix):
             return NotImplemented
-        return (
-            (self.rows, self.width, self.lengths) == (other.rows, other.width, other.lengths)
-            and np.array_equal(self.codes, other.codes)
-        )
+        return np.array_equal(self.codes, other.codes)
 
 
 class MatchScore(NamedTuple):
@@ -92,8 +90,7 @@ class ClassSequence:
         return len(self.classes)
 
 
-@dataclass(frozen=True)
-class SensorMemory:
+class SensorMemory(NamedTuple):
     """Class-indexed symbol slots used to decode predictions.
 
     Slot i holds the symbol for class i+1, or None when no corpus row
@@ -107,8 +104,7 @@ class SensorMemory:
         return len(self.slots)
 
 
-@dataclass(frozen=True)
-class EncodedCorpus:
+class EncodedCorpus(NamedTuple):
     """Bundle of everything the encoder derives from one corpus."""
 
     matrix: SymbolMatrix
@@ -143,7 +139,7 @@ def symbol_integer_transform(corpus: Sequence[str]) -> SymbolMatrix:
         text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32
     )
     codes.flags.writeable = False
-    return SymbolMatrix(rows=rows, width=width, codes=codes, lengths=tuple(lengths.tolist()))
+    return SymbolMatrix(rows=rows, width=width, codes=codes)
 
 
 def resolve_reference(reference: Reference, rows: int) -> int:

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 from .errors import BadEncodingError, BadNumberError, EmptyCorpusError
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     """Ordered, non-empty list of symbol strings plus where they came from."""
 
     items: tuple[str, ...]

@@ -27,7 +27,6 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -40,8 +39,7 @@ RULE_MODES = (ADDITIVE_SUBTRACTIVE, MULTIPLICATIVE_DIVISIVE)
 MEMO_ENTRIES = 4_096  # step outcomes one Learner keeps, about 1.4 MiB
 
 
-@dataclass(frozen=True)
-class LearnerConfig:
+class LearnerConfig(NamedTuple):
     population_size: int = 1000
     max_deviant_adjust: float = 2.0
     rule_mode: str = ADDITIVE_SUBTRACTIVE

@@ -15,7 +15,7 @@ trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import islice, repeat, takewhile
 from typing import Iterable, NamedTuple, TextIO
 
@@ -34,10 +34,9 @@ TRACE_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     train_fraction: float = 0.35
-    learner: LearnerConfig = field(default_factory=LearnerConfig)
+    learner: LearnerConfig = LearnerConfig()
     freeze_after_train: bool = False
 
     def validate(self) -> None:
@@ -238,13 +237,11 @@ def format_real(value: float) -> str:
 def _texts(column: np.ndarray, end: str = "") -> list[str]:
     """Each value of column as a trace field followed by end, formed once per distinct value.
 
-    Integers print as they are and reals as format_real prints them, in
-    fixed point throughout when no value of the column reaches 1e15.
+    Integers print as they are and reals as format_real prints them.
     """
     form, keys = str, column
-    if column.dtype == np.float64:
-        form = "{:.6f}".format if np.all(np.abs(column) < 1e15) else format_real
-        keys = column.view(np.int64)  # bit patterns, so that -0.0 keeps its sign
+    if column.dtype == np.float64:  # keyed by bit pattern, so that -0.0 keeps its sign
+        form, keys = format_real, column.view(np.int64)
     _, first, positions = np.unique(keys, return_index=True, return_inverse=True)
     texts = [form(value) + end for value in column[first].tolist()]
     return np.array(texts, dtype=object)[positions].tolist()

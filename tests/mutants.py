@@ -2,7 +2,7 @@
 
 Run from the root of the repository (it is not part of the pytest suite):
 
-    python3 tests/mutants.py    # about 80 s on one CPU
+    python3 tests/mutants.py    # about 130 s on one CPU
 
 Each row names a file under src/, a text that must occur in it exactly
 once, the text that replaces it, why the change matters, whether the tests
@@ -47,6 +47,9 @@ class Mutant(NamedTuple):
 ENCODER = "src/symcast/encoder.py"
 DISTINCT = "tests/test_encoder.py::TestDistinctValues"
 KEPT = "tests/test_learner.py::TestKeptOutcomes"
+SEARCH = "tests/test_learner.py::TestSearchStart"
+STEP_ORACLE = "tests/test_learner.py::TestLearnStepAgainstTheOracle"
+ENCODE_CLI = "tests/test_cli.py::TestEncode"
 
 MUTANTS = [
     # Scoring each distinct match value once.
@@ -72,6 +75,23 @@ MUTANTS = [
            (DISTINCT,)),
     Mutant(ENCODER, "((0, 0), (-matrix.width % 8, 0))", "((0, 0), (0, -matrix.width % 8))",
            "padding on the right would shift every value left", "killed", (DISTINCT,)),
+    Mutant(ENCODER, '"surrogatepass"', '"replace"',
+           "a lone surrogate keeps its code point, as ord() gives it", "killed",
+           ("tests/test_encoder.py::TestSymbolIntegerTransform",)),
+    Mutant(ENCODER, 'repeat("big")', 'repeat("little")',
+           "a packed row reads MSB-first, its first cell the highest bit", "killed",
+           ("tests/test_encoder.py::TestSwapMatch",)),
+    Mutant(ENCODER, "return np.array_equal(self.codes, other.codes)",
+           "return bool((self.codes == other.codes).all())",
+           "np.array_equal compares shapes, where == would broadcast one row against many",
+           "killed", ("tests/test_api.py::TestSymbolMatrixEquality",)),
+    # The encode CSV.
+    Mutant("src/symcast/cli.py", "    sys.set_int_max_str_digits(0)\n", "",
+           "a row of more than about 14,300 cells has a match value past 4,300 digits",
+           "killed", (ENCODE_CLI,)),
+    Mutant("src/symcast/cli.py", "if not any(special in joined",
+           "if True or not any(special in joined",
+           "a symbol holding a comma or a quote must be quoted", "killed", (ENCODE_CLI,)),
     # Quoting a lone CR.
     Mutant("src/symcast/cli.py", """',"\\r\\n'""", """',"\\n'""",
            "a symbol whose only special character is a lone CR must be quoted", "killed",
@@ -98,11 +118,26 @@ MUTANTS = [
            ("tests/test_learner.py",)),
     Mutant("src/symcast/learner.py", "abs(x) <= population_size", "abs(x) < population_size",
            "moves only where the search starts, not what it finds", "equivalent", ()),
+    # The learner's winner search.
+    Mutant("src/symcast/learner.py", "if left_size == lowest:  # a longer run of ties", "if False:",
+           "a tied run longer than one index on the left is ranked as a whole", "killed",
+           (STEP_ORACLE,)),
+    Mutant("src/symcast/learner.py", "return math.ceil(x) - 1", "return math.ceil(x) + 4",
+           "the walk steps at most three times from the computed start", "killed", (SEARCH,)),
+    Mutant("src/symcast/learner.py", "x = math.inf", "x = -math.inf",
+           "a reciprocal never reaches a target of the other sign: the bottom is the far end",
+           "killed", (SEARCH,)),
+    Mutant("src/symcast/learner.py", "if at < below and at < above:",
+           "if at <= below and at <= above:",
+           "only a strict local minimum of a weak V is the global one", "killed", (STEP_ORACLE,)),
+    Mutant("src/symcast/learner.py", "elif target * mean > 0:", "elif True:",
+           "a weakening reciprocal crosses only a target of the mean's sign", "killed",
+           (STEP_ORACLE,)),
     # The trace's text columns and the corpus reader.
-    Mutant("src/symcast/pipeline.py", "np.abs(column) < 1e15", "np.abs(column) <= 1e15",
-           "a column reaching exactly 1e15 prints in exponent form", "killed",
+    Mutant("src/symcast/pipeline.py", "abs(value) < 1e15", "abs(value) <= 1e15",
+           "a real of exactly 1e15 prints in exponent form", "killed",
            ("tests/test_pipeline.py::TestTraceSerialization",)),
-    Mutant("src/symcast/pipeline.py", "keys = column.view(np.int64)", "keys = column",
+    Mutant("src/symcast/pipeline.py", "format_real, column.view(np.int64)", "format_real, column",
            "keyed by value, -0.0 and 0.0 would share one text", "killed",
            ("tests/test_pipeline.py::TestTraceSerialization",)),
     Mutant("src/symcast/ingest.py", 'if line != "")', 'if line.strip() != "")',

@@ -1,0 +1,102 @@
+"""The package namespace and the contract every public record keeps."""
+
+import copy
+import dataclasses
+import io
+import types
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import symcast
+from symcast.cli import Settings
+from symcast.encoder import SensorMemory, encode_corpus, symbol_integer_transform
+from symcast.ingest import Corpus, read_text_corpus
+from symcast.learner import Learner, LearnerConfig
+from symcast.pipeline import RunConfig, decode_trace, run_continual
+
+from conftest import CARBUS
+
+
+def test_all_names_every_public_binding():
+    bound = {name for name, value in vars(symcast).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(symcast.__all__) == sorted(bound)
+
+
+def public_records():
+    """One instance of each public record type, built the way the package builds it."""
+    corpus = read_text_corpus(io.BytesIO("\n".join(CARBUS).encode()), source="carbus")
+    encoded = encode_corpus(corpus.items, class_level=5)
+    trace = run_continual(encoded.classes, RunConfig())
+    return [
+        corpus,
+        encoded,
+        encoded.matrix,
+        encoded.scores[0],
+        encoded.classes,
+        encoded.memory,
+        LearnerConfig(),
+        RunConfig(),
+        Settings(),
+        Learner(LearnerConfig()).learn_step(1, 3),
+        trace,
+        trace.steps[0],
+        decode_trace(trace, encoded.memory),
+    ]
+
+
+def field_names(record):
+    if isinstance(record, tuple):
+        return record._fields
+    return [field.name for field in dataclasses.fields(record)]
+
+
+RECORDS = public_records()
+RECORD_IDS = [type(record).__name__ for record in RECORDS]
+HASHABLE = [record for record in RECORDS
+            if isinstance(record, (Corpus, SensorMemory, LearnerConfig, RunConfig, Settings))]
+
+
+class TestRecordContract:
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_fields_cannot_be_assigned(self, record):
+        for name in field_names(record):
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_equals_a_fresh_copy_of_its_fields(self, record):
+        fields = {name: copy.deepcopy(getattr(record, name)) for name in field_names(record)}
+        assert record == type(record)(**fields)
+
+    @pytest.mark.parametrize("record", HASHABLE, ids=lambda record: type(record).__name__)
+    def test_configs_corpus_and_memory_hash_by_value(self, record):
+        fields = {name: copy.deepcopy(getattr(record, name)) for name in field_names(record)}
+        assert {record: 1}[type(record)(**fields)] == 1
+
+    def test_run_config_defaults_to_the_default_learner(self):
+        assert RunConfig().learner == LearnerConfig()
+
+
+class TestSymbolMatrixEquality:
+    @given(st.lists(st.text("ab", min_size=1, max_size=4), min_size=1, max_size=4),
+           st.lists(st.text("ab", min_size=1, max_size=4), min_size=1, max_size=4))
+    def test_equal_exactly_when_the_codes_are(self, left, right):
+        first, second = symbol_integer_transform(left), symbol_integer_transform(right)
+        assert (first == second) == np.array_equal(first.codes, second.codes)
+
+    @pytest.mark.parametrize("left, right, equal", [
+        (["ab", "a"], ["ab", "a"], True),
+        (["ab"], ["ab", "ab"], False),  # broadcasting would call these equal
+        (["ab", "a"], ["ab", "b"], False),
+        (["a"], ["a\ud800"], False),
+    ])
+    def test_shapes_and_codes_both_count(self, left, right, equal):
+        assert (symbol_integer_transform(left) == symbol_integer_transform(right)) is equal
+
+    def test_never_equals_another_type(self):
+        matrix = symbol_integer_transform(["ab"])
+        assert matrix != (matrix.rows, matrix.width, matrix.codes)
