@@ -300,11 +300,10 @@ def _render_error_series_svg(series: np.ndarray) -> str:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    if args.input == "-":
-        trace = read_trace(io.StringIO(sys.stdin.read()))
-    else:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            trace = read_trace(handle)
+    stdin = args.input == "-"  # read as a file is: UTF-8, with universal newlines
+    source = sys.stdin.fileno() if stdin else args.input
+    with open(source, encoding="utf-8", closefd=not stdin) as handle:
+        trace = read_trace(handle)
 
     _, series = mape(trace)
 

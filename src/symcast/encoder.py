@@ -1,7 +1,8 @@
 """Symbol-to-integer-class encoding.
 
-A corpus of symbol strings becomes a zero-padded ``uint32`` matrix of
-character codes, built from one UTF-32 encoding of the joined corpus.
+A corpus of symbol strings becomes a zero-padded matrix of character
+codes, built from one encoding of the joined corpus: one byte per cell
+(``uint8``) when the corpus is ASCII, else ``uint32`` from UTF-32.
 Every row is compared position-by-position against a chosen reference
 row in one array comparison; its agreement bits, padded on the left to
 whole bytes and packed, read big-endian as its integer match value. One
@@ -49,11 +50,11 @@ MAX_CLASS_LEVEL = 10
 class SymbolMatrix:
     """Padded matrix of character codes, one row per corpus item.
 
-    ``codes`` is a read-only ``uint32`` array of shape (rows, width):
-    cell [r, k] is the code point of row r's k-th character, or 0 past
-    the row's end. NUL is refused, so a row's length is its count of
-    nonzero codes. rows and width restate the shape, and equality
-    compares the codes alone.
+    ``codes`` is a read-only array of shape (rows, width), ``uint8`` for an
+    ASCII corpus and ``uint32`` otherwise: cell [r, k] is the code point of
+    row r's k-th character, or 0 past the row's end. NUL is refused, so a
+    row's length is its count of nonzero codes. rows and width restate the
+    shape, and equality compares the codes alone, whatever their dtype.
     """
 
     rows: int
@@ -134,10 +135,10 @@ def symbol_integer_transform(corpus: Sequence[str]) -> SymbolMatrix:
                 raise NulCharacterError(index)
 
     width = int(lengths.max())
-    codes = np.zeros((rows, width), dtype=np.uint32)
-    codes[np.arange(width) < lengths[:, None]] = np.frombuffer(
-        text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32
-    )
+    narrow = text.isascii()  # a flag the string already holds, not a scan
+    codes = np.zeros((rows, width), dtype=np.uint8 if narrow else np.uint32)
+    encoded = text.encode("ascii") if narrow else text.encode("utf-32-le", "surrogatepass")
+    codes[np.arange(width) < lengths[:, None]] = np.frombuffer(encoded, dtype=codes.dtype)
     codes.flags.writeable = False
     return SymbolMatrix(rows=rows, width=width, codes=codes)
 
@@ -162,10 +163,12 @@ def _distinct_scores(matrix: SymbolMatrix,
     Agreement is computed directly on the integer codes: scaling all cells by
     one shared maximum would not change which cells are equal.
     """
-    agree = matrix.codes == matrix.codes[resolve_reference(reference, matrix.rows)]
     # Padded on the left to whole bytes, a packed row reads big-endian as its value;
     # a stable pass per byte, the first byte last, sorts the rows in linear time.
-    packed = np.packbits(np.pad(agree, ((0, 0), (-matrix.width % 8, 0))), axis=1)
+    pad = -matrix.width % 8
+    agree = np.zeros((matrix.rows, pad + matrix.width), dtype=bool)
+    np.equal(matrix.codes, matrix.codes[resolve_reference(reference, matrix.rows)], out=agree[:, pad:])
+    packed = np.packbits(agree, axis=1)
     order = np.lexsort(packed.T[::-1])
     starts = np.r_[True, np.diff(packed[order], axis=0).any(axis=1)]  # a new value begins
     inverse = np.empty_like(order)

@@ -253,7 +253,8 @@ class Learner:
                 return abs((previous_value + candidate(index)) - expected)
             return math.inf
 
-        start = self._crossing_index(expected - previous_value, weakening, rule_mode)
+        start = self._crossing_index(expected - previous_value, weakening, rule_mode,
+                                     population_size, max_deviant_adjust)
         bottom = min(max(start, 0), population_size - 1)
         below, at, above = size(bottom - 1), size(bottom), size(bottom + 1)
         for _ in range(3):
@@ -290,7 +291,8 @@ class Learner:
         winners = _ranked(0, population_size, config.k_winners, (residual, candidate), key, rising)
         return tuple(map(candidate, winners))
 
-    def _crossing_index(self, target: float, weakening: bool, rule_mode: str) -> int:
+    def _crossing_index(self, target: float, weakening: bool, rule_mode: str,
+                        population_size: int, max_deviant_adjust: float) -> int:
         """About the first grid index past the zero of the signed residual.
 
         Candidate i would equal target (expected - previous) at the real
@@ -304,8 +306,6 @@ class Learner:
         infinity or NaN reaches ceil.
         """
         mean = self.deviant_mean
-        population_size = self.config.population_size
-        max_deviant_adjust = self.config.max_deviant_adjust
         if rule_mode == ADDITIVE_SUBTRACTIVE:
             offset = mean - target if weakening else target - mean
             x = offset * population_size / max_deviant_adjust

@@ -28,6 +28,8 @@ from .learner import Learner, LearnerConfig
 TRAIN = "train"
 TEST = "test"
 
+BLOCK_ROWS = 4096  # trace rows formatted or parsed at a time
+
 TRACE_HEADER = (
     "step,phase,prev_class,raw_prediction,predicted_class,expected_class,"
     "abs_error,cumulative_mape,deviant_mean"
@@ -250,23 +252,28 @@ def _texts(column: np.ndarray, end: str = "") -> list[str]:
 def write_trace(trace: PredictionTrace, stream: TextIO) -> None:
     """Emit the delimited trace; reals carry 6 decimal places (see format_real).
 
-    The cumulative_mape column is empty on train steps. Each column is
-    formatted as a whole.
+    The cumulative_mape column is empty on train steps. The columns are
+    formatted and written BLOCK_ROWS steps at a time.
     """
-    mape_texts = np.full(len(trace), "", dtype=object)
-    mape_texts[trace.is_test] = list(map("{:.6f}".format, trace.cumulative_mape.tolist()))
     stream.write(TRACE_HEADER + "\n")
-    stream.writelines(map(",".join, zip(
-        map(str, trace.index.tolist()),
-        map((TRAIN, TEST).__getitem__, trace.is_test.tolist()),
-        _texts(trace.previous_class),
-        _texts(trace.raw_prediction),
-        _texts(trace.predicted_class),
-        _texts(trace.expected_class),
-        _texts(trace.abs_error),
-        mape_texts.tolist(),
-        _texts(trace.deviant_mean_after, end="\n"),
-    )))
+    for start in range(0, len(trace), BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        is_test = trace.is_test[block]
+        first_test = np.count_nonzero(trace.is_test[:start])
+        mape = trace.cumulative_mape[first_test:first_test + np.count_nonzero(is_test)]
+        mape_texts = np.full(len(is_test), "", dtype=object)
+        mape_texts[is_test] = list(map("{:.6f}".format, mape.tolist()))
+        stream.writelines(map(",".join, zip(
+            map(str, trace.index[block].tolist()),
+            map((TRAIN, TEST).__getitem__, is_test.tolist()),
+            _texts(trace.previous_class[block]),
+            _texts(trace.raw_prediction[block]),
+            _texts(trace.predicted_class[block]),
+            _texts(trace.expected_class[block]),
+            _texts(trace.abs_error[block]),
+            mape_texts.tolist(),
+            _texts(trace.deviant_mean_after[block], end="\n"),
+        )))
 
 
 def _reals(texts: list[str]) -> np.ndarray:
@@ -325,26 +332,8 @@ def _parse_rows(rows: list[str]) -> PredictionTrace:
     return trace
 
 
-def read_trace(lines: Iterable[str]) -> PredictionTrace:
-    """Parse the first trace block from an iterable of lines.
-
-    Stops at the first blank line. Reals come back at the precision
-    they were written with. Raises TraceFormatError with the 1-based
-    line number on any malformed content: a wrong field count or phase,
-    a misplaced cumulative_mape, a field int() or float() refuses, a
-    '_' anywhere (int() and float() would read it as a digit separator),
-    or a real that is not finite. The block is parsed column by column;
-    only when that fails is it halved, down to its first bad line.
-    """
-    lines = iter(lines)
-    header = next(lines, None)
-    if header is None:
-        raise TraceFormatError(1, "empty trace file")
-    if header.rstrip("\r\n") != TRACE_HEADER:
-        raise TraceFormatError(1, "missing or wrong trace header")
-    rows = list(takewhile(bool, map(str.rstrip, lines, repeat("\r\n"))))
-    if not rows:
-        raise TraceFormatError(2, "trace has no step rows")
+def _parse_block(rows: list[str], first_line: int) -> PredictionTrace:
+    """_parse_rows on rows from line first_line on; a failing block is halved to its first bad line."""
     try:
         return _parse_rows(rows)
     except ValueError:
@@ -361,5 +350,33 @@ def read_trace(lines: Iterable[str]) -> PredictionTrace:
         try:
             _parse_rows(rows[low:high])
         except ValueError as exc:
-            raise TraceFormatError(low + 2, str(exc)) from exc
+            raise TraceFormatError(first_line + low, str(exc)) from exc
         raise
+
+
+def read_trace(lines: Iterable[str]) -> PredictionTrace:
+    """Parse the first trace block from an iterable of lines.
+
+    Stops at the first blank line. Reals come back at the precision
+    they were written with. Raises TraceFormatError with the 1-based
+    line number on any malformed content: a wrong field count or phase,
+    a misplaced cumulative_mape, a field int() or float() refuses, a
+    '_' anywhere (int() and float() would read it as a digit separator),
+    or a real that is not finite. Rows are read and parsed BLOCK_ROWS at
+    a time, each block column by column, so no line past the block of
+    the first bad row is read.
+    """
+    lines = iter(lines)
+    header = next(lines, None)
+    if header is None:
+        raise TraceFormatError(1, "empty trace file")
+    if header.rstrip("\r\n") != TRACE_HEADER:
+        raise TraceFormatError(1, "missing or wrong trace header")
+    rows = takewhile(bool, map(str.rstrip, lines, repeat("\r\n")))
+    blocks = []
+    while block := list(islice(rows, BLOCK_ROWS)):
+        blocks.append(_parse_block(block, 2 + BLOCK_ROWS * len(blocks)))
+    if not blocks:
+        raise TraceFormatError(2, "trace has no step rows")
+    return PredictionTrace(*(np.concatenate([getattr(block, column.name) for block in blocks])
+                             for column in fields(PredictionTrace)))

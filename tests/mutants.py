@@ -2,7 +2,7 @@
 
 Run from the root of the repository (it is not part of the pytest suite):
 
-    python3 tests/mutants.py    # about 130 s on one CPU
+    python3 tests/mutants.py    # about 170 s on one CPU
 
 Each row names a file under src/, a text that must occur in it exactly
 once, the text that replaces it, why the change matters, whether the tests
@@ -50,6 +50,8 @@ KEPT = "tests/test_learner.py::TestKeptOutcomes"
 SEARCH = "tests/test_learner.py::TestSearchStart"
 STEP_ORACLE = "tests/test_learner.py::TestLearnStepAgainstTheOracle"
 ENCODE_CLI = "tests/test_cli.py::TestEncode"
+NARROW = "tests/test_encoder.py::TestNarrowCodes"
+BLOCKWISE = "tests/test_pipeline.py::TestBlockwiseTraceIO"
 
 MUTANTS = [
     # Scoring each distinct match value once.
@@ -73,11 +75,16 @@ MUTANTS = [
     Mutant(ENCODER, "inverse[order] = np.cumsum", "inverse[:] = np.cumsum",
            "the value labels are in sorted order and must go back to their rows", "killed",
            (DISTINCT,)),
-    Mutant(ENCODER, "((0, 0), (-matrix.width % 8, 0))", "((0, 0), (0, -matrix.width % 8))",
+    Mutant(ENCODER, "out=agree[:, pad:]", "out=agree[:, :matrix.width]",
            "padding on the right would shift every value left", "killed", (DISTINCT,)),
     Mutant(ENCODER, '"surrogatepass"', '"replace"',
            "a lone surrogate keeps its code point, as ord() gives it", "killed",
            ("tests/test_encoder.py::TestSymbolIntegerTransform",)),
+    # The byte-wide code matrix of an ASCII corpus.
+    Mutant(ENCODER, "narrow = text.isascii()", "narrow = True",
+           "only an ASCII corpus fits one byte per cell", "killed", (NARROW,)),
+    Mutant(ENCODER, "narrow = text.isascii()", "narrow = False",
+           "an ASCII corpus is held one byte per cell", "killed", (NARROW,)),
     Mutant(ENCODER, 'repeat("big")', 'repeat("little")',
            "a packed row reads MSB-first, its first cell the highest bit", "killed",
            ("tests/test_encoder.py::TestSwapMatch",)),
@@ -140,6 +147,17 @@ MUTANTS = [
     Mutant("src/symcast/pipeline.py", "format_real, column.view(np.int64)", "format_real, column",
            "keyed by value, -0.0 and 0.0 would share one text", "killed",
            ("tests/test_pipeline.py::TestTraceSerialization",)),
+    # Trace rows written and read in blocks.
+    Mutant("src/symcast/pipeline.py", "2 + BLOCK_ROWS * len(blocks)", "2",
+           "a bad row in a later block is named by its line in the file", "killed", (BLOCKWISE,)),
+    Mutant("src/symcast/pipeline.py", "np.count_nonzero(trace.is_test[:start])",
+           "np.count_nonzero(trace.is_test[:start + 1])",
+           "a block's test steps take the cumulative_mape values after all earlier test steps",
+           "killed", (BLOCKWISE,)),
+    Mutant("src/symcast/pipeline.py", "while block := list(islice(rows, BLOCK_ROWS)):",
+           "while block := list(islice(rows, 1 if blocks else BLOCK_ROWS)):",
+           "rows past the first block keep their line numbers whatever the blocks hold",
+           "killed", (BLOCKWISE,)),
     Mutant("src/symcast/ingest.py", 'if line != "")', 'if line.strip() != "")',
            "whitespace-only rows are corpus items", "killed",
            ("tests/test_ingest.py::TestReadTextCorpus",)),

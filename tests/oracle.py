@@ -14,14 +14,23 @@ line at a time, and place the report chart's points one at a time, the way
 symcast did before it worked on columns. They use only the learner's scalar
 step and decode_class from symcast. round_half_away_from_zero is the scalar
 rounding rule that the walk applies to whole columns.
+
+read_trace_whole is the trace reader as it was before it read in blocks:
+every row up to the first blank line is parsed as one block by the
+pipeline's own row parser, halved down to its first bad line on failure.
+It checks the block-wise reader's offsets and joins, not the parsing.
 """
 
 import csv
 import io
 import math
 
+from itertools import repeat, takewhile
+
 from symcast.encoder import decode_class
+from symcast.errors import TraceFormatError
 from symcast.learner import Learner
+from symcast.pipeline import _parse_rows
 
 
 def match_reference(corpus, reference_index):
@@ -205,6 +214,37 @@ def read_trace_reference(lines):
     if not rows:
         raise ValueError((2, "trace has no step rows"))
     return rows, series
+
+
+def read_trace_whole(lines):
+    """Parse the first trace block as one block; raises TraceFormatError as read_trace does."""
+    lines = iter(lines)
+    header = next(lines, None)
+    if header is None:
+        raise TraceFormatError(1, "empty trace file")
+    if header.rstrip("\r\n") != TRACE_HEADER:
+        raise TraceFormatError(1, "missing or wrong trace header")
+    rows = list(takewhile(bool, map(str.rstrip, lines, repeat("\r\n"))))
+    if not rows:
+        raise TraceFormatError(2, "trace has no step rows")
+    try:
+        return _parse_rows(rows)
+    except ValueError:
+        # rows[low:high] holds the first row that fails alone
+        low, high = 0, len(rows)
+        while high - low > 1:
+            middle = (low + high) // 2
+            try:
+                _parse_rows(rows[low:middle])
+            except ValueError:
+                high = middle
+            else:
+                low = middle
+        try:
+            _parse_rows(rows[low:high])
+        except ValueError as exc:
+            raise TraceFormatError(low + 2, str(exc)) from exc
+        raise
 
 
 def decode_reference(pairs, memory):

@@ -4,6 +4,9 @@ import contextlib
 import csv
 import io
 import math
+import os
+import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symcast
 from symcast.cli import (
     _FIELDS,
     Settings,
@@ -23,10 +27,10 @@ from symcast.cli import (
     build_parser,
     main,
 )
-from symcast.encoder import encode_corpus
+from symcast.encoder import ClassSequence, encode_corpus
 from symcast.errors import SymcastError
 from symcast.ingest import Corpus
-from symcast.pipeline import DecodedTrace, RunConfig
+from symcast.pipeline import DecodedTrace, RunConfig, run_continual, write_trace
 
 from oracle import decoded_report_reference, encode_report_reference, svg_points_reference
 
@@ -750,10 +754,58 @@ class TestReport:
 
     def test_report_reads_stdin(self, carbus_file, tmp_path, capsys, monkeypatch):
         trace_path = self.make_trace(carbus_file, tmp_path, capsys)
-        monkeypatch.setattr("sys.stdin", io.StringIO(trace_path.read_text()))
-        code, out, _ = run(["report", "--input", "-"], capsys)
+        with trace_path.open() as stdin:
+            monkeypatch.setattr("sys.stdin", stdin)
+            code, out, _ = run(["report", "--input", "-"], capsys)
         assert code == 0
         assert out.splitlines()[1] == "1,400.000000"
+
+    def long_trace(self):
+        """A 5,000-step run, longer than one block of trace rows."""
+        rng = random.Random(5)
+        values = [rng.randint(1, 6) for _ in range(5_001)]
+        return run_continual(ClassSequence(tuple(values), 6), RunConfig())
+
+    def long_trace_bytes(self, newline):
+        """long_trace() as written, with the given line ends."""
+        buffer = io.StringIO()
+        write_trace(self.long_trace(), buffer)
+        return buffer.getvalue().replace("\n", newline).encode("utf-8")
+
+    def report_outputs(self, argument, tmp_path, capsys):
+        series, svg = tmp_path / "series.csv", tmp_path / "chart.svg"
+        code, _, err = run(["report", "--input", argument, "--out", str(series), "--svg", str(svg)],
+                           capsys)
+        assert (code, err) == (0, "")
+        return series.read_bytes(), svg.read_bytes()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_stdin_and_file_give_the_same_series_and_chart(self, newline, tmp_path, capsys,
+                                                           monkeypatch):
+        data = self.long_trace_bytes(newline)
+        path = tmp_path / "trace.csv"
+        path.write_bytes(data)
+        from_file = self.report_outputs(str(path), tmp_path, capsys)
+        # as the interpreter opens stdin on POSIX: newline="\n", so no CR ends a line
+        with path.open(encoding="utf-8", newline="\n") as stdin:
+            monkeypatch.setattr("sys.stdin", stdin)
+            assert self.report_outputs("-", tmp_path, capsys) == from_file
+        series = self.long_trace().cumulative_mape.tolist()
+        assert from_file[0].decode("utf-8") == "test_step,cumulative_mape\n" + "".join(
+            f"{step},{value:.6f}\n" for step, value in enumerate(series, start=1)
+        )
+
+    def test_a_lone_cr_trace_on_the_real_stdin_reads_as_from_a_file(self, tmp_path, capsys):
+        data = self.long_trace_bytes("\r")
+        path = tmp_path / "trace.csv"
+        path.write_bytes(data)
+        code, from_file, _ = run(["report", "--input", str(path)], capsys)
+        assert code == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(symcast.__file__).resolve().parent.parent))
+        result = subprocess.run([sys.executable, "-m", "symcast.cli", "report", "--input", "-"],
+                                input=data, capture_output=True, env=env, check=False)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout.decode("utf-8") == from_file
 
 
 class TestParser:

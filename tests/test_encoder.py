@@ -15,6 +15,7 @@ from symcast.encoder import (
     ClassSequence,
     MatchScore,
     SensorMemory,
+    SymbolMatrix,
     build_sensor_memory,
     class_encode,
     decode_class,
@@ -125,6 +126,66 @@ class TestSymbolIntegerTransform:
         with pytest.raises(EmptyRowError) as info:
             symbol_integer_transform(["a", "", "\x00"])
         assert info.value.row_index == 1
+
+
+def utf32_codes(corpus):
+    """The uint32 code matrix of any corpus, one row at a time: code points, zero-padded."""
+    codes = np.zeros((len(corpus), max(map(len, corpus))), dtype=np.uint32)
+    for row, word in enumerate(corpus):
+        codes[row, :len(word)] = np.frombuffer(word.encode("utf-32-le", "surrogatepass"), np.uint32)
+    return codes
+
+
+ascii_corpora = st.lists(
+    st.text(st.characters(min_codepoint=1, max_codepoint=127), min_size=1, max_size=70),
+    min_size=1, max_size=12,
+)
+# every ASCII character but NUL moved past Latin-1, so that equal cells stay equal
+WIDEN = {code: code + 0x100 for code in range(1, 128)}
+
+
+class TestNarrowCodes:
+    """An ASCII corpus is held one byte per cell; any other corpus as uint32."""
+
+    @given(corpus=ascii_corpora)
+    def test_an_ascii_corpus_gives_uint8_codes_equal_to_the_uint32_ones(self, corpus):
+        matrix = symbol_integer_transform(corpus)
+        assert matrix.codes.dtype == np.uint8
+        assert matrix.codes.tolist() == utf32_codes(corpus).tolist()
+        assert not matrix.codes.flags.writeable
+
+    @pytest.mark.parametrize("corpus", [
+        ["caf\u00e9", "abc"],     # Latin-1
+        ["\x80"],                # the first code point past ASCII
+        ["a", "\u4e2d\u6587"],    # the Basic Multilingual Plane
+        ["ab\ud800", "ab"],       # a lone surrogate
+        ["\U0001f600x"],          # past the BMP
+    ])
+    def test_any_other_corpus_stays_uint32(self, corpus):
+        matrix = symbol_integer_transform(corpus)
+        assert matrix.codes.dtype == np.uint32
+        assert matrix.codes.tolist() == utf32_codes(corpus).tolist()
+
+    def test_the_last_ascii_character_is_narrow(self):
+        assert symbol_integer_transform(["\x7f", "a"]).codes.dtype == np.uint8
+
+    @given(corpus=ascii_corpora)
+    def test_equality_holds_across_the_two_dtypes(self, corpus):
+        narrow = symbol_integer_transform(corpus)
+        wide = SymbolMatrix(narrow.rows, narrow.width, utf32_codes(corpus))
+        assert narrow == wide and wide == narrow
+        changed = wide.codes.copy()
+        changed[0, 0] += 1
+        assert narrow != SymbolMatrix(narrow.rows, narrow.width, changed)
+
+    @given(corpus=ascii_corpora, level=st.integers(min_value=2, max_value=10),
+           selector=st.sampled_from(["first", "last"]))
+    def test_both_dtypes_encode_alike(self, corpus, level, selector):
+        widened = [word.translate(WIDEN) for word in corpus]
+        assert symbol_integer_transform(widened).codes.dtype == np.uint32
+        narrow, wide = encode_corpus(corpus, level, selector), encode_corpus(widened, level, selector)
+        assert narrow.scores == wide.scores
+        assert narrow.classes == wide.classes
 
 
 class TestResolveReference:

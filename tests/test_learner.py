@@ -497,7 +497,8 @@ class TestSearchStart:
                 continue
             learner = Learner(config)
             learner.deviant_mean = mean
-            start = learner._crossing_index(expected - previous, signed_diff > 0, rule_mode)
+            start = learner._crossing_index(expected - previous, signed_diff > 0, rule_mode,
+                                            config.population_size, config.max_deviant_adjust)
             clamped = min(max(start, 0), config.population_size)
             assert abs(clamped - bottom) <= 1, (config, mean.hex(), previous, expected, start)
             checked += 1
