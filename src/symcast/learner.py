@@ -285,10 +285,7 @@ class Learner:
         def residual(index: int) -> float:
             return (previous_value + candidate(index)) - expected
 
-        def key(index: int) -> tuple[float, float, int]:
-            return size(index), abs(candidate(index)), index
-
-        winners = _ranked(0, population_size, config.k_winners, (residual, candidate), key, rising)
+        winners = _ranked(0, population_size, config.k_winners, (residual, candidate), rising)
         return tuple(map(candidate, winners))
 
     def _crossing_index(self, target: float, weakening: bool, rule_mode: str,
@@ -336,17 +333,20 @@ def _ranked(
     stop: int,
     count: int,
     signed_parts: tuple[Callable[[int], float], ...],
-    key: Callable[[int], tuple],
     rising: bool,
 ) -> list[int]:
-    """The first count indices of [start, stop) in key order.
+    """The first count indices of [start, stop) by (|f(i)| for each f of signed_parts, then i).
 
-    key(i) is (|f(i)| for each signed function f of the step, then i).
-    The indices in [start, stop) tie on the parts before those of
-    signed_parts, the functions still to rank by; each of them rises
-    with the index if rising and falls otherwise. One bisection over
-    the whole range finds the bottom of the first signed part's V.
+    signed_parts are the signed functions still to rank by: the indices
+    in [start, stop) tie on every part ranked before them, and each of
+    them rises with the index if rising and falls otherwise. One
+    bisection over the whole range finds the bottom of the first part's
+    V; a run that ties on it is ranked by the parts after it.
     """
+
+    def key(index: int) -> tuple:
+        return (*[abs(part(index)) for part in signed_parts], index)
+
     if stop - start <= count:
         return sorted(range(start, stop), key=key)
     if not signed_parts:
@@ -378,9 +378,7 @@ def _ranked(
                     range(start, left), True, key=lambda index: size(index) == lowest
                 )
                 left_size = size(edge - 1) if edge > start else math.inf
-            tied = [left] if edge == left else _ranked(
-                edge, left + 1, needed, later_parts, key, rising
-            )
+            tied = [left] if edge == left else _ranked(edge, left + 1, needed, later_parts, rising)
             left = edge - 1
         if right < stop and right_size == lowest:
             edge = right
@@ -390,9 +388,7 @@ def _ranked(
                     range(right + 1, stop), True, key=lambda index: size(index) != lowest
                 )
                 right_size = size(edge + 1) if edge + 1 < stop else math.inf
-            run = [right] if edge == right else _ranked(
-                right, edge + 1, needed, later_parts, key, rising
-            )
+            run = [right] if edge == right else _ranked(right, edge + 1, needed, later_parts, rising)
             tied = sorted(tied + run, key=key) if tied else run
             right = edge + 1
         order += tied[:needed]

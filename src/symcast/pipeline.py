@@ -288,12 +288,13 @@ def _integers(texts: list[str]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _parse_rows(rows: list[str]) -> PredictionTrace:
-    """The rows as columns, or ValueError naming a problem.
+def _parse_rows(rows: list[str]) -> tuple[np.ndarray, ...]:
+    """The rows as nine columns in PredictionTrace's field order, or ValueError naming a problem.
 
     Each check runs over all rows before the next starts, in the order
     in which they ran on each row when rows were read one at a time, so
-    for a single row the message names its first problem.
+    for a single row the message names its first problem: cumulative_mape
+    converts first, then the other fields in file order.
     """
     commas = list(map(str.count, rows, repeat(",")))
     if set(commas) != {8}:
@@ -311,28 +312,19 @@ def _parse_rows(rows: list[str]) -> PredictionTrace:
             raise ValueError("test step missing cumulative_mape")
         raise ValueError("train step carries cumulative_mape")
     mape_texts = list(filter(None, mape_fields))
-    trace = PredictionTrace(  # the arguments convert in the order the rows' fields did
-        cumulative_mape=_reals(mape_texts),
-        index=_integers(index),
-        is_test=np.array(is_test, dtype=bool),
-        previous_class=_integers(previous),
-        raw_prediction=_reals(raw),
-        predicted_class=_integers(predicted),
-        expected_class=_integers(expected),
-        abs_error=_integers(abs_error),
-        deviant_mean_after=_reals(mean),
-    )
+    mape = _reals(mape_texts)
+    columns = (_integers(index), np.array(is_test, dtype=bool), _integers(previous), _reals(raw),
+               _integers(predicted), _integers(expected), _integers(abs_error), _reals(mean), mape)
     if "_" in text:
         raise ValueError(f"digit separator '_' in {next(f for f in table if '_' in f)!r}")
-    for texts, column in ((mape_texts, trace.cumulative_mape), (raw, trace.raw_prediction),
-                          (mean, trace.deviant_mean_after)):
+    for texts, column in ((mape_texts, mape), (raw, columns[3]), (mean, columns[7])):
         finite = np.isfinite(column)
         if not finite.all():
             raise ValueError(f"non-finite real {texts[finite.argmin()]!r}")
-    return trace
+    return columns
 
 
-def _parse_block(rows: list[str], first_line: int) -> PredictionTrace:
+def _parse_block(rows: list[str], first_line: int) -> tuple[np.ndarray, ...]:
     """_parse_rows on rows from line first_line on; a failing block is halved to its first bad line."""
     try:
         return _parse_rows(rows)
@@ -378,5 +370,4 @@ def read_trace(lines: Iterable[str]) -> PredictionTrace:
         blocks.append(_parse_block(block, 2 + BLOCK_ROWS * len(blocks)))
     if not blocks:
         raise TraceFormatError(2, "trace has no step rows")
-    return PredictionTrace(*(np.concatenate([getattr(block, column.name) for block in blocks])
-                             for column in fields(PredictionTrace)))
+    return PredictionTrace(*map(np.concatenate, zip(*blocks)))

@@ -1,8 +1,12 @@
 """Shared fixtures for the nine-word vehicle corpus used across the suite."""
 
 import pytest
+from hypothesis import Phase, settings
 
 from symcast.encoder import encode_corpus
+
+# tests/mutants.py needs only that a test fails, not the smallest failing example
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 CARBUS = ("Car", "Bus", "Bus", "Car", "Car", "Car", "Car", "Car", "Bus")
 

@@ -2,15 +2,17 @@
 
 Run from the root of the repository (it is not part of the pytest suite):
 
-    python3 tests/mutants.py    # about 170 s on one CPU
+    python3 tests/mutants.py    # about 130 s on one CPU of a 2-vCPU VM
 
 Each row names a file under src/, a text that must occur in it exactly
 once, the text that replaces it, why the change matters, whether the tests
 are expected to kill it ("killed") or cannot, because it does not change
 behaviour ("equivalent"), and the pytest targets that kill it. The script
 copies src/, tests/, perfbench/ and pyproject.toml to a temporary directory, applies one
-mutant at a time there and runs `pytest -x` on the row's targets. The
-checkout is never written to. Equivalent rows are only checked for their
+mutant at a time there and runs `pytest -x` on the row's targets, under
+the `mutants` Hypothesis profile of tests/conftest.py, which does not
+shrink a failing example: a kill needs a failure, not its smallest form.
+The checkout is never written to. Equivalent rows are only checked for their
 old text, not run.
 
 Each set of targets is first run unmutated and must pass. A mutant counts
@@ -52,6 +54,22 @@ STEP_ORACLE = "tests/test_learner.py::TestLearnStepAgainstTheOracle"
 ENCODE_CLI = "tests/test_cli.py::TestEncode"
 NARROW = "tests/test_encoder.py::TestNarrowCodes"
 BLOCKWISE = "tests/test_pipeline.py::TestBlockwiseTraceIO"
+TWO_FAULTS = ("tests/test_pipeline.py::TestReaderOracle::"
+              "test_a_row_with_two_bad_fields_is_named_by_its_first")
+RANKED = "tests/test_learner.py::TestRanked"
+
+# _parse_rows's conversions as they are, and with cumulative_mape's moved after the others
+MAPE_CONVERTED_FIRST = (
+    "    mape = _reals(mape_texts)\n"
+    "    columns = (_integers(index), np.array(is_test, dtype=bool), _integers(previous), _reals(raw),\n"
+    "               _integers(predicted), _integers(expected), _integers(abs_error), _reals(mean), mape)\n"
+)
+MAPE_CONVERTED_LAST = (
+    "    columns = (_integers(index), np.array(is_test, dtype=bool), _integers(previous), _reals(raw),\n"
+    "               _integers(predicted), _integers(expected), _integers(abs_error), _reals(mean))\n"
+    "    mape = _reals(mape_texts)\n"
+    "    columns += (mape,)\n"
+)
 
 MUTANTS = [
     # Scoring each distinct match value once.
@@ -140,6 +158,15 @@ MUTANTS = [
     Mutant("src/symcast/learner.py", "elif target * mean > 0:", "elif True:",
            "a weakening reciprocal crosses only a target of the mean's sign", "killed",
            (STEP_ORACLE,)),
+    Mutant("src/symcast/learner.py", "(*[abs(part(index)) for part in signed_parts], index)",
+           "(*[abs(part(index)) for part in signed_parts],)",
+           "sorted is stable and each list it sorts holds its ties in index order, the left "
+           "run's before the right run's, so the trailing index never decides",
+           "equivalent", ()),
+    Mutant("src/symcast/learner.py", "(*[abs(part(index)) for part in signed_parts], index)",
+           "(abs(signed_parts[0](index)), index)",
+           "indices that tie on |residual| are ranked by |candidate| before their index",
+           "killed", (RANKED,)),
     # The trace's text columns and the corpus reader.
     Mutant("src/symcast/pipeline.py", "abs(value) < 1e15", "abs(value) <= 1e15",
            "a real of exactly 1e15 prints in exponent form", "killed",
@@ -147,6 +174,10 @@ MUTANTS = [
     Mutant("src/symcast/pipeline.py", "format_real, column.view(np.int64)", "format_real, column",
            "keyed by value, -0.0 and 0.0 would share one text", "killed",
            ("tests/test_pipeline.py::TestTraceSerialization",)),
+    # The order in which a trace row's fields convert.
+    Mutant("src/symcast/pipeline.py", MAPE_CONVERTED_FIRST, MAPE_CONVERTED_LAST,
+           "each row converted its cumulative_mape before its other fields, so that error is "
+           "named first", "killed", (TWO_FAULTS,)),
     # Trace rows written and read in blocks.
     Mutant("src/symcast/pipeline.py", "2 + BLOCK_ROWS * len(blocks)", "2",
            "a bad row in a later block is named by its line in the file", "killed", (BLOCKWISE,)),
@@ -168,7 +199,8 @@ def run_targets(work: Path, targets: tuple[str, ...]) -> int:
     """pytest's exit status on targets in work: 0 all passed, 1 some test failed."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *targets],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "--hypothesis-profile=mutants", *targets],
         cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     ).returncode
 

@@ -30,7 +30,7 @@ from itertools import repeat, takewhile
 from symcast.encoder import decode_class
 from symcast.errors import TraceFormatError
 from symcast.learner import Learner
-from symcast.pipeline import _parse_rows
+from symcast.pipeline import PredictionTrace, _parse_rows
 
 
 def match_reference(corpus, reference_index):
@@ -217,7 +217,12 @@ def read_trace_reference(lines):
 
 
 def read_trace_whole(lines):
-    """Parse the first trace block as one block; raises TraceFormatError as read_trace does."""
+    """Parse the first trace block as one block; raises TraceFormatError as read_trace does.
+
+    The pipeline's row parser gives the columns, which are wrapped in one
+    PredictionTrace; the halving search for the first bad line is this
+    module's own copy, so that it checks read_trace's per-block search.
+    """
     lines = iter(lines)
     header = next(lines, None)
     if header is None:
@@ -228,7 +233,7 @@ def read_trace_whole(lines):
     if not rows:
         raise TraceFormatError(2, "trace has no step rows")
     try:
-        return _parse_rows(rows)
+        return PredictionTrace(*_parse_rows(rows))
     except ValueError:
         # rows[low:high] holds the first row that fails alone
         low, high = 0, len(rows)

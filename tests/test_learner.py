@@ -635,6 +635,41 @@ class TestWinnersMean:
             learner.learn_step(1, 5)
 
 
+def stepped_part(offset, slope, grid, rising):
+    """i -> (offset + slope * i) // grid, negated unless rising: monotone, in runs of ties."""
+    sign = 1 if rising else -1
+    return lambda index: float(sign * ((offset + slope * index) // grid))
+
+
+# (offset, slope, grid) of a stepped part
+STEPPED = st.tuples(st.integers(min_value=-90, max_value=30), st.integers(min_value=0, max_value=6),
+                    st.integers(min_value=1, max_value=6))
+
+
+class TestRanked:
+    """_ranked against a full sort of its range by (|first part|, |second part|, index)."""
+
+    @given(
+        start=st.integers(min_value=0, max_value=30),
+        length=st.integers(min_value=1, max_value=60),
+        rising=st.booleans(),
+        first=STEPPED,
+        second=STEPPED,
+        count=st.integers(min_value=1, max_value=64),  # past length too: the whole range
+    )
+    # |first part| ties across the bottom, where |second part| ranks the right run first
+    @example(start=3, length=20, rising=True, first=(-30, 2, 6), second=(-40, 1, 3), count=7)
+    @example(start=3, length=20, rising=False, first=(-30, 2, 6), second=(-40, 1, 3), count=7)
+    @example(start=3, length=20, rising=True, first=(-30, 2, 6), second=(-10, 1, 3), count=20)
+    def test_the_first_k_of_a_full_sort(self, start, length, rising, first, second, count):
+        first, second = stepped_part(*first, rising), stepped_part(*second, rising)
+        stop = start + length
+        expected = sorted(range(start, stop),
+                          key=lambda index: (abs(first(index)), abs(second(index)), index))
+        ranked = learner_module._ranked(start, stop, count, (first, second), rising)
+        assert ranked == expected[:count]
+
+
 class TestBenchmarkStreams:
     """learn_step against the oracle on the class streams the benchmark runs."""
 

@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symcast.encoder import ClassSequence, SensorMemory, decode_class
@@ -666,6 +666,38 @@ def newly_rejected(text, line_number):
     return "_" in "".join(fields)
 
 
+def bad_field(convert, text):
+    """Whether text is one field (it holds no comma) that convert, int or float, refuses."""
+    if "," in text:
+        return False
+    try:
+        convert(text)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def two_fault_traces(draw):
+    """A valid trace whose one test row has a bad cumulative_mape and a second bad field.
+
+    Both fields hold text their converter refuses; returns (text, the row's line number).
+    """
+    lines = valid_trace_text(draw).split("\n")  # header, rows, then ""
+    line_number = draw(st.sampled_from(
+        [number for number, line in enumerate(lines, start=1) if line.split(",")[1:2] == [TEST]]
+    ))
+    fields = lines[line_number - 1].split(",")
+    fields[7] = draw((BAD_REALS | ODD_TEXT).filter(lambda text: text and bad_field(float, text)))
+    position = draw(st.sampled_from([0, 2, 3, 8]))  # step, prev_class, raw_prediction, deviant_mean
+    convert = float if position in (3, 8) else int
+    fields[position] = draw(
+        (BAD_INTS | BAD_REALS | ODD_TEXT).filter(lambda text: bad_field(convert, text))
+    )
+    lines[line_number - 1] = ",".join(fields)
+    return "\n".join(lines), line_number
+
+
 class TestReaderOracle:
     """read_trace against the per-line reader in tests/oracle.py."""
 
@@ -693,6 +725,21 @@ class TestReaderOracle:
         assert not newly_rejected(text, line_number)
         assert trace.steps == tuple(rows)
         assert trace.cumulative_mape.tolist() == series
+
+    @settings(max_examples=200)
+    @given(case=two_fault_traces())
+    @example(case=(TRACE_HEADER + "\nx,test,1,1.000000,1,1,0,y,0.000000\n", 2))
+    def test_a_row_with_two_bad_fields_is_named_by_its_first(self, case):
+        # each row converted its cumulative_mape before its other fields
+        text, line_number = case
+        with pytest.raises(ValueError) as reference:
+            read_trace_reference(io.StringIO(text))
+        line, message = reference.value.args[0]
+        assert line == line_number
+        for reader in (read_trace, read_trace_whole):
+            with pytest.raises(TraceFormatError) as info:
+                reader(io.StringIO(text))
+            assert (info.value.line_number, str(info.value)) == (line, f"line {line}: {message}")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "NaN", "-Infinity"])
     @pytest.mark.parametrize("position", [3, 7, 8])
