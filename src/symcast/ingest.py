@@ -28,7 +28,7 @@ def _decode_lines(stream: BinaryIO) -> list[str]:
 
 def read_text_corpus(stream: BinaryIO, source: str = "<stream>") -> Corpus:
     """One item per non-empty line, order preserved, blank lines skipped."""
-    items = tuple(line for line in _decode_lines(stream) if line != "")
+    items = tuple(filter(None, _decode_lines(stream)))
     if not items:
         raise EmptyCorpusError(f"{source}: no non-empty lines")
     return Corpus(items=items, source=source)

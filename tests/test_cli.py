@@ -27,10 +27,10 @@ from symcast.cli import (
     build_parser,
     main,
 )
-from symcast.encoder import ClassSequence, encode_corpus
+from symcast.encoder import ClassSequence, MatchScore, encode_corpus
 from symcast.errors import SymcastError
 from symcast.ingest import Corpus
-from symcast.pipeline import DecodedTrace, RunConfig, run_continual, write_trace
+from symcast.pipeline import BLOCK_ROWS, DecodedTrace, RunConfig, run_continual, write_trace
 
 from oracle import decoded_report_reference, encode_report_reference, svg_points_reference
 
@@ -190,6 +190,16 @@ class TestEncode:
             f"2,{'b' * 20000},{expected},1.000000,5",
         ]
 
+    def test_the_digit_limit_is_restored_whatever_it_was(self, carbus_file, capsys):
+        # an earlier test in the process that left the limit lifted would hide a lost restore
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            code, _, _ = run(["encode", "--input", str(carbus_file)], capsys)
+            assert (code, sys.get_int_max_str_digits()) == (0, 5000)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 # Corpora with nothing csv must quote, and corpora where some symbols need it.
 PLAIN_ALPHABET = "ab []é😀"
@@ -232,6 +242,50 @@ class TestWritersAgainstReference:
             text = written(ours, *args)
             assert text == written(reference, *args)
             assert list(csv.reader(io.StringIO(text))) == rows
+
+
+def block_corpus(rows):
+    """rows short words over three letters, so many rows share one match value."""
+    rng = random.Random(rows)
+    return tuple("".join(rng.choices("abc", k=rng.randint(1, 4))) for _ in range(rows))
+
+
+class TestEncodeReportAcrossBlocks:
+    """The encode CSV, written BLOCK_ROWS rows at a time, reads as if written in one block."""
+
+    @staticmethod
+    def assert_matches_the_reference(items, encoded=None):
+        encoded = encoded or encode_corpus(items, 5)
+        corpus = Corpus(items=items, source="<blocks>")
+        assert (written(_write_encode_report, encoded, corpus)
+                == written(encode_report_reference, encoded, corpus))
+
+    @pytest.mark.parametrize("rows", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                      2 * BLOCK_ROWS + 1])
+    def test_corpora_at_block_edges_match_the_reference(self, rows):
+        self.assert_matches_the_reference(block_corpus(rows))
+
+    def test_a_symbol_quoted_only_in_the_second_block(self):
+        items = block_corpus(BLOCK_ROWS + 10)
+        quoted = items[:BLOCK_ROWS + 3] + ('c,"a"',) + items[BLOCK_ROWS + 4:]
+        self.assert_matches_the_reference(quoted)
+
+    def test_equal_scores_held_as_separate_objects(self):
+        items = block_corpus(BLOCK_ROWS + 1)
+        encoded = encode_corpus(items, 5)
+        apart = encoded._replace(scores=tuple(MatchScore(*score) for score in encoded.scores))
+        assert len({id(score) for score in apart.scores}) == len(items)
+        self.assert_matches_the_reference(items, apart)
+
+    def test_stdout_and_file_get_the_same_bytes(self, tmp_path, capsys):
+        source, target = tmp_path / "corpus.txt", tmp_path / "encoded.csv"
+        source.write_text("\n".join(block_corpus(BLOCK_ROWS + 7)) + "\n", encoding="utf-8")
+        code, out, err = run(["encode", "--input", str(source), "--out", "-"], capsys)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) > BLOCK_ROWS + 7
+        code, _, err = run(["encode", "--input", str(source), "--out", str(target)], capsys)
+        assert (code, err) == (0, "")
+        assert target.read_bytes() == out.encode("utf-8")
 
 
 class TestPredict:
