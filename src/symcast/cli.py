@@ -198,25 +198,24 @@ def _csv_fields(texts: Sequence[str]) -> Sequence[str]:
 def _write_encode_report(encoded: EncodedCorpus, corpus: Corpus, stream: TextIO) -> None:
     """The encode CSV, written BLOCK_ROWS rows at a time."""
     slots = ["[]" if symbol is None else symbol for symbol in encoded.memory.slots]
-    scores, classes = encoded.scores, encoded.classes.classes
-    # One text per score object; sharing one among equal values only saves work.
-    _, first, inverse = np.unique(np.fromiter(map(id, scores), np.uintp, len(scores)),
-                                  return_index=True, return_inverse=True)
+    distinct, index = encoded.distinct, encoded.score_index
+    classes = np.zeros(len(distinct), dtype=np.intp)
+    classes[index] = encoded.classes.classes  # the rows of one score share its class
     limit = sys.get_int_max_str_digits()
     # A match value has as many bits as its row has cells, and CPython refuses to
     # print an int of more than 4,300 digits; lift that limit here only.
     sys.set_int_max_str_digits(0)
     try:
-        texts = np.array(["{},{:.6f},{}\n".format(*scores[row], classes[row])
-                          for row in first.tolist()], dtype=object)
+        texts = np.array([f"{value},{scale:.6f},{cls}\n"
+                          for (value, scale), cls in zip(distinct, classes.tolist())], dtype=object)
     finally:
         sys.set_int_max_str_digits(limit)
     stream.write("row_index,symbol,match_value,scale,class\n")
-    for start in range(0, len(scores), BLOCK_ROWS):
+    for start in range(0, len(index), BLOCK_ROWS):
         stop = start + BLOCK_ROWS
         stream.write("".join(map(",".join, zip(map(str, range(start + 1, stop + 1)),
                                                _csv_fields(corpus.items[start:stop]),
-                                               texts[inverse[start:stop]].tolist()))))
+                                               texts[index[start:stop]].tolist()))))
     stream.write("\nclass,symbol\n")
     stream.writelines(map("{},{}\n".format, range(1, len(slots) + 1), _csv_fields(slots)))
 

@@ -1,22 +1,13 @@
 """Symbol-to-integer-class encoding.
 
-A corpus of symbol strings becomes a zero-padded matrix of character
-codes, built from one encoding of the joined corpus: one byte per cell
-(``uint8``) when the corpus is ASCII, else ``uint32`` from UTF-32.
-Every row is compared position-by-position against a chosen reference
-row in one array comparison; its agreement bits, padded on the left to
-whole bytes and packed, read big-endian as its integer match value. One
-``np.lexsort`` over the packed bytes finds the distinct values, ascending;
-each is normalized by the last, the maximum, into a scale in [0, 1] and
-mapped through ``floor(class_level ** scale)`` onto a class in
-[1, class_level]. A decodable class -> symbol memory is built alongside,
-with the last corpus row to land on a class owning its slot.
-
-The cost is a few array passes and a sort linear in the packed bytes, plus
-one ``int.from_bytes``, ``MatchScore`` and class per distinct match value;
-rows with equal values share one ``MatchScore``. Match values are exact
-integers and a scale is their int true division, the correctly rounded
-float of the exact ratio. All functions here are pure and thread-safe.
+A corpus becomes a zero-padded matrix of character codes, one fixed-width
+numpy string per row: ``uint8`` cells for an ASCII corpus, else ``uint32``.
+A row's agreement bits with a reference row, packed into big-endian 64-bit
+words, are its exact integer match value. One ``np.lexsort`` over the word
+columns finds the distinct values, ascending, and each row's index into
+them; only a distinct value becomes Python objects: its ``MatchScore``
+(scale = value / maximum) and class ``floor(class_level ** scale)``. The
+last row to land on a class owns its decoding slot. All functions are pure.
 """
 
 from __future__ import annotations
@@ -105,13 +96,27 @@ class SensorMemory(NamedTuple):
         return len(self.slots)
 
 
-class EncodedCorpus(NamedTuple):
-    """Bundle of everything the encoder derives from one corpus."""
+@dataclass(frozen=True, eq=False)
+class EncodedCorpus:
+    """Everything the encoder derives from one corpus: row r's score is distinct[score_index[r]]."""
 
     matrix: SymbolMatrix
-    scores: tuple[MatchScore, ...]
+    distinct: tuple[MatchScore, ...]  # ascending
+    score_index: np.ndarray  # read-only, one entry per row
     classes: ClassSequence
     memory: SensorMemory
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EncodedCorpus):
+            return NotImplemented
+        return ((self.matrix, self.distinct, self.classes, self.memory)
+                == (other.matrix, other.distinct, other.classes, other.memory)
+                and np.array_equal(self.score_index, other.score_index))
+
+    @property
+    def scores(self) -> tuple[MatchScore, ...]:
+        """Each row's score, built anew on each access from an object array: no per-row int."""
+        return tuple(np.fromiter(self.distinct, object, len(self.distinct))[self.score_index])
 
 
 def symbol_integer_transform(corpus: Sequence[str]) -> SymbolMatrix:
@@ -122,25 +127,22 @@ def symbol_integer_transform(corpus: Sequence[str]) -> SymbolMatrix:
     character (code 0 is reserved for padding), each with the 0-based row
     index. Lone surrogates keep their code points, as ord() gives them.
     """
-    rows = len(corpus)
-    if rows == 0:
+    if len(corpus) == 0:
         raise EmptyCorpusError("corpus is empty")
-    lengths = np.fromiter(map(len, corpus), dtype=np.intp, count=rows)
     text = "".join(corpus)
-    if lengths.min() == 0 or "\x00" in text:
+    if "" in corpus or "\x00" in text:
         for index, word in enumerate(corpus):
             if word == "":
                 raise EmptyRowError(index)
             if "\x00" in word:
                 raise NulCharacterError(index)
 
-    width = int(lengths.max())
     narrow = text.isascii()  # a flag the string already holds, not a scan
-    codes = np.zeros((rows, width), dtype=np.uint8 if narrow else np.uint32)
-    encoded = text.encode("ascii") if narrow else text.encode("utf-32-le", "surrogatepass")
-    codes[np.arange(width) < lengths[:, None]] = np.frombuffer(encoded, dtype=codes.dtype)
+    # numpy sizes the strings to the longest row and pads with NUL, the code refused above
+    strings = np.array(corpus, dtype="S" if narrow else "U")
+    codes = strings.view(np.uint8 if narrow else np.uint32).reshape(len(corpus), -1)
     codes.flags.writeable = False
-    return SymbolMatrix(rows=rows, width=width, codes=codes)
+    return SymbolMatrix(*codes.shape, codes)
 
 
 def resolve_reference(reference: Reference, rows: int) -> int:
@@ -157,33 +159,33 @@ def resolve_reference(reference: Reference, rows: int) -> int:
 
 
 def _distinct_scores(matrix: SymbolMatrix,
-                     reference: Reference) -> tuple[list[MatchScore], list[int]]:
+                     reference: Reference) -> tuple[tuple[MatchScore, ...], np.ndarray]:
     """The distinct match scores in ascending order, and each row's index into them.
 
-    Agreement is computed directly on the integer codes: scaling all cells by
-    one shared maximum would not change which cells are equal.
+    Agreement compares the integer codes: no shared scaling changes which cells are equal.
     """
-    # Padded on the left to whole bytes, a packed row reads big-endian as its value;
-    # a stable pass per byte, the first byte last, sorts the rows in linear time.
-    pad = -matrix.width % 8
+    # Padded on the left to whole 64-bit words, a packed row reads big-endian as its
+    # value; a stable pass per word, the first word last, sorts the rows by value.
+    pad = -matrix.width % 64
     agree = np.zeros((matrix.rows, pad + matrix.width), dtype=bool)
     np.equal(matrix.codes, matrix.codes[resolve_reference(reference, matrix.rows)], out=agree[:, pad:])
-    packed = np.packbits(agree, axis=1)
-    order = np.lexsort(packed.T[::-1])
-    starts = np.r_[True, np.diff(packed[order], axis=0).any(axis=1)]  # a new value begins
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(starts) - 1
-    distinct = packed[order[starts]].view(f"V{packed.shape[1]}")[:, 0].tolist()
+    words = np.packbits(agree, axis=1).view(">u8")
+    order = np.lexsort(words.T[::-1])
+    starts = np.r_[True, np.diff(words[order], axis=0).any(axis=1)]  # a new value begins
+    index = np.empty_like(order)
+    index[order] = np.cumsum(starts) - 1
+    index.flags.writeable = False
+    distinct = words[order[starts]].view(f"V{8 * words.shape[1]}")[:, 0].tolist()
     values = list(map(int.from_bytes, distinct, repeat("big")))
     max_value = values[-1]
     # positional: a NamedTuple binds keywords several times slower
-    return [MatchScore(value, value / max_value) for value in values], inverse.tolist()
+    return tuple([MatchScore(value, value / max_value) for value in values]), index
 
 
 def swap_match(matrix: SymbolMatrix, reference: Reference = "last") -> list[MatchScore]:
     """Each row's positional agreement with the reference row; equal values share one score."""
-    distinct, rows = _distinct_scores(matrix, reference)
-    return list(map(distinct.__getitem__, rows))
+    distinct, index = _distinct_scores(matrix, reference)
+    return list(map(distinct.__getitem__, index.tolist()))
 
 
 def check_class_level(class_level: int) -> None:
@@ -243,8 +245,7 @@ def encode_corpus(corpus: Sequence[str], class_level: int,
                   reference: Reference = "last") -> EncodedCorpus:
     """Run the full encoding chain over a corpus, scoring each distinct match value once."""
     matrix = symbol_integer_transform(corpus)
-    distinct, rows = _distinct_scores(matrix, reference)
-    distinct_classes = class_encode(distinct, class_level).classes
-    classes = ClassSequence(tuple(map(distinct_classes.__getitem__, rows)), class_level)
-    scores = tuple(map(distinct.__getitem__, rows))
-    return EncodedCorpus(matrix, scores, classes, build_sensor_memory(corpus, classes))
+    distinct, index = _distinct_scores(matrix, reference)
+    distinct_classes = np.array(class_encode(distinct, class_level).classes)
+    classes = ClassSequence(tuple(distinct_classes[index].tolist()), class_level)
+    return EncodedCorpus(matrix, distinct, index, classes, build_sensor_memory(corpus, classes))

@@ -2,7 +2,7 @@
 
 Run from the root of the repository (it is not part of the pytest suite):
 
-    python3 tests/mutants.py    # about 135 s on one CPU of a 2-vCPU VM
+    python3 tests/mutants.py    # about 140 s on one CPU of a 2-vCPU VM
 
 Each row names a file under src/, a text that must occur in it exactly
 once, the text that replaces it, why the change matters, whether the tests
@@ -58,6 +58,7 @@ TWO_FAULTS = ("tests/test_pipeline.py::TestReaderOracle::"
               "test_a_row_with_two_bad_fields_is_named_by_its_first")
 RANKED = "tests/test_learner.py::TestRanked"
 ENCODE_BLOCKS = "tests/test_cli.py::TestEncodeReportAcrossBlocks"
+FIXED_WIDTH = "tests/test_encoder.py::TestFixedWidthTransform"
 
 # _parse_rows's conversions as they are, and with cumulative_mape's moved after the others
 MAPE_CONVERTED_FIRST = (
@@ -76,29 +77,43 @@ MUTANTS = [
     # Scoring each distinct match value once.
     Mutant(ENCODER, "max_value = values[-1]", "max_value = values[0]",
            "the maximum is the last distinct value, not the first", "killed", (DISTINCT,)),
-    Mutant(ENCODER, "inverse.tolist()", "inverse[::-1].tolist()",
-           "rows take their scores through the inverse index in row order", "killed",
+    Mutant(ENCODER, "distinct_classes[index]", "distinct_classes[index[::-1]]",
+           "rows take their classes through the score index in row order", "killed",
            (DISTINCT,)),
-    Mutant(ENCODER, "inverse.tolist()", "sorted(inverse.tolist())",
-           "dropping the inverse index leaves rows in value order", "killed", (DISTINCT,)),
-    Mutant(ENCODER, 'f"V{packed.shape[1]}"', '"V8"',
+    Mutant(ENCODER, "[self.score_index])", "[np.sort(self.score_index)])",
+           "dropping the score index leaves rows in value order", "killed", (DISTINCT,)),
+    Mutant(ENCODER, 'f"V{8 * words.shape[1]}"', '"V8"',
            "the void spans the packed row, whatever its width", "killed", (DISTINCT,)),
-    Mutant(ENCODER, "np.lexsort(packed.T[::-1])", "np.lexsort(packed.T)",
-           "the reference row agrees with itself in every cell, so its packed bytes are "
-           "each the largest and it sorts last, the maximum, in any byte order",
-           "equivalent", ()),
+    Mutant(ENCODER, "np.lexsort(words.T[::-1])", "np.lexsort(words.T)",
+           "the first word is the most significant: past 64 cells the distinct scores "
+           "would not ascend, though the reference row, the maximum, still sorts last",
+           "killed", (DISTINCT,)),
+    Mutant(ENCODER, "-matrix.width % 64", "-matrix.width % 8",
+           "a packed row reads as 64-bit words only when padded to whole words", "killed",
+           (DISTINCT,)),
+    Mutant(ENCODER, '.view(">u8")', '.view("<u8")',
+           "a word's first byte is its most significant, so the words sort by value",
+           "killed", (DISTINCT,)),
     Mutant(ENCODER, "np.r_[True,", "np.r_[False,",
            "the first row in value order starts the first distinct value", "killed", (DISTINCT,)),
     Mutant(ENCODER, ".any(axis=1)]", ".all(axis=1)]",
            "rows that differ in any byte hold different values", "killed", (DISTINCT,)),
-    Mutant(ENCODER, "inverse[order] = np.cumsum", "inverse[:] = np.cumsum",
+    Mutant(ENCODER, "index[order] = np.cumsum", "index[:] = np.cumsum",
            "the value labels are in sorted order and must go back to their rows", "killed",
            (DISTINCT,)),
     Mutant(ENCODER, "out=agree[:, pad:]", "out=agree[:, :matrix.width]",
            "padding on the right would shift every value left", "killed", (DISTINCT,)),
-    Mutant(ENCODER, '"surrogatepass"', '"replace"',
-           "a lone surrogate keeps its code point, as ord() gives it", "killed",
-           ("tests/test_encoder.py::TestSymbolIntegerTransform",)),
+    # The code matrix, through fixed-width numpy strings.
+    Mutant(ENCODER, "else np.uint32)", "else np.uint16)",
+           "a cell of a non-ASCII corpus holds a whole code point, astral or lone surrogate "
+           "too, as ord() gives it", "killed", (FIXED_WIDTH,)),
+    Mutant(ENCODER, '"S" if narrow else "U"', '"U" if narrow else "S"',
+           "an ASCII corpus is held as bytes, any other as 32-bit code points", "killed",
+           (FIXED_WIDTH,)),
+    # An encoding's value equality.
+    Mutant(ENCODER, "and np.array_equal(self.score_index, other.score_index)", "",
+           "two encodings whose rows index different scores differ", "killed",
+           ("tests/test_api.py::TestEncodedCorpusEquality",)),
     # The byte-wide code matrix of an ASCII corpus.
     Mutant(ENCODER, "narrow = text.isascii()", "narrow = True",
            "only an ASCII corpus fits one byte per cell", "killed", (NARROW,)),
@@ -122,13 +137,16 @@ MUTANTS = [
     Mutant("src/symcast/cli.py", "if not any(special in joined",
            "if True or not any(special in joined",
            "a symbol holding a comma or a quote must be quoted", "killed", (ENCODE_CLI,)),
-    # The encode CSV's texts, one per score object, written a block at a time.
+    # The encode CSV's texts, one per distinct score, written a block at a time.
     Mutant("src/symcast/cli.py", "stop = start + BLOCK_ROWS", "stop = start + BLOCK_ROWS + 1",
            "a block ends where the next begins, so no row is written twice", "killed",
            (ENCODE_BLOCKS,)),
-    Mutant("src/symcast/cli.py", "texts[inverse[start:stop]]", "texts[first[start:stop]]",
-           "each row takes its group's text through the inverse index", "killed",
+    Mutant("src/symcast/cli.py", "texts[index[start:stop]]", "texts[index[:stop - start]]",
+           "each block takes its own rows' texts through the score index", "killed",
            (ENCODE_BLOCKS,)),
+    Mutant("src/symcast/cli.py", "classes[index] = encoded.classes.classes",
+           "classes[index] = 1",
+           "each score's text carries the class of its rows", "killed", (ENCODE_BLOCKS,)),
     Mutant("src/symcast/cli.py", "_csv_fields(corpus.items[start:stop])",
            "(corpus.items[start:stop] if start else _csv_fields(corpus.items[start:stop]))",
            "each block quotes its own symbols, a later one too", "killed", (ENCODE_BLOCKS,)),

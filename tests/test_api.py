@@ -100,3 +100,18 @@ class TestSymbolMatrixEquality:
     def test_never_equals_another_type(self):
         matrix = symbol_integer_transform(["ab"])
         assert matrix != (matrix.rows, matrix.width, matrix.codes)
+
+
+class TestEncodedCorpusEquality:
+    """An encoding holds its row index as an array; equality compares it by value."""
+
+    def test_equal_to_a_fresh_encoding_and_not_to_another_index(self):
+        encoded = encode_corpus(CARBUS, class_level=5)
+        assert encoded == encode_corpus(CARBUS, class_level=5)
+        assert not encoded != encode_corpus(CARBUS, class_level=5)
+        moved = dataclasses.replace(encoded, score_index=encoded.score_index[::-1])
+        assert encoded != moved and not encoded == moved
+
+    def test_never_equals_another_type(self):
+        encoded = encode_corpus(CARBUS, class_level=5)
+        assert encoded != dataclasses.astuple(encoded)

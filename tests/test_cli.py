@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -270,11 +271,17 @@ class TestEncodeReportAcrossBlocks:
         quoted = items[:BLOCK_ROWS + 3] + ('c,"a"',) + items[BLOCK_ROWS + 4:]
         self.assert_matches_the_reference(quoted)
 
-    def test_equal_scores_held_as_separate_objects(self):
+    def test_equal_scores_at_two_indexes(self):
+        # odd rows read a copy of each score placed after the originals
         items = block_corpus(BLOCK_ROWS + 1)
         encoded = encode_corpus(items, 5)
-        apart = encoded._replace(scores=tuple(MatchScore(*score) for score in encoded.scores))
-        assert len({id(score) for score in apart.scores}) == len(items)
+        count = len(encoded.distinct)
+        index = encoded.score_index + count * (np.arange(len(items)) % 2)
+        apart = dataclasses.replace(
+            encoded, distinct=encoded.distinct + tuple(MatchScore(*s) for s in encoded.distinct),
+            score_index=index)
+        assert apart.scores == encoded.scores
+        assert len(set(index.tolist())) > count
         self.assert_matches_the_reference(items, apart)
 
     def test_stdout_and_file_get_the_same_bytes(self, tmp_path, capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symcast.cli import _write_encode_report
@@ -142,6 +142,47 @@ ascii_corpora = st.lists(
 )
 # every ASCII character but NUL moved past Latin-1, so that equal cells stay equal
 WIDEN = {code: code + 0x100 for code in range(1, 128)}
+
+
+# Ranges of code points, NUL left out; "bmp" holds the surrogates as well.
+CODE_RANGES = {"ascii": (1, 0x7F), "latin1": (0x80, 0xFF), "bmp": (0x100, 0xFFFF),
+               "astral": (0x10000, 0x10FFFF), "surrogate": (0xD800, 0xDFFF)}
+
+
+@st.composite
+def ranged_corpora(draw):
+    """1-8 rows of 1-20 characters, drawn from one or more of CODE_RANGES."""
+    names = draw(st.lists(st.sampled_from(sorted(CODE_RANGES)), min_size=1, unique=True))
+    characters = st.one_of([st.characters(min_codepoint=low, max_codepoint=high,
+                                          exclude_categories=())
+                            for low, high in map(CODE_RANGES.__getitem__, names)])
+    return draw(st.lists(st.text(characters, min_size=1, max_size=20), min_size=1, max_size=8))
+
+
+def ord_codes(corpus):
+    """Each cell's ord(), one character at a time, zero-padded to the longest row."""
+    width = max(map(len, corpus))
+    return [[ord(character) for character in word] + [0] * (width - len(word)) for word in corpus]
+
+
+class TestFixedWidthTransform:
+    """The code matrix, built through fixed-width numpy strings, against ord() per cell."""
+
+    @given(corpus=ranged_corpora())
+    @example(corpus=["a"])
+    @example(corpus=["\ud800"])
+    @example(corpus=["x", "y", "\U0001f600"])
+    @example(corpus=["\ud800a", "b"])
+    @example(corpus=["\u00e9", "ab"])
+    @example(corpus=["a\U0001f600", "x"])
+    @example(corpus=["abc", "a", "ab\x7f"])
+    def test_codes_match_ord_per_cell(self, corpus):
+        matrix = symbol_integer_transform(corpus)
+        assert matrix.codes.tolist() == ord_codes(corpus)
+        ascii_only = all(map(str.isascii, corpus))
+        assert matrix.codes.dtype == (np.uint8 if ascii_only else np.uint32)
+        assert matrix.codes.shape == (matrix.rows, matrix.width) == (len(corpus), max(map(len, corpus)))
+        assert not matrix.codes.flags.writeable
 
 
 class TestNarrowCodes:
@@ -475,7 +516,7 @@ def test_encoding_allocates_no_per_cell_objects():
     assert peak < 13 * 2**20
 
 
-DISTINCT_WIDTHS = [1, 63, 64, 65, 128, 129]
+DISTINCT_WIDTHS = [1, 63, 64, 65, 127, 128, 129, 191, 192, 193]
 
 
 @st.composite
@@ -497,8 +538,10 @@ def check_against_the_references(corpus, level, selector):
 
     encoded = encode_corpus(corpus, level, selector)
     assert encoded.scores == tuple(scores)
-    # rows with equal match values share one score
+    # rows with equal match values share one score, and the distinct scores ascend
     assert len({id(s) for s in encoded.scores}) == len(set(values))
+    assert list(encoded.distinct) == sorted(set(zip(values, scales)))
+    assert encoded.score_index.dtype == np.intp and not encoded.score_index.flags.writeable
     classes, slots = encode_reference(corpus, level, reference_index)
     assert list(encoded.classes.classes) == classes
     assert list(encoded.memory.slots) == slots
