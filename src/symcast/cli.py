@@ -11,11 +11,10 @@ Exit codes: 0 success, 1 input/data error, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
+import re
 import sys
 from contextlib import contextmanager
-from types import SimpleNamespace
 from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -44,7 +43,8 @@ from .pipeline import (
     write_trace,
 )
 
-_CONFIG_ERRORS = (BadConfigError, BadReferenceError)
+_SPECIALS = ',"\r\n'  # a CSV field holding any of these is quoted
+_NEEDS_QUOTES = re.compile(f"[{_SPECIALS}]").search
 
 
 class Settings(NamedTuple):
@@ -134,36 +134,36 @@ def _read_config_file(path: str) -> dict[str, tuple[str, int]]:
     return entries
 
 
-def _merge_settings(args: argparse.Namespace) -> Settings:
-    file_entries: dict[str, tuple[str, int]] = {}
-    if getattr(args, "config", None):
-        file_entries = _read_config_file(args.config)
+def _given(args: argparse.Namespace) -> dict[str, tuple[str, str]]:
+    """Each setting given by flag or config file: its raw value and where it was given."""
+    entries = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    given = {}
+    for name, (flag, *_) in _FIELDS.items():
+        if getattr(args, name, None) is not None:
+            given[name] = getattr(args, name), f"flag {flag}"
+        elif name in entries:
+            given[name] = entries[name][0], f"config file {args.config} line {entries[name][1]}"
+    return given
 
-    given: dict[type, dict] = {Settings: {}, RunConfig: {}, LearnerConfig: {}}
-    sources: dict[str, tuple[str, str]] = {}  # field -> (setting name, where it was given)
-    for name, (flag, parse, owner, field, _) in _FIELDS.items():
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            raw, source = flag_value, f"flag {flag}"
-        elif name in file_entries:
-            raw, line_number = file_entries[name]
-            source = f"config file {args.config} line {line_number}"
-        else:
-            continue
+
+def _merge_settings(args: argparse.Namespace) -> Settings:
+    given = _given(args)
+    values: dict[type, dict] = {Settings: {}, RunConfig: {}, LearnerConfig: {}}
+    for name, (raw, source) in given.items():
+        _, parse, owner, field, _ = _FIELDS[name]
         try:
-            given[owner][field] = parse(raw)
+            values[owner][field] = parse(raw)
         except ValueError as exc:
             raise BadConfigError(name, f"{exc} (from {source})") from None
-        sources[field] = name, source
 
-    run = RunConfig(learner=LearnerConfig(**given[LearnerConfig]), **given[RunConfig])
-    settings = Settings(**given[Settings], run=run)
+    run = RunConfig(learner=LearnerConfig(**values[LearnerConfig]), **values[RunConfig])
+    settings = Settings(**values[Settings], run=run)
     try:
         run.validate()
         check_class_level(settings.class_level)
-    except BadConfigError as exc:
-        name, source = sources[exc.field]
-        raise BadConfigError(name, f"{exc.reason} (from {source})") from None
+    except BadConfigError as exc:  # defaults pass, so the field was given
+        name = next(name for name in given if _FIELDS[name][3] == exc.field)
+        raise BadConfigError(name, f"{exc.reason} (from {given[name][1]})") from None
     return settings
 
 
@@ -186,13 +186,11 @@ def _output(path: str | None) -> Iterator[TextIO]:
 
 
 def _csv_fields(texts: Sequence[str]) -> Sequence[str]:
-    """texts as CSV fields: unchanged, or each quoted by csv's own rule if any needs it."""
+    """texts as CSV fields: a text holding one of _SPECIALS is quoted, its quotes doubled."""
     joined = "".join(texts)
-    if not any(special in joined for special in ',"\r\n'):
+    if not any(special in joined for special in _SPECIALS):
         return texts
-    # writerow returns the formatted row; csv quotes a lone CR only if "\r" ends rows
-    echo = csv.writer(SimpleNamespace(write=str), lineterminator="\r\n")
-    return [echo.writerow((text,))[:-2] for text in texts]
+    return ['"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text for text in texts]
 
 
 def _write_encode_report(encoded: EncodedCorpus, corpus: Corpus, stream: TextIO) -> None:
@@ -220,10 +218,20 @@ def _write_encode_report(encoded: EncodedCorpus, corpus: Corpus, stream: TextIO)
     stream.writelines(map("{},{}\n".format, range(1, len(slots) + 1), _csv_fields(slots)))
 
 
+def _encode(args: argparse.Namespace) -> tuple[Settings, Corpus, EncodedCorpus]:
+    """Merged settings, corpus and encoding; a reference row past the corpus is a config error."""
+    settings, corpus = _merge_settings(args), _read_corpus(args)
+    try:
+        encoded = encode_corpus(corpus.items, settings.class_level, settings.reference)
+    except BadReferenceError:  # the setting is last, first or a row index >= 0
+        row, rows, source = settings.reference + 1, len(corpus.items), _given(args)["reference"][1]
+        raise BadConfigError("reference",
+                             f"row {row} out of range for {rows} rows (from {source})") from None
+    return settings, corpus, encoded
+
+
 def cmd_encode(args: argparse.Namespace) -> int:
-    settings = _merge_settings(args)
-    corpus = _read_corpus(args)
-    encoded = encode_corpus(corpus.items, settings.class_level, settings.reference)
+    _, corpus, encoded = _encode(args)
     with _output(args.out) as stream:
         _write_encode_report(encoded, corpus, stream)
     return 0
@@ -260,10 +268,7 @@ def _summary_lines(trace, baseline=None) -> list[str]:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    settings = _merge_settings(args)
-    corpus = _read_corpus(args)
-    encoded = encode_corpus(corpus.items, settings.class_level, settings.reference)
-
+    settings, _, encoded = _encode(args)
     trace = run_continual(encoded.classes, settings.run)
     baseline = baseline_persistence(encoded.classes, settings.run) if args.baseline else None
 
@@ -386,7 +391,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
+    except BadConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SymcastError, OSError, ValueError) as exc:

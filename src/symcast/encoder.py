@@ -37,6 +37,14 @@ MIN_CLASS_LEVEL = 2
 MAX_CLASS_LEVEL = 10
 
 
+def _equal_fields(self, other: object) -> bool:
+    """__eq__ of a dataclass holding arrays: field by field (its vars), arrays by np.array_equal."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return all(np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+               for mine, theirs in zip(vars(self).values(), vars(other).values()))
+
+
 @dataclass(frozen=True, eq=False)
 class SymbolMatrix:
     """Padded matrix of character codes, one row per corpus item.
@@ -45,17 +53,14 @@ class SymbolMatrix:
     ASCII corpus and ``uint32`` otherwise: cell [r, k] is the code point of
     row r's k-th character, or 0 past the row's end. NUL is refused, so a
     row's length is its count of nonzero codes. rows and width restate the
-    shape, and equality compares the codes alone, whatever their dtype.
+    shape, and equality compares the codes by value, whatever their dtype.
     """
 
     rows: int
     width: int
     codes: np.ndarray
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymbolMatrix):
-            return NotImplemented
-        return np.array_equal(self.codes, other.codes)
+    __eq__ = _equal_fields
 
 
 class MatchScore(NamedTuple):
@@ -106,12 +111,7 @@ class EncodedCorpus:
     classes: ClassSequence
     memory: SensorMemory
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EncodedCorpus):
-            return NotImplemented
-        return ((self.matrix, self.distinct, self.classes, self.memory)
-                == (other.matrix, other.distinct, other.classes, other.memory)
-                and np.array_equal(self.score_index, other.score_index))
+    __eq__ = _equal_fields
 
     @property
     def scores(self) -> tuple[MatchScore, ...]:

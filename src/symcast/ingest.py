@@ -39,8 +39,8 @@ def read_numeric_series(stream: BinaryIO, source: str = "<stream>") -> Corpus:
 
     Integer-valued numbers are rendered without a decimal point ("20.0"
     becomes "20"); anything else uses the shortest round-trip decimal.
-    Unparseable or non-finite lines raise BadNumberError with the 1-based
-    physical line number.
+    Unparseable or non-finite lines, and any holding '_' (a digit separator
+    to float()), raise BadNumberError with the 1-based physical line number.
     """
     items = []
     for line_number, line in enumerate(_decode_lines(stream), start=1):
@@ -50,7 +50,7 @@ def read_numeric_series(stream: BinaryIO, source: str = "<stream>") -> Corpus:
             value = float(line)
         except ValueError as exc:
             raise BadNumberError(line_number, line) from exc
-        if not math.isfinite(value):
+        if "_" in line or not math.isfinite(value):
             raise BadNumberError(line_number, line)
         if value == int(value):
             items.append(str(int(value)))

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
-from .encoder import ClassSequence, SensorMemory, check_class_level, decode_class
+from .encoder import ClassSequence, SensorMemory, _equal_fields, check_class_level, decode_class
 from .errors import BadClassError, BadConfigError, NoTestStepsError, TooShortError, TraceFormatError
 from .learner import Learner, LearnerConfig
 
@@ -89,10 +89,7 @@ class PredictionTrace:
     def __len__(self) -> int:
         return len(self.index)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PredictionTrace):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    __eq__ = _equal_fields
 
     @property
     def steps(self) -> tuple[StepRecord, ...]:
@@ -131,11 +128,11 @@ def round_half_away_from_zero_array(values: np.ndarray) -> np.ndarray:
 def _walk(classes: ClassSequence, config: RunConfig, learning: bool) -> PredictionTrace:
     """Predict each element from its predecessor; update the learner while learning.
 
-    Only the steps that learn run in a loop, which stores each step's raw
-    prediction and mean into preallocated columns. The others add the
-    mean the learner holds at that point to the previous class. One array
-    pass then rounds every raw prediction half away from zero and clamps
-    it to [1, class_level]: the learner knows no class range. The running
+    Only the steps that learn run in a loop, which stores each new mean
+    into a preallocated column; the rest keep the mean the learner then
+    holds. Each raw prediction is the previous class plus the mean held
+    before its step, in one array expression, and one array pass rounds
+    it half away from zero and clamps it to [1, class_level]. The running
     test MAPE is computed from the columns: np.cumsum adds 1-D float64 in
     order, as a running sum would. A class outside [1, class_level]
     raises BadClassError, so each ratio is defined.
@@ -153,16 +150,14 @@ def _walk(classes: ClassSequence, config: RunConfig, learning: bool) -> Predicti
 
     values = values.astype(np.int8)
     previous, expected = values[:-1], values[1:]
-    raw = np.empty(length - 1)
-    means = np.empty(length - 1)
+    means = np.full(length, learner.deviant_mean)  # means[s] before step s, means[s + 1] after
     # the leading steps the learner updates on; the rest keep the mean it then holds
     learned = (split - 1 if config.freeze_after_train else length - 1) if learning else 0
     observed = islice(classes.classes, 1, learned + 1)
-    for step, outcome in enumerate(map(learner.learn_step, classes.classes, observed)):
-        raw[step] = outcome.raw_prediction
+    for step, outcome in enumerate(map(learner.learn_step, classes.classes, observed), start=1):
         means[step] = outcome.new_deviant_mean
-    raw[learned:] = previous[learned:] + learner.deviant_mean
-    means[learned:] = learner.deviant_mean
+    means[learned + 1:] = learner.deviant_mean
+    raw = previous + means[:-1]
     predicted = np.clip(round_half_away_from_zero_array(raw), 1, level).astype(np.int8)
 
     abs_error = np.abs(predicted - expected)
@@ -172,7 +167,7 @@ def _walk(classes: ClassSequence, config: RunConfig, learning: bool) -> Predicti
     series /= np.arange(1, len(series) + 1)
     index = np.arange(1, length, dtype=np.int32)
     return PredictionTrace(
-        index, index >= split, previous, raw, predicted, expected, abs_error, means, series
+        index, index >= split, previous, raw, predicted, expected, abs_error, means[1:], series
     )
 
 
@@ -206,18 +201,15 @@ def decode_trace(trace: PredictionTrace, memory: SensorMemory) -> DecodedTrace:
     """Map every step's predicted and expected class back to symbols.
 
     A step is exact only when both classes decode from their own slots.
-    Each class that occurs is decoded once. A class out of range or a
-    memory with no filled slot raises what decode_class raises for the
-    first such class in step order, predicted before expected.
+    Each class is decoded once, in step order of first occurrence, the
+    predicted before the expected, so a class out of range or an empty
+    memory raises what decode_class raises for the first such class.
     """
     level = memory.class_level
     classes = np.column_stack((trace.predicted_class, trace.expected_class)).ravel()
-    bad = (classes < 1) | (classes > level) | all(slot is None for slot in memory.slots)
-    if bad.any():
-        decode_class(int(classes[bad.argmax()]), memory)
     symbols = np.empty(level + 1, dtype=object)
     own_slot = np.zeros(level + 1, dtype=bool)
-    for cls in set(classes.tolist()):
+    for cls in dict.fromkeys(classes.tolist()):
         symbols[cls], own_slot[cls] = decode_class(cls, memory)
     predicted = trace.predicted_class.astype(np.intp)
     expected = trace.expected_class.astype(np.intp)

@@ -110,10 +110,12 @@ MUTANTS = [
     Mutant(ENCODER, '"S" if narrow else "U"', '"U" if narrow else "S"',
            "an ASCII corpus is held as bytes, any other as 32-bit code points", "killed",
            (FIXED_WIDTH,)),
-    # An encoding's value equality.
-    Mutant(ENCODER, "and np.array_equal(self.score_index, other.score_index)", "",
-           "two encodings whose rows index different scores differ", "killed",
-           ("tests/test_api.py::TestEncodedCorpusEquality",)),
+    # The one __eq__ of the records that hold arrays.
+    Mutant(ENCODER, "np.array_equal(mine, theirs) if isinstance", "True if isinstance",
+           "two encodings whose rows index different scores differ, and so do two matrices "
+           "of one shape with different codes", "killed",
+           ("tests/test_api.py::TestEncodedCorpusEquality",
+            "tests/test_api.py::TestSymbolMatrixEquality")),
     # The byte-wide code matrix of an ASCII corpus.
     Mutant(ENCODER, "narrow = text.isascii()", "narrow = True",
            "only an ASCII corpus fits one byte per cell", "killed", (NARROW,)),
@@ -122,10 +124,9 @@ MUTANTS = [
     Mutant(ENCODER, 'repeat("big")', 'repeat("little")',
            "a packed row reads MSB-first, its first cell the highest bit", "killed",
            ("tests/test_encoder.py::TestSwapMatch",)),
-    Mutant(ENCODER, "return np.array_equal(self.codes, other.codes)",
-           "return bool((self.codes == other.codes).all())",
+    Mutant(ENCODER, "np.array_equal(mine, theirs)", "bool((mine == theirs).all())",
            "np.array_equal compares shapes, where == would broadcast one row against many",
-           "killed", ("tests/test_api.py::TestSymbolMatrixEquality",)),
+           "killed", ("tests/test_api.py::TestPredictionTraceEquality",)),
     # The encode CSV.
     Mutant("src/symcast/cli.py", "    sys.set_int_max_str_digits(0)\n", "",
            "a row of more than about 14,300 cells has a match value past 4,300 digits",
@@ -151,11 +152,12 @@ MUTANTS = [
            "(corpus.items[start:stop] if start else _csv_fields(corpus.items[start:stop]))",
            "each block quotes its own symbols, a later one too", "killed", (ENCODE_BLOCKS,)),
     # Quoting a lone CR.
-    Mutant("src/symcast/cli.py", """',"\\r\\n'""", """',"\\n'""",
+    Mutant("src/symcast/cli.py", """_SPECIALS = ',"\\r\\n'""", """_SPECIALS = ',"\\n'""",
            "a symbol whose only special character is a lone CR must be quoted", "killed",
            ("tests/test_cli.py::TestWritersAgainstReference",)),
-    Mutant("src/symcast/cli.py", 'lineterminator="\\r\\n")', 'lineterminator="\\n")',
-           "csv quotes a lone CR only when CR is in the line terminator", "killed",
+    # The CSV quoting rule itself.
+    Mutant("src/symcast/cli.py", """text.replace('"', '""')""", "text",
+           "a quote inside a quoted field is doubled", "killed",
            ("tests/test_cli.py::TestWritersAgainstReference",)),
     # The learner's kept outcomes.
     Mutant("src/symcast/learner.py", "key = (mean if mean else mean.hex(),", "key = (mean,",
@@ -200,6 +202,15 @@ MUTANTS = [
            "(abs(signed_parts[0](index)), index)",
            "indices that tie on |residual| are ranked by |candidate| before their index",
            "killed", (RANKED,)),
+    # The walk's raw predictions, each from the mean held before its step.
+    Mutant("src/symcast/pipeline.py", "previous + means[:-1]", "previous + means[1:]",
+           "a step predicts with the mean it starts from, not the one it learns", "killed",
+           ("tests/test_pipeline.py::TestColumnarWalkOracle",)),
+    # Decoding each class once, in first-occurrence order.
+    Mutant("src/symcast/pipeline.py", "dict.fromkeys(classes.tolist())",
+           "set(classes.tolist())",
+           "the first bad class in step order names the error, not the first in hash order",
+           "killed", ("tests/test_pipeline.py::TestDecoderOracle",)),
     # The trace's text columns and the corpus reader.
     Mutant("src/symcast/pipeline.py", "abs(value) < 1e15", "abs(value) <= 1e15",
            "a real of exactly 1e15 prints in exponent form", "killed",

@@ -15,7 +15,7 @@ from symcast.cli import Settings
 from symcast.encoder import SensorMemory, encode_corpus, symbol_integer_transform
 from symcast.ingest import Corpus, read_text_corpus
 from symcast.learner import Learner, LearnerConfig
-from symcast.pipeline import RunConfig, decode_trace, run_continual
+from symcast.pipeline import PredictionTrace, RunConfig, decode_trace, run_continual
 
 from conftest import CARBUS
 
@@ -115,3 +115,10 @@ class TestEncodedCorpusEquality:
     def test_never_equals_another_type(self):
         encoded = encode_corpus(CARBUS, class_level=5)
         assert encoded != dataclasses.astuple(encoded)
+
+
+class TestPredictionTraceEquality:
+    def test_columns_of_another_length_never_broadcast_equal(self):
+        ones = PredictionTrace(*(np.ones(1, dtype=np.int64),) * 9)
+        assert ones != PredictionTrace(*(np.ones(2, dtype=np.int64),) * 9)
+        assert ones == PredictionTrace(*(np.ones(1, dtype=np.int8),) * 9)

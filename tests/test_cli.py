@@ -398,6 +398,20 @@ class TestPredict:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["encode", "predict"])
+    @pytest.mark.parametrize("by_file", [False, True])
+    def test_a_reference_row_past_the_end_is_named_as_given(self, command, by_file, tmp_path,
+                                                            capsys):
+        source = tmp_path / "four.txt"
+        source.write_text("a\nb\nc\nd\n")
+        config = tmp_path / "run.conf"
+        config.write_text("# header\nreference = 99\n")
+        given = ["--config", str(config)] if by_file else ["--reference", "99"]
+        where = f"config file {config} line 2" if by_file else "flag --reference"
+        code, out, err = run([command, "--input", str(source), *given], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: reference: row 99 out of range for 4 rows (from {where})\n"
+
     def test_k_winners_cannot_exceed_population(self, carbus_file, capsys):
         code, _, err = run(
             [

@@ -75,9 +75,11 @@ class TestReadNumericSeries:
         corpus = read_numeric_series(stream(b"0.5\n2.25\n"))
         assert corpus.items == ("0.5", "2.25")
 
-    def test_unparseable_line_reports_its_number(self):
+    # float() would read 1_000 as 1000, taking '_' for a digit separator
+    @pytest.mark.parametrize("line", [b"abc", b"1_000"])
+    def test_unparseable_line_reports_its_number(self, line):
         with pytest.raises(BadNumberError) as info:
-            read_numeric_series(stream(b"abc\n"))
+            read_numeric_series(stream(line + b"\n"))
         assert info.value.line_number == 1
 
     def test_line_numbers_count_physical_lines(self):

@@ -479,10 +479,17 @@ class TestTraceSerialization:
 
 
 def assert_walks_match_the_oracle(classes, config):
-    walks = ((run_continual(classes, config), True), (baseline_persistence(classes, config), False))
-    for trace, learning in walks:
-        rows, series = walk_reference(classes.classes, classes.class_level, config.learner,
-                                      config.train_fraction, config.freeze_after_train, learning)
+    """Both walks give the oracle's trace, or raise its error with its message."""
+    for walk, learning in ((run_continual, True), (baseline_persistence, False)):
+        try:
+            rows, series = walk_reference(classes.classes, classes.class_level, config.learner,
+                                          config.train_fraction, config.freeze_after_train, learning)
+        except SymcastError as exc:
+            with pytest.raises(type(exc)) as info:
+                walk(classes, config)
+            assert str(info.value) == str(exc)
+            continue
+        trace = walk(classes, config)
         buffer = io.StringIO()
         write_trace(trace, buffer)
         assert buffer.getvalue() == write_trace_reference(rows, series)
@@ -501,7 +508,7 @@ def oracle_runs(draw):
         population_size=population,
         max_deviant_adjust=draw(st.floats(min_value=0.01, max_value=4.0)),
         rule_mode=draw(st.sampled_from([ADDITIVE_SUBTRACTIVE, MULTIPLICATIVE_DIVISIVE])),
-        bias=draw(st.sampled_from([0.0, 0.25, -0.5, 1e300])),
+        bias=draw(st.sampled_from([0.0, -0.0, 0.25, -0.5, 1e300])),
         k_winners=draw(st.integers(min_value=1, max_value=min(64, population))),
     )
     config = RunConfig(
@@ -517,6 +524,15 @@ class TestColumnarWalkOracle:
 
     @settings(max_examples=200)
     @given(run=oracle_runs())
+    # a mean of -0.0 learned in the train phase and held through the frozen test phase
+    @example(run=(sequence([2, 1, 2, 1], 3), RunConfig(
+        train_fraction=0.8, freeze_after_train=True,
+        learner=LearnerConfig(population_size=2, max_deviant_adjust=3e-308, bias=-0.0, k_winners=2),
+    )))
+    # the third step's two finite winners sum past the largest float
+    @example(run=(sequence([3, 3, 3, 1, 5]), RunConfig(
+        learner=LearnerConfig(population_size=2, max_deviant_adjust=1.7e308, k_winners=2),
+    )))
     def test_trace_bytes_and_series_equal_the_oracle(self, run):
         assert_walks_match_the_oracle(*run)
 
