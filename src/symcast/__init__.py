@@ -9,104 +9,18 @@ test phases.
 
 __version__ = "0.1.0"
 
-from .encoder import (
-    ClassSequence,
-    EncodedCorpus,
-    MatchScore,
-    SensorMemory,
-    SymbolMatrix,
-    build_sensor_memory,
-    class_encode,
-    decode_class,
-    encode_corpus,
-    resolve_reference,
-    swap_match,
-    symbol_integer_transform,
-)
-from .errors import (
-    BadClassError,
-    BadClassLevelError,
-    BadConfigError,
-    BadEncodingError,
-    BadNumberError,
-    BadReferenceError,
-    EmptyCorpusError,
-    EmptyMemoryError,
-    EmptyRowError,
-    LengthMismatchError,
-    NoTestStepsError,
-    NonFiniteStateError,
-    NulCharacterError,
-    SymcastError,
-    TooShortError,
-    TraceFormatError,
-)
-from .ingest import Corpus, read_numeric_series, read_text_corpus
-from .learner import (
-    ADDITIVE_SUBTRACTIVE,
-    MULTIPLICATIVE_DIVISIVE,
-    Learner,
-    LearnerConfig,
-    StepOutcome,
-)
-from .pipeline import (
-    DecodedTrace,
-    PredictionTrace,
-    RunConfig,
-    baseline_persistence,
-    decode_trace,
-    mape,
-    read_trace,
-    run_continual,
-    split_index,
-    write_trace,
-)
+# Each module's __all__ says which of its names are public; the package
+# republishes exactly those.
+from . import encoder, errors, ingest, learner, pipeline
+from .encoder import *
+from .errors import *
+from .ingest import *
+from .learner import *
+from .pipeline import *
 
-__all__ = [
-    "ADDITIVE_SUBTRACTIVE",
-    "MULTIPLICATIVE_DIVISIVE",
-    "BadClassError",
-    "BadClassLevelError",
-    "BadConfigError",
-    "BadEncodingError",
-    "BadNumberError",
-    "BadReferenceError",
-    "ClassSequence",
-    "Corpus",
-    "DecodedTrace",
-    "EmptyCorpusError",
-    "EmptyMemoryError",
-    "EmptyRowError",
-    "EncodedCorpus",
-    "Learner",
-    "LearnerConfig",
-    "LengthMismatchError",
-    "MatchScore",
-    "NoTestStepsError",
-    "NonFiniteStateError",
-    "NulCharacterError",
-    "PredictionTrace",
-    "RunConfig",
-    "SensorMemory",
-    "StepOutcome",
-    "SymbolMatrix",
-    "SymcastError",
-    "TooShortError",
-    "TraceFormatError",
-    "baseline_persistence",
-    "build_sensor_memory",
-    "class_encode",
-    "decode_class",
-    "decode_trace",
-    "encode_corpus",
-    "mape",
-    "read_numeric_series",
-    "read_text_corpus",
-    "read_trace",
-    "resolve_reference",
-    "run_continual",
-    "split_index",
-    "swap_match",
-    "symbol_integer_transform",
-    "write_trace",
-]
+__all__: list[str] = []
+__all__ += encoder.__all__
+__all__ += errors.__all__
+__all__ += ingest.__all__
+__all__ += learner.__all__
+__all__ += pipeline.__all__

@@ -5,13 +5,14 @@ and every value is validated before any computation with the offending
 source named on failure. Outputs are deterministic: no timestamps, '.'
 decimal separator, reals at fixed precision.
 
-Exit codes: 0 success, 1 input/data error, 2 configuration error.
+Exit codes: 0 success, 1 input/data error (or, with nothing printed,
+standard output closed by its reader), 2 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -28,8 +29,8 @@ from .encoder import (
     check_class_level,
     encode_corpus,
 )
-from .errors import BadConfigError, BadReferenceError, SymcastError
-from .ingest import Corpus, read_numeric_series, read_text_corpus
+from .errors import BadConfigError, BadEncodingError, BadReferenceError, SymcastError
+from .ingest import Corpus, _decode_lines, read_numeric_series, read_text_corpus
 from .learner import ADDITIVE_SUBTRACTIVE, MULTIPLICATIVE_DIVISIVE, LearnerConfig
 from .pipeline import (
     BLOCK_ROWS,
@@ -109,13 +110,13 @@ def _read_config_file(path: str) -> dict[str, tuple[str, int]]:
     """Flat key = value UTF-8 file with # comments; returns raw values + line numbers."""
     entries: dict[str, tuple[str, int]] = {}
     with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_number = data.count(b"\n", 0, exc.start) + 1
-        raise BadConfigError("config file", f"{path} line {line_number}: not valid UTF-8") from None
-    for line_number, line in enumerate(io.StringIO(text, newline=None), start=1):
+        try:
+            lines = _decode_lines(handle)
+        except BadEncodingError as exc:
+            raise BadConfigError(
+                "config file", f"{path} line {exc.line_number}: not valid UTF-8"
+            ) from None
+    for line_number, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -315,7 +316,9 @@ def _render_error_series_svg(series: np.ndarray) -> str:
 def cmd_report(args: argparse.Namespace) -> int:
     stdin = args.input == "-"  # read as a file is: UTF-8, with universal newlines
     source = sys.stdin.fileno() if stdin else args.input
-    with open(source, encoding="utf-8", closefd=not stdin) as handle:
+    # a byte that is not UTF-8 decodes to a lone surrogate, which read_trace
+    # refuses as not ASCII with its line, so the first bad line is named
+    with open(source, encoding="utf-8", errors="surrogateescape", closefd=not stdin) as handle:
         trace = read_trace(handle)
 
     _, series = mape(trace)
@@ -390,7 +393,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader of standard output has gone: stop quietly, as the signal
+        # module's notes on SIGPIPE advise, with nothing left to flush there.
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     except BadConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

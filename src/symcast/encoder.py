@@ -12,6 +12,12 @@ last row to land on a class owns its decoding slot. All functions are pure.
 
 from __future__ import annotations
 
+__all__ = [
+    "ClassSequence", "EncodedCorpus", "MatchScore", "SensorMemory", "SymbolMatrix",
+    "build_sensor_memory", "class_encode", "decode_class", "encode_corpus", "resolve_reference",
+    "swap_match", "symbol_integer_transform",
+]
+
 import math
 from dataclasses import dataclass
 from itertools import repeat

@@ -1,5 +1,12 @@
 """Exception types raised across the package."""
 
+__all__ = [
+    "BadClassError", "BadClassLevelError", "BadConfigError", "BadEncodingError", "BadNumberError",
+    "BadReferenceError", "EmptyCorpusError", "EmptyMemoryError", "EmptyRowError",
+    "LengthMismatchError", "NoTestStepsError", "NonFiniteStateError", "NulCharacterError",
+    "SymcastError", "TooShortError", "TraceFormatError",
+]
+
 
 class SymcastError(Exception):
     """Base class for every error this package raises on purpose."""
@@ -79,11 +86,12 @@ class NoTestStepsError(SymcastError):
 
 
 class BadEncodingError(SymcastError):
-    """Input bytes are not valid UTF-8."""
+    """Input bytes are not valid UTF-8; line_number is the 1-based line of the first bad byte."""
 
-    def __init__(self, byte_offset: int):
+    def __init__(self, byte_offset: int, line_number: int):
         super().__init__(f"input is not valid UTF-8 (byte offset {byte_offset})")
         self.byte_offset = byte_offset
+        self.line_number = line_number
 
 
 class BadNumberError(SymcastError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["Corpus", "read_numeric_series", "read_text_corpus"]
+
 import math
 from typing import BinaryIO, NamedTuple
 
@@ -15,15 +17,20 @@ class Corpus(NamedTuple):
     source: str
 
 
+def _lines(text: str) -> list[str]:
+    """text split at each line end: \n, \r\n or a lone \r."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _decode_lines(stream: BinaryIO) -> list[str]:
+    """The stream's UTF-8 text as lines; BadEncodingError names the first bad byte and its line."""
     data = stream.read()
     try:
-        text = data.decode("utf-8")
+        return _lines(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise BadEncodingError(exc.start) from exc
-    # Normalize \r\n and bare \r so only terminators are stripped.
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
+        # the bytes before the bad one are valid; their last line is the bad byte's
+        line_number = len(_lines(data[:exc.start].decode("utf-8")))
+        raise BadEncodingError(exc.start, line_number) from exc
 
 
 def read_text_corpus(stream: BinaryIO, source: str = "<stream>") -> Corpus:
@@ -40,7 +47,9 @@ def read_numeric_series(stream: BinaryIO, source: str = "<stream>") -> Corpus:
     Integer-valued numbers are rendered without a decimal point ("20.0"
     becomes "20"); anything else uses the shortest round-trip decimal.
     Unparseable or non-finite lines, and any holding '_' (a digit separator
-    to float()), raise BadNumberError with the 1-based physical line number.
+    to float()) or a character that is not ASCII (float() reads other
+    scripts' digits), raise BadNumberError with the 1-based physical line
+    number.
     """
     items = []
     for line_number, line in enumerate(_decode_lines(stream), start=1):
@@ -50,7 +59,7 @@ def read_numeric_series(stream: BinaryIO, source: str = "<stream>") -> Corpus:
             value = float(line)
         except ValueError as exc:
             raise BadNumberError(line_number, line) from exc
-        if "_" in line or not math.isfinite(value):
+        if "_" in line or not line.isascii() or not math.isfinite(value):
             raise BadNumberError(line_number, line)
         if value == int(value):
             items.append(str(int(value)))

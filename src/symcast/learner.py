@@ -24,6 +24,10 @@ they do on most steps of a real stream.
 
 from __future__ import annotations
 
+__all__ = [
+    "ADDITIVE_SUBTRACTIVE", "MULTIPLICATIVE_DIVISIVE", "Learner", "LearnerConfig", "StepOutcome",
+]
+
 import bisect
 import math
 import sys

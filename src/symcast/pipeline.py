@@ -14,6 +14,11 @@ trace.
 
 from __future__ import annotations
 
+__all__ = [
+    "DecodedTrace", "PredictionTrace", "RunConfig", "baseline_persistence", "decode_trace", "mape",
+    "read_trace", "run_continual", "split_index", "write_trace",
+]
+
 import math
 from dataclasses import dataclass, fields
 from itertools import islice, repeat, takewhile
@@ -276,8 +281,9 @@ def _integers(texts: list[str]) -> np.ndarray:
     values = list(map(int, texts))
     try:
         return np.array(values, dtype=np.int64)
-    except OverflowError:  # keep integers past 64 bits exact
-        return np.array(values, dtype=object)
+    except OverflowError:
+        text = next(text for text, value in zip(texts, values) if not -2**63 <= value < 2**63)
+        raise ValueError(f"integer {text!r} outside the 64-bit range") from None
 
 
 def _parse_rows(rows: list[str]) -> tuple[np.ndarray, ...]:
@@ -288,10 +294,12 @@ def _parse_rows(rows: list[str]) -> tuple[np.ndarray, ...]:
     for a single row the message names its first problem: cumulative_mape
     converts first, then the other fields in file order.
     """
+    text = ",".join(rows)
+    if not text.isascii():  # a flag CPython keeps on the string: no scan
+        raise ValueError(f"non-ASCII character {next(c for c in text if not c.isascii())!r}")
     commas = list(map(str.count, rows, repeat(",")))
     if set(commas) != {8}:
         raise ValueError(f"expected 9 fields, got {next(c for c in commas if c != 8) + 1}")
-    text = ",".join(rows)
     table = text.split(",")
     index, phase, previous, raw, predicted, expected, abs_error, mape_fields, mean = (
         table[position::9] for position in range(9)
@@ -343,12 +351,13 @@ def read_trace(lines: Iterable[str]) -> PredictionTrace:
 
     Stops at the first blank line. Reals come back at the precision
     they were written with. Raises TraceFormatError with the 1-based
-    line number on any malformed content: a wrong field count or phase,
-    a misplaced cumulative_mape, a field int() or float() refuses, a
-    '_' anywhere (int() and float() would read it as a digit separator),
-    or a real that is not finite. Rows are read and parsed BLOCK_ROWS at
-    a time, each block column by column, so no line past the block of
-    the first bad row is read.
+    line number on any malformed content: a row that is not ASCII, a
+    wrong field count or phase, a misplaced cumulative_mape, a field int()
+    or float() refuses, an integer outside [-2**63, 2**63), a '_' anywhere
+    (int() and float() would read it as a digit separator), or a real that
+    is not finite. Rows are read and parsed BLOCK_ROWS at a time, each
+    block column by column, so no line past the block of the first bad
+    row is read, and the first bad row in the file is the one named.
     """
     lines = iter(lines)
     header = next(lines, None)

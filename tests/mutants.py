@@ -2,7 +2,7 @@
 
 Run from the root of the repository (it is not part of the pytest suite):
 
-    python3 tests/mutants.py    # about 140 s on one CPU of a 2-vCPU VM
+    python3 tests/mutants.py    # about 155 s on one CPU of a 2-vCPU VM
 
 Each row names a file under src/, a text that must occur in it exactly
 once, the text that replaces it, why the change matters, whether the tests
@@ -59,6 +59,12 @@ TWO_FAULTS = ("tests/test_pipeline.py::TestReaderOracle::"
 RANKED = "tests/test_learner.py::TestRanked"
 ENCODE_BLOCKS = "tests/test_cli.py::TestEncodeReportAcrossBlocks"
 FIXED_WIDTH = "tests/test_encoder.py::TestFixedWidthTransform"
+NAMESPACE = "tests/test_api.py::test_the_namespace_is_each_modules_own_public_names"
+NON_ASCII_DIGIT = ("tests/test_pipeline.py::TestReaderOracle::"
+                   "test_a_non_ascii_digit_is_refused_with_its_line")
+FIRST_BAD_LINE = "tests/test_cli.py::TestReport::test_the_first_bad_line_in_the_file_is_named"
+CONFIG_UTF8 = ("tests/test_cli.py::TestConfigFile::"
+               "test_a_config_file_not_in_utf8_names_the_file_and_line")
 
 # _parse_rows's conversions as they are, and with cumulative_mape's moved after the others
 MAPE_CONVERTED_FIRST = (
@@ -236,6 +242,31 @@ MUTANTS = [
     Mutant("src/symcast/ingest.py", "filter(None,", "filter(str.strip,",
            "whitespace-only rows are corpus items", "killed",
            ("tests/test_ingest.py::TestReadTextCorpus",)),
+    # The package namespace, built from each module's __all__.
+    Mutant("src/symcast/pipeline.py", '"split_index", ', "",
+           "a name that leaves a module's __all__ leaves the package namespace", "killed",
+           (NAMESPACE,)),
+    # Trace rows: ASCII only, integers in int64.
+    Mutant("src/symcast/pipeline.py", "if not text.isascii():", "if False:",
+           "a row that is not ASCII is refused first, so a bad byte is named by its line and "
+           "int() reads no other script's digits", "killed",
+           (NON_ASCII_DIGIT, FIRST_BAD_LINE)),
+    Mutant("src/symcast/pipeline.py", "value < 2**63)", "value <= 2**63)",
+           "2**63 is past int64, and its text is named", "killed",
+           ("tests/test_pipeline.py::TestReaderOracle",)),
+    # One line-end rule for a bad byte's line and for the lines themselves.
+    Mutant("src/symcast/ingest.py", 'len(_lines(data[:exc.start].decode("utf-8")))',
+           'data.count(b"\\n", 0, exc.start) + 1',
+           "a lone CR ends a line before a bad byte too", "killed",
+           (CONFIG_UTF8,)),
+    # Numeric series: ASCII only.
+    Mutant("src/symcast/ingest.py", " or not line.isascii()", "",
+           "float() reads full-width and Arabic-Indic digits as ASCII ones", "killed",
+           ("tests/test_ingest.py::TestReadNumericSeries",)),
+    # A closed output pipe.
+    Mutant("src/symcast/cli.py", "except BrokenPipeError:", "except ZeroDivisionError:",
+           "a reader that closes standard output early is not a data error", "killed",
+           ("tests/test_cli.py::TestEncode::test_a_closed_output_pipe_stops_quietly",)),
 ]
 
 

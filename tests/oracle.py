@@ -174,11 +174,20 @@ def write_trace_reference(rows, series):
     return "".join(lines)
 
 
+def _int64(text):
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"integer {text!r} outside the 64-bit range")
+    return value
+
+
 def read_trace_reference(lines):
     """Parse the first trace block line by line; returns (rows, series).
 
     Raises ValueError((line_number, message)) where the pipeline's reader
-    raises TraceFormatError. It accepts whatever int() and float() accept.
+    raises TraceFormatError. A row must be ASCII, which is checked first;
+    it accepts whatever int() and float() then accept, integers only in
+    [-2**63, 2**63).
     """
     rows = []
     series = []
@@ -192,6 +201,9 @@ def read_trace_reference(lines):
             continue
         if line == "":
             break
+        if not line.isascii():
+            character = next(c for c in line if not c.isascii())
+            raise ValueError((line_number, f"non-ASCII character {character!r}"))
         fields = line.split(",")
         if len(fields) != 9:
             raise ValueError((line_number, f"expected 9 fields, got {len(fields)}"))
@@ -205,8 +217,8 @@ def read_trace_reference(lines):
                 series.append(float(fields[7]))
             elif fields[7] != "":
                 raise ValueError("train step carries cumulative_mape")
-            rows.append((int(fields[0]), phase, int(fields[2]), float(fields[3]),
-                         int(fields[4]), int(fields[5]), int(fields[6]), float(fields[8])))
+            rows.append((_int64(fields[0]), phase, _int64(fields[2]), float(fields[3]),
+                         _int64(fields[4]), _int64(fields[5]), _int64(fields[6]), float(fields[8])))
         except ValueError as exc:
             raise ValueError((line_number, str(exc))) from exc
     if not header_seen:

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import symcast
+from symcast import encoder, errors, ingest, learner, pipeline
 from symcast.cli import Settings
 from symcast.encoder import SensorMemory, encode_corpus, symbol_integer_transform
 from symcast.ingest import Corpus, read_text_corpus
@@ -24,6 +25,31 @@ def test_all_names_every_public_binding():
     bound = {name for name, value in vars(symcast).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(symcast.__all__) == sorted(bound)
+
+
+PUBLIC_NAMES = [
+    "ADDITIVE_SUBTRACTIVE", "BadClassError", "BadClassLevelError", "BadConfigError",
+    "BadEncodingError", "BadNumberError", "BadReferenceError", "ClassSequence", "Corpus",
+    "DecodedTrace", "EmptyCorpusError", "EmptyMemoryError", "EmptyRowError", "EncodedCorpus",
+    "Learner", "LearnerConfig", "LengthMismatchError", "MULTIPLICATIVE_DIVISIVE", "MatchScore",
+    "NoTestStepsError", "NonFiniteStateError", "NulCharacterError", "PredictionTrace", "RunConfig",
+    "SensorMemory", "StepOutcome", "SymbolMatrix", "SymcastError", "TooShortError",
+    "TraceFormatError", "baseline_persistence", "build_sensor_memory", "class_encode",
+    "decode_class", "decode_trace", "encode_corpus", "mape", "read_numeric_series",
+    "read_text_corpus", "read_trace", "resolve_reference", "run_continual", "split_index",
+    "swap_match", "symbol_integer_transform", "write_trace",
+]
+
+
+def test_the_namespace_is_each_modules_own_public_names():
+    # the package republishes its modules' __all__ lists; none may lose or gain a name
+    assert sorted(symcast.__all__) == PUBLIC_NAMES
+    for module in (encoder, errors, ingest, learner, pipeline):
+        for name in module.__all__:
+            value = getattr(module, name)
+            assert getattr(symcast, name) is value
+            if callable(value):  # defined there, not imported from elsewhere
+                assert value.__module__ == module.__name__, name
 
 
 def public_records():

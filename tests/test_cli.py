@@ -154,6 +154,18 @@ class TestEncode:
         assert code == 1
         assert "byte offset 4" in err
 
+    def test_a_closed_output_pipe_stops_quietly(self, tmp_path):
+        path = tmp_path / "numbers.txt"
+        path.write_text("".join(map("{}\n".format, range(50_000))))  # far more than a pipe holds
+        env = dict(os.environ, PYTHONPATH=str(Path(symcast.__file__).resolve().parent.parent))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "symcast.cli", "encode", "--numeric", "--input", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert child.stdout.readline() == b"row_index,symbol,match_value,scale,class\n"
+        child.stdout.close()  # as `| head -1` does
+        assert (child.communicate(timeout=60)[1], child.returncode) == (b"", 1)
+
     def test_nul_character_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "nul.txt"
         path.write_bytes(b"Car\nB\x00us\n")
@@ -601,11 +613,12 @@ class TestConfigFile:
         assert code == 2
         assert f"config file {config} line 2" in err
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     def test_a_config_file_not_in_utf8_names_the_file_and_line(
-        self, carbus_file, tmp_path, capsys
+        self, newline, carbus_file, tmp_path, capsys
     ):
         config = tmp_path / "run.conf"
-        config.write_bytes(b"# settings\nclass_level = \xff3\n")
+        config.write_bytes(newline.join([b"# settings", b"class_level = \xff3", b""]))
         code, out, err = run(
             ["encode", "--input", str(carbus_file), "--config", str(config)], capsys
         )
@@ -846,6 +859,26 @@ class TestReport:
         buffer = io.StringIO()
         write_trace(self.long_trace(), buffer)
         return buffer.getvalue().replace("\n", newline).encode("utf-8")
+
+    # (line of a byte that is not UTF-8, line of a row with a bad phase, line named)
+    @pytest.mark.parametrize("byte_line,row_line,named", [
+        (3000, None, 3000),  # the byte lies past the first 8 KiB the decoder reads
+        (3000, 10, 10),  # a bad row comes before the bad byte in the same block
+        (10, BLOCK_ROWS + 400, 10),  # a bad byte comes before a bad row in a later block
+    ], ids=["byte-past-8-kib", "row-then-byte", "byte-then-row-in-a-later-block"])
+    def test_the_first_bad_line_in_the_file_is_named(self, byte_line, row_line, named,
+                                                     tmp_path, capsys):
+        lines = self.long_trace_bytes("\n").split(b"\n")
+        lines[byte_line - 1] = lines[byte_line - 1].replace(b",", b"\xff,", 1)
+        if row_line is not None:
+            fields = lines[row_line - 1].split(b",")
+            fields[1] = b"bogus"
+            lines[row_line - 1] = b",".join(fields)
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"\n".join(lines))
+        code, out, err = run(["report", "--input", str(path)], capsys)
+        message = "non-ASCII character '\\udcff'" if named == byte_line else "bad phase 'bogus'"
+        assert (code, out, err) == (1, "", f"error: line {named}: {message}\n")
 
     def report_outputs(self, argument, tmp_path, capsys):
         series, svg = tmp_path / "series.csv", tmp_path / "chart.svg"

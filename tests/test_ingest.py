@@ -56,6 +56,12 @@ class TestReadTextCorpus:
             read_text_corpus(stream(b"Car\n\xff\n"))
         assert info.value.byte_offset == 4
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_invalid_utf8_is_placed_on_its_line_by_the_line_end_rule(self, newline):
+        with pytest.raises(BadEncodingError) as info:
+            read_text_corpus(stream(newline.join([b"Car", b"", b"Bus", b"B\xffs", b""])))
+        assert info.value.line_number == 4
+
     def test_source_is_recorded(self):
         corpus = read_text_corpus(stream(b"x\n"), source="sample.txt")
         assert corpus.source == "sample.txt"
@@ -75,8 +81,9 @@ class TestReadNumericSeries:
         corpus = read_numeric_series(stream(b"0.5\n2.25\n"))
         assert corpus.items == ("0.5", "2.25")
 
-    # float() would read 1_000 as 1000, taking '_' for a digit separator
-    @pytest.mark.parametrize("line", [b"abc", b"1_000"])
+    # float() would read 1_000 as 1000, taking '_' for a digit separator, and the
+    # full-width digits as 12 and the Arabic-Indic one as 4
+    @pytest.mark.parametrize("line", [b"abc", b"1_000", "\uff11\uff12".encode(), "\u0664".encode()])
     def test_unparseable_line_reports_its_number(self, line):
         with pytest.raises(BadNumberError) as info:
             read_numeric_series(stream(line + b"\n"))

@@ -784,11 +784,29 @@ class TestReaderOracle:
         assert info.value.line_number == 5
         assert "'_'" in str(info.value)
 
-    def test_integers_past_64_bits_stay_exact(self):
-        text = TRACE_HEADER + "\n" + f"{2**70 + 1},test,1,1.000000,1,{2**64},4,80.000000,2.000000\n"
+    def test_a_non_ascii_digit_is_refused_with_its_line(self, carbus_encoded):
+        buffer = io.StringIO()
+        write_trace(run_continual(carbus_encoded.classes, RunConfig()), buffer)
+        lines = buffer.getvalue().splitlines()
+        lines[4] = "\u0664" + lines[4][1:]  # step 4, as int() would read it
+        with pytest.raises(TraceFormatError) as info:
+            read_trace(io.StringIO("\n".join(lines) + "\n"))
+        assert str(info.value) == "line 5: non-ASCII character '\u0664'"
+
+    @pytest.mark.parametrize("position,value", [(0, 2**70 + 1), (5, 2**63), (2, -2**63 - 1)])
+    def test_integers_past_64_bits_are_refused_with_their_line(self, position, value):
+        fields = "2,test,1,1.000000,1,1,0,0.000000,0.000000".split(",")
+        fields[position] = str(value)
+        text = f"{TRACE_HEADER}\n1,test,1,1.000000,1,1,0,0.000000,0.000000\n{','.join(fields)}\n"
+        with pytest.raises(TraceFormatError) as info:
+            read_trace(io.StringIO(text))
+        assert str(info.value) == f"line 3: integer '{value}' outside the 64-bit range"
+
+    def test_integers_at_the_64_bit_bounds_are_read(self):
+        text = TRACE_HEADER + "\n" + f"{2**63 - 1},test,1,1.000000,1,{-2**63},4,80.000000,2.000000\n"
         trace = read_trace(io.StringIO(text))
-        assert trace.steps[0].index == 2**70 + 1
-        assert trace.steps[0].expected_class == 2**64
+        assert trace.index.tolist() == [2**63 - 1]
+        assert trace.expected_class.tolist() == [-2**63]
 
 
 BLOCK_LENGTHS = (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)
@@ -890,15 +908,14 @@ class TestBlockwiseTraceIO:
         write_trace(trace, buffer)
         assert buffer.getvalue() == write_trace_reference(trace.steps, trace.cumulative_mape.tolist())
 
-    def test_integers_past_64_bits_in_a_later_block_keep_the_column_exact(self):
+    def test_an_integer_past_64_bits_in_a_later_block_is_named_by_its_line(self):
         lines = list(block_trace_lines(BLOCK_ROWS + 1))
-        fields = lines[-2].split(",")
+        fields = lines[-2].split(",")  # the one row of the second block
         fields[0] = str(2**70)
         lines[-2] = ",".join(fields)
-        blockwise, whole = read_both("\n".join(lines))
-        assert blockwise == whole
-        assert blockwise.index.dtype == whole.index.dtype == object
-        assert blockwise.index.tolist()[-2:] == [BLOCK_ROWS, 2**70]
+        line = BLOCK_ROWS + 2
+        message = f"line {line}: integer '{2**70}' outside the 64-bit range"
+        assert read_both("\n".join(lines)) == [(line, message)] * 2
 
     def test_memory_is_bounded_by_the_block_not_the_trace(self):
         # on 5 blocks of rows, whole-trace I/O peaked at 3.4 MiB writing and 12.9 MiB reading
