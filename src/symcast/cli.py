@@ -239,12 +239,13 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _write_decoded(decoded, stream: TextIO) -> None:
-    """The decoded steps as CSV; each of the at most class_level² distinct rows is formed once."""
+    """The decoded steps as CSV, one write a block; each distinct row is formed once."""
     rows = list(zip(decoded.predicted_symbol, decoded.expected_symbol, decoded.exact))
     texts = {row: "{},{},{}\n".format(*_csv_fields(row[:2]), "true" if row[2] else "false")
              for row in set(rows)}
     stream.write("predicted_symbol,expected_symbol,exact\n")
-    stream.writelines(map(texts.__getitem__, rows))
+    for start in range(0, len(rows), BLOCK_ROWS):
+        stream.write("".join(map(texts.__getitem__, rows[start:start + BLOCK_ROWS])))
 
 
 def _summary_lines(trace, baseline=None) -> list[str]:
@@ -325,7 +326,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     with _output(args.out) as stream:
         stream.write("test_step,cumulative_mape\n")
-        stream.writelines(map("{},{:.6f}\n".format, range(1, len(series) + 1), series.tolist()))
+        for start in range(0, len(series), BLOCK_ROWS):
+            stream.write("".join(map("{},{:.6f}\n".format, range(start + 1, len(series) + 1),
+                                     series[start:start + BLOCK_ROWS].tolist())))
 
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as handle:

@@ -89,7 +89,7 @@ class BadEncodingError(SymcastError):
     """Input bytes are not valid UTF-8; line_number is the 1-based line of the first bad byte."""
 
     def __init__(self, byte_offset: int, line_number: int):
-        super().__init__(f"input is not valid UTF-8 (byte offset {byte_offset})")
+        super().__init__(f"input is not valid UTF-8 (line {line_number}, byte offset {byte_offset})")
         self.byte_offset = byte_offset
         self.line_number = line_number
 

@@ -31,7 +31,7 @@ __all__ = [
 import bisect
 import math
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -207,6 +207,22 @@ class Learner:
         if len(self._outcomes) < MEMO_ENTRIES:
             self._outcomes[key] = outcome
         return outcome
+
+    def learn_steps(self, previous: Iterable[int], expected: Iterable[int]) -> list[float]:
+        """learn_step on each (previous, expected) pair in turn; the mean after each step.
+
+        A repeat is found in the kept outcomes by learn_step's key, with no call;
+        the learner is left as the learn_step calls leave it, also when one raises.
+        """
+        outcomes, seen, mean, means = self._outcomes, self.steps_seen, self.deviant_mean, []
+        for previous_value, value in zip(previous, expected):
+            outcome = outcomes.get((mean if mean else mean.hex(), previous_value, value))
+            if outcome is None:
+                self.deviant_mean, self.steps_seen = mean, seen + len(means)
+                outcome = self.learn_step(previous_value, value)
+            means.append(mean := outcome.new_deviant_mean)
+        self.deviant_mean, self.steps_seen = mean, seen + len(means)
+        return means
 
     def _nearest_candidates(
         self, previous_value: int, expected: int, signed_diff: float, rule_mode: str

@@ -21,8 +21,8 @@ __all__ = [
 
 import math
 from dataclasses import dataclass, fields
-from itertools import islice, repeat, takewhile
-from typing import Iterable, NamedTuple, TextIO
+from itertools import count, islice, repeat, takewhile
+from typing import Callable, Iterable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -133,9 +133,9 @@ def round_half_away_from_zero_array(values: np.ndarray) -> np.ndarray:
 def _walk(classes: ClassSequence, config: RunConfig, learning: bool) -> PredictionTrace:
     """Predict each element from its predecessor; update the learner while learning.
 
-    Only the steps that learn run in a loop, which stores each new mean
-    into a preallocated column; the rest keep the mean the learner then
-    holds. Each raw prediction is the previous class plus the mean held
+    Only the steps that learn run in a loop, Learner.learn_steps, whose
+    means fill a preallocated column; the rest keep the mean the learner
+    then holds. Each raw prediction is the previous class plus the mean held
     before its step, in one array expression, and one array pass rounds
     it half away from zero and clamps it to [1, class_level]. The running
     test MAPE is computed from the columns: np.cumsum adds 1-D float64 in
@@ -158,9 +158,7 @@ def _walk(classes: ClassSequence, config: RunConfig, learning: bool) -> Predicti
     means = np.full(length, learner.deviant_mean)  # means[s] before step s, means[s + 1] after
     # the leading steps the learner updates on; the rest keep the mean it then holds
     learned = (split - 1 if config.freeze_after_train else length - 1) if learning else 0
-    observed = islice(classes.classes, 1, learned + 1)
-    for step, outcome in enumerate(map(learner.learn_step, classes.classes, observed), start=1):
-        means[step] = outcome.new_deviant_mean
+    means[1:learned + 1] = learner.learn_steps(classes.classes, classes.classes[1:learned + 1])
     means[learned + 1:] = learner.deviant_mean
     raw = previous + means[:-1]
     predicted = np.clip(round_half_away_from_zero_array(raw), 1, level).astype(np.int8)
@@ -214,15 +212,11 @@ def decode_trace(trace: PredictionTrace, memory: SensorMemory) -> DecodedTrace:
     classes = np.column_stack((trace.predicted_class, trace.expected_class)).ravel()
     symbols = np.empty(level + 1, dtype=object)
     own_slot = np.zeros(level + 1, dtype=bool)
-    for cls in dict.fromkeys(classes.tolist()):
+    for cls in classes[np.sort(np.unique(classes, return_index=True)[1])].tolist():
         symbols[cls], own_slot[cls] = decode_class(cls, memory)
-    predicted = trace.predicted_class.astype(np.intp)
-    expected = trace.expected_class.astype(np.intp)
-    return DecodedTrace(
-        predicted_symbol=symbols[predicted].tolist(),
-        expected_symbol=symbols[expected].tolist(),
-        exact=(own_slot[predicted] & own_slot[expected]).tolist(),
-    )
+    predicted, expected = trace.predicted_class, trace.expected_class
+    return DecodedTrace(symbols[predicted].tolist(), symbols[expected].tolist(),
+                        (own_slot[predicted] & own_slot[expected]).tolist())
 
 
 def format_real(value: float) -> str:
@@ -250,7 +244,7 @@ def write_trace(trace: PredictionTrace, stream: TextIO) -> None:
     """Emit the delimited trace; reals carry 6 decimal places (see format_real).
 
     The cumulative_mape column is empty on train steps. The columns are
-    formatted and written BLOCK_ROWS steps at a time.
+    formatted and written BLOCK_ROWS steps at a time, one write a block.
     """
     stream.write(TRACE_HEADER + "\n")
     for start in range(0, len(trace), BLOCK_ROWS):
@@ -259,8 +253,8 @@ def write_trace(trace: PredictionTrace, stream: TextIO) -> None:
         first_test = np.count_nonzero(trace.is_test[:start])
         mape = trace.cumulative_mape[first_test:first_test + np.count_nonzero(is_test)]
         mape_texts = np.full(len(is_test), "", dtype=object)
-        mape_texts[is_test] = list(map("{:.6f}".format, mape.tolist()))
-        stream.writelines(map(",".join, zip(
+        mape_texts[is_test] = list(map(float.__format__, mape.tolist(), repeat(".6f")))
+        stream.write("".join(map(",".join, zip(
             map(str, trace.index[block].tolist()),
             map((TRAIN, TEST).__getitem__, is_test.tolist()),
             _texts(trace.previous_class[block]),
@@ -270,7 +264,7 @@ def write_trace(trace: PredictionTrace, stream: TextIO) -> None:
             _texts(trace.abs_error[block]),
             mape_texts.tolist(),
             _texts(trace.deviant_mean_after[block], end="\n"),
-        )))
+        ))))
 
 
 def _reals(texts: list[str]) -> np.ndarray:
@@ -284,6 +278,16 @@ def _integers(texts: list[str]) -> np.ndarray:
     except OverflowError:
         text = next(text for text, value in zip(texts, values) if not -2**63 <= value < 2**63)
         raise ValueError(f"integer {text!r} outside the 64-bit range") from None
+
+
+def _distinct(convert: Callable[[list[str]], np.ndarray], texts: list[str]) -> np.ndarray:
+    """convert(texts), converting each distinct text once, first occurrence first (see _texts)."""
+    first = {}  # each distinct text -> the row where it first occurs
+    rows = np.fromiter(map(first.setdefault, texts, count()), dtype=np.intp, count=len(texts))
+    values = convert(list(first))
+    column = np.empty(len(texts), dtype=values.dtype)
+    column[list(first.values())] = values
+    return column[rows]
 
 
 def _parse_rows(rows: list[str]) -> tuple[np.ndarray, ...]:
@@ -313,8 +317,10 @@ def _parse_rows(rows: list[str]) -> tuple[np.ndarray, ...]:
         raise ValueError("train step carries cumulative_mape")
     mape_texts = list(filter(None, mape_fields))
     mape = _reals(mape_texts)
-    columns = (_integers(index), np.array(is_test, dtype=bool), _integers(previous), _reals(raw),
-               _integers(predicted), _integers(expected), _integers(abs_error), _reals(mean), mape)
+    columns = (_integers(index), np.array(is_test, dtype=bool), _distinct(_integers, previous),
+               _distinct(_reals, raw), _distinct(_integers, predicted),
+               _distinct(_integers, expected), _distinct(_integers, abs_error),
+               _distinct(_reals, mean), mape)
     if "_" in text:
         raise ValueError(f"digit separator '_' in {next(f for f in table if '_' in f)!r}")
     for texts, column in ((mape_texts, mape), (raw, columns[3]), (mean, columns[7])):

@@ -2,14 +2,15 @@
 
 Run from the root of the repository (it is not part of the pytest suite):
 
-    python3 tests/mutants.py    # about 155 s on one CPU of a 2-vCPU VM
+    python3 tests/mutants.py    # about 120 s on a 2-vCPU VM, two rows at a time
 
 Each row names a file under src/, a text that must occur in it exactly
 once, the text that replaces it, why the change matters, whether the tests
 are expected to kill it ("killed") or cannot, because it does not change
 behaviour ("equivalent"), and the pytest targets that kill it. The script
-copies src/, tests/, perfbench/ and pyproject.toml to a temporary directory, applies one
-mutant at a time there and runs `pytest -x` on the row's targets, under
+copies src/, tests/, perfbench/ and pyproject.toml to WORKERS temporary
+directories, applies one mutant at a time in each, so that WORKERS rows
+run at once, and runs `pytest -x` on the row's targets, under
 the `mutants` Hypothesis profile of tests/conftest.py, which does not
 shrink a failing example: a kill needs a failure, not its smallest form.
 The checkout is never written to. Equivalent rows are only checked for their
@@ -26,15 +27,18 @@ code moved: update the row).
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKERS = 2  # scratch copies whose rows run at once, one per CPU of a 2-vCPU VM
 
 
 class Mutant(NamedTuple):
@@ -63,18 +67,25 @@ NAMESPACE = "tests/test_api.py::test_the_namespace_is_each_modules_own_public_na
 NON_ASCII_DIGIT = ("tests/test_pipeline.py::TestReaderOracle::"
                    "test_a_non_ascii_digit_is_refused_with_its_line")
 FIRST_BAD_LINE = "tests/test_cli.py::TestReport::test_the_first_bad_line_in_the_file_is_named"
+LEARN_STEPS = "tests/test_learner.py::TestLearnSteps"
+DISTINCT_TEXTS = "tests/test_pipeline.py::TestDistinctTexts"
+REPORT_BLOCKS = "tests/test_pipeline.py::TestBlockwiseReportWriters"
 CONFIG_UTF8 = ("tests/test_cli.py::TestConfigFile::"
                "test_a_config_file_not_in_utf8_names_the_file_and_line")
 
 # _parse_rows's conversions as they are, and with cumulative_mape's moved after the others
 MAPE_CONVERTED_FIRST = (
     "    mape = _reals(mape_texts)\n"
-    "    columns = (_integers(index), np.array(is_test, dtype=bool), _integers(previous), _reals(raw),\n"
-    "               _integers(predicted), _integers(expected), _integers(abs_error), _reals(mean), mape)\n"
+    "    columns = (_integers(index), np.array(is_test, dtype=bool), _distinct(_integers, previous),\n"
+    "               _distinct(_reals, raw), _distinct(_integers, predicted),\n"
+    "               _distinct(_integers, expected), _distinct(_integers, abs_error),\n"
+    "               _distinct(_reals, mean), mape)\n"
 )
 MAPE_CONVERTED_LAST = (
-    "    columns = (_integers(index), np.array(is_test, dtype=bool), _integers(previous), _reals(raw),\n"
-    "               _integers(predicted), _integers(expected), _integers(abs_error), _reals(mean))\n"
+    "    columns = (_integers(index), np.array(is_test, dtype=bool), _distinct(_integers, previous),\n"
+    "               _distinct(_reals, raw), _distinct(_integers, predicted),\n"
+    "               _distinct(_integers, expected), _distinct(_integers, abs_error),\n"
+    "               _distinct(_reals, mean))\n"
     "    mape = _reals(mape_texts)\n"
     "    columns += (mape,)\n"
 )
@@ -176,6 +187,21 @@ MUTANTS = [
            "a repeated step still counts as a step", "killed", (KEPT,)),
     Mutant("src/symcast/learner.py", "if len(self._outcomes) < MEMO_ENTRIES:", "if True:",
            "the store of kept outcomes is capped", "killed", (KEPT,)),
+    # The walk's one loop through the kept outcomes.
+    Mutant("src/symcast/learner.py", "outcomes.get((mean if mean else mean.hex(),",
+           "outcomes.get((mean,",
+           "a zero mean is kept under its hex form: keyed by the float, every step from a "
+           "zero mean would miss and call learn_step", "killed", (LEARN_STEPS,)),
+    Mutant("src/symcast/learner.py",
+           "self.steps_seen = mean, seen + len(means)\n                outcome =",
+           "self.steps_seen = mean, self.steps_seen\n                outcome =",
+           "a step that raises after kept steps names its place in the whole run", "killed",
+           (LEARN_STEPS,)),
+    Mutant("src/symcast/learner.py",
+           "self.deviant_mean, self.steps_seen = mean, seen + len(means)\n                outcome =",
+           "self.steps_seen = seen + len(means)\n                outcome =",
+           "a new step starts from the mean the kept steps before it left", "killed",
+           (LEARN_STEPS,)),
     Mutant("src/symcast/learner.py", "if len(winners) < 8:", "if len(winners) < 9:",
            "numpy adds 8 or more values pairwise, not in order", "killed",
            ("tests/test_learner.py",)),
@@ -213,9 +239,9 @@ MUTANTS = [
            "a step predicts with the mean it starts from, not the one it learns", "killed",
            ("tests/test_pipeline.py::TestColumnarWalkOracle",)),
     # Decoding each class once, in first-occurrence order.
-    Mutant("src/symcast/pipeline.py", "dict.fromkeys(classes.tolist())",
-           "set(classes.tolist())",
-           "the first bad class in step order names the error, not the first in hash order",
+    Mutant("src/symcast/pipeline.py", "classes[np.sort(np.unique(classes, return_index=True)[1])]",
+           "np.unique(classes)",
+           "the first bad class in step order names the error, not the first in value order",
            "killed", ("tests/test_pipeline.py::TestDecoderOracle",)),
     # The trace's text columns and the corpus reader.
     Mutant("src/symcast/pipeline.py", "abs(value) < 1e15", "abs(value) <= 1e15",
@@ -239,6 +265,20 @@ MUTANTS = [
            "while block := list(islice(rows, 1 if blocks else BLOCK_ROWS)):",
            "rows past the first block keep their line numbers whatever the blocks hold",
            "killed", (BLOCKWISE,)),
+    # Six columns read once per distinct text; each block of output text in one write.
+    Mutant("src/symcast/pipeline.py", "column[list(first.values())] = values",
+           "column[:len(values)] = values",
+           "a distinct text's value goes to the row where it first occurs", "killed",
+           (DISTINCT_TEXTS,)),
+    Mutant("src/symcast/pipeline.py", "    columns = (_integers(index),",
+           "    columns = (_distinct(_integers, index),",
+           "step texts are all distinct, where the map costs 2.4 times more", "killed",
+           (DISTINCT_TEXTS,)),
+    Mutant("src/symcast/cli.py", "rows[start:start + BLOCK_ROWS]", "rows[start:start + BLOCK_ROWS + 1]",
+           "a decoded block ends where the next begins", "killed", (REPORT_BLOCKS,)),
+    Mutant("src/symcast/cli.py", "series[start:start + BLOCK_ROWS]",
+           "series[start:start + BLOCK_ROWS + 1]",
+           "a series block ends where the next begins", "killed", (REPORT_BLOCKS,)),
     Mutant("src/symcast/ingest.py", "filter(None,", "filter(str.strip,",
            "whitespace-only rows are corpus items", "killed",
            ("tests/test_ingest.py::TestReadTextCorpus",)),
@@ -280,45 +320,64 @@ def run_targets(work: Path, targets: tuple[str, ...]) -> int:
     ).returncode
 
 
+def check(work: Path, mutant: Mutant) -> tuple[str, str | None]:
+    """Apply mutant in work, run its targets and restore the file: its report line and problem."""
+    path = work / mutant.file
+    original = path.read_text(encoding="utf-8")
+    label = f"{mutant.file}: {mutant.old!r} -> {mutant.new!r}"
+    count = original.count(mutant.old)
+    if count != 1:
+        return f"MISSING     {label}", f"{label}: old text occurs {count} times, expected once"
+    if mutant.expect == "equivalent":
+        return f"equivalent  {label} ({mutant.why})", None
+    started = time.perf_counter()
+    path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+    try:
+        status = run_targets(work, mutant.targets)
+    finally:
+        path.write_text(original, encoding="utf-8")
+    outcome = {0: "SURVIVED", 1: "killed"}.get(status, f"pytest {status}")
+    line = f"{outcome:11} {label} ({time.perf_counter() - started:.1f} s)"
+    if status == 0:
+        return line, f"{label} survived {' '.join(mutant.targets)}: {mutant.why}"
+    if status != 1:  # not a failing test: a collection error, or no such target
+        return line, f"{label}: pytest exits {status}, not 1"
+    return line, None
+
+
 def main() -> int:
     rows = MUTANTS
     problems = []
     with tempfile.TemporaryDirectory(prefix="symcast-mutants-") as scratch:
-        work = Path(scratch)
-        for name in ("src", "tests", "perfbench"):  # tests load perfbench's workloads
-            shutil.copytree(ROOT / name, work / name, ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", work)
+        copies: queue.Queue[Path] = queue.Queue()
+        for worker in range(WORKERS):
+            work = Path(scratch) / str(worker)
+            for name in ("src", "tests", "perfbench"):  # tests load perfbench's workloads
+                shutil.copytree(ROOT / name, work / name,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            shutil.copy(ROOT / "pyproject.toml", work)
+            copies.put(work)
         # A target must pass unmutated, or a failure would say nothing of the mutant.
         # One run covers them all; a target inside another target is left to it.
         targets = {target for m in rows if m.expect == "killed" for target in m.targets}
         union = sorted(t for t in targets if not any(t.startswith(o + "::") for o in targets))
-        status = run_targets(work, tuple(union))
+        status = run_targets(Path(scratch) / "0", tuple(union))
         if status != 0:
             problems.append(f"unmutated, pytest exits {status} on {' '.join(union)}")
-        for mutant in rows:
-            path = work / mutant.file
-            original = path.read_text(encoding="utf-8")
-            label = f"{mutant.file}: {mutant.old!r} -> {mutant.new!r}"
-            count = original.count(mutant.old)
-            if count != 1:
-                problems.append(f"{label}: old text occurs {count} times, expected once")
-                print(f"MISSING     {label}")
-                continue
-            if mutant.expect == "equivalent":
-                print(f"equivalent  {label} ({mutant.why})")
-                continue
-            started = time.perf_counter()
-            path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+
+        def check_on_a_free_copy(mutant: Mutant) -> tuple[str, str | None]:
+            work = copies.get()
             try:
-                status = run_targets(work, mutant.targets)
+                return check(work, mutant)
             finally:
-                path.write_text(original, encoding="utf-8")
-            outcome = {0: "SURVIVED", 1: "killed"}.get(status, f"pytest {status}")
-            print(f"{outcome:11} {label} ({time.perf_counter() - started:.1f} s)")
-            if status == 0:
-                problems.append(f"{label} survived {' '.join(mutant.targets)}: {mutant.why}")
-            elif status != 1:  # not a failing test: a collection error, or no such target
-                problems.append(f"{label}: pytest exits {status}, not 1")
+                copies.put(work)
+
+        # each row runs on whichever copy is free; the lines print in table order
+        with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+            for line, problem in pool.map(check_on_a_free_copy, rows):
+                print(line, flush=True)
+                if problem:
+                    problems.append(problem)
     for problem in problems:
         print("error:", problem, file=sys.stderr)
     return 1 if problems else 0

@@ -108,6 +108,13 @@ def decoded_report_reference(decoded, stream):
         _write_row(stream, [predicted, expected, "true" if exact else "false"])
 
 
+def series_report_reference(series, stream):
+    """The `report` series file, one csv.writer row per test step."""
+    _write_row(stream, ["test_step", "cumulative_mape"])
+    for step, value in enumerate(series, start=1):
+        _write_row(stream, [step, f"{value:.6f}"])
+
+
 TRAIN = "train"
 TEST = "test"
 TRACE_HEADER = (

@@ -152,7 +152,7 @@ class TestEncode:
         path.write_bytes(b"Car\n\xff\n")
         code, _, err = run(["encode", "--input", str(path)], capsys)
         assert code == 1
-        assert "byte offset 4" in err
+        assert err == "error: input is not valid UTF-8 (line 2, byte offset 4)\n"
 
     def test_a_closed_output_pipe_stops_quietly(self, tmp_path):
         path = tmp_path / "numbers.txt"

@@ -1,5 +1,6 @@
 """Tests for the deviant-mean learner and its update rules."""
 
+import copy
 import io
 import math
 import random
@@ -598,6 +599,82 @@ class TestKeptOutcomes:
             learner.learn_step(1, 5)
         assert len(learner._outcomes) == MEMO_ENTRIES
         assert learner.steps_seen == MEMO_ENTRIES + 500
+
+
+def learner_state(learner):
+    """The mean and step count a learner holds and the outcomes it keeps, reals as bit patterns."""
+    kept = [(key, kept_fields(outcome)) for key, outcome in learner._outcomes.items()]
+    return learner.deviant_mean.hex(), learner.steps_seen, kept
+
+
+def means_or_error(run):
+    """run()'s means as bit patterns, or the type, message and step of the error it raised."""
+    try:
+        return [mean.hex() for mean in run()]
+    except NonFiniteStateError as error:
+        return type(error), str(error), error.step
+
+
+def assert_batch_matches_the_step_loop(learner, previous, expected):
+    """learn_steps on a copy of learner against learn_step on each pair in turn, from one state."""
+    batch = copy.deepcopy(learner)
+    looped = means_or_error(
+        lambda: [learner.learn_step(p, e).new_deviant_mean for p, e in zip(previous, expected)]
+    )
+    assert means_or_error(lambda: batch.learn_steps(previous, expected)) == looped
+    assert learner_state(batch) == learner_state(learner)
+
+
+# every mismatch overflows: two finite winners whose sum is not
+OVERFLOWING = LearnerConfig(population_size=2, max_deviant_adjust=1.7e308, k_winners=2)
+
+
+class TestLearnSteps:
+    """Learner.learn_steps against a learn_step loop: the same means, step count and store."""
+
+    @given(
+        config=kept_outcome_configs() | st.just(OVERFLOWING),
+        mean=st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.37]),
+        warmup=st.lists(st.integers(min_value=1, max_value=4), max_size=20),
+        classes=st.lists(st.integers(min_value=1, max_value=4), max_size=80),
+    )
+    # a zero mean keeps its sign under a bias of -0.0, in the store and the loop
+    @example(config=LearnerConfig(bias=-0.0), mean=-0.0, warmup=[3, 3], classes=[3, 3, 3, 1, 3])
+    # repeats answered from the store, then a step that raises
+    @example(config=OVERFLOWING, mean=0.0, warmup=[3, 3], classes=[3, 3, 3, 3, 1, 5])
+    def test_drawn_streams(self, config, mean, warmup, classes):
+        learner = Learner(config)
+        learner.deviant_mean = mean
+        try:
+            learner.learn_steps(warmup, warmup[1:])
+        except NonFiniteStateError:
+            return
+        assert_batch_matches_the_step_loop(learner, classes, classes[1:])
+
+    def test_a_full_store(self):
+        learner = Learner(LearnerConfig())
+        for step in range(MEMO_ENTRIES + 50):
+            learner.deviant_mean = step / 7  # every step's inputs are new
+            learner.learn_step(1, 5)
+        learner.deviant_mean = 0.0
+        classes = stream_classes("predict-full", 2_000)
+        assert_batch_matches_the_step_loop(learner, classes, classes[1:])
+
+    def test_a_store_that_fills_during_the_batch(self):
+        # k = 4 on predict-full: 12,114 distinct step inputs, so the store fills partway
+        learner = Learner(LearnerConfig(k_winners=4))
+        classes = stream_classes("predict-full", workloads.WORKLOADS["predict-full"].rows)
+        assert_batch_matches_the_step_loop(learner, classes, classes[1:])
+
+    @pytest.mark.parametrize("bias,mean", [(0.0, 0.0), (-0.0, -0.0)])
+    def test_only_a_new_step_calls_learn_step(self, bias, mean):
+        learner = Learner(LearnerConfig(bias=bias))
+        learner.deviant_mean = mean
+        classes = stream_classes("predict-full", MARKOV_STEPS)
+        with mock.patch.object(learner, "learn_step", wraps=learner.learn_step) as step:
+            learner.learn_steps(classes, classes[1:])
+        assert step.call_count == len(learner._outcomes) < MEMO_ENTRIES
+        assert learner.steps_seen == MARKOV_STEPS
 
 
 class TestWinnersMean:

@@ -1,17 +1,21 @@
 """Tests for the train/predict/evaluate pipeline."""
 
+import dataclasses
 import io
 import math
 import os
 import random
 import tracemalloc
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from symcast import pipeline
+from symcast.cli import _write_decoded, main
 from symcast.encoder import ClassSequence, SensorMemory, decode_class
 from symcast.errors import (
     BadClassError,
@@ -33,6 +37,7 @@ from symcast.pipeline import (
     TEST,
     TRACE_HEADER,
     TRAIN,
+    DecodedTrace,
     PredictionTrace,
     RunConfig,
     StepRecord,
@@ -49,9 +54,11 @@ from symcast.pipeline import (
 
 from oracle import (
     decode_reference,
+    decoded_report_reference,
     read_trace_reference,
     read_trace_whole,
     round_half_away_from_zero,
+    series_report_reference,
     walk_reference,
     write_trace_reference,
 )
@@ -809,6 +816,68 @@ class TestReaderOracle:
         assert trace.expected_class.tolist() == [-2**63]
 
 
+# texts int() or float() reads that the writer would not write; each column mixes several
+INT_TEXTS = (" 3", "+3", "03", "3", "-0", "0")
+REAL_TEXTS = (" 3", "+3", "03", "3.0e0", "3.000000", "-0.000000", "0.000000", "-0")
+# the columns converted once per distinct text, by field position, and the texts each takes
+DISTINCT_FIELDS = {2: INT_TEXTS, 3: REAL_TEXTS, 4: INT_TEXTS, 5: INT_TEXTS, 6: INT_TEXTS,
+                   8: REAL_TEXTS}
+
+
+@st.composite
+def non_canonical_traces(draw):
+    """A trace whose six distinct-parsed columns hold valid texts in forms the writer never uses."""
+    lines = [TRACE_HEADER]
+    for step in range(1, draw(st.integers(min_value=1, max_value=30)) + 1):
+        fields = [str(step), TRAIN, *[""] * 7]
+        if draw(st.booleans()):
+            fields[1], fields[7] = TEST, "12.500000"
+        for position, texts in DISTINCT_FIELDS.items():
+            fields[position] = draw(st.sampled_from(texts))
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+class TestDistinctTexts:
+    """The columns converted once per distinct text read as if each field were converted alone."""
+
+    @given(text=non_canonical_traces())
+    def test_non_canonical_texts_read_as_the_per_line_reader_reads_them(self, text):
+        rows, series = read_trace_reference(io.StringIO(text))
+        trace = read_trace(io.StringIO(text))
+        assert trace.steps == tuple(rows)
+        assert trace.cumulative_mape.tolist() == series
+        for name, position in (("raw_prediction", 3), ("deviant_mean_after", 7)):
+            # == would let -0.0 pass for 0.0
+            assert [value.hex() for value in getattr(trace, name).tolist()] == [
+                row[position].hex() for row in rows
+            ]
+
+    @pytest.mark.parametrize("position,bad,message", [
+        (2, "x", "invalid literal for int() with base 10: 'x'"),
+        (6, str(2**63), f"integer '{2**63}' outside the 64-bit range"),
+        (3, "nan", "non-finite real 'nan'"),
+        (8, "y", "could not convert string to float: 'y'"),
+    ])
+    def test_a_repeated_bad_text_is_named_by_its_first_line(self, position, bad, message):
+        lines = list(block_trace_lines(BLOCK_ROWS + 40))
+        for line_number in (BLOCK_ROWS + 30, 9, 20, BLOCK_ROWS + 5):
+            fields = lines[line_number - 1].split(",")
+            fields[position] = bad
+            lines[line_number - 1] = ",".join(fields)
+        assert read_both("\n".join(lines)) == [(9, f"line 9: {message}")] * 2
+
+    def test_index_and_cumulative_mape_convert_field_by_field(self):
+        # their texts are all distinct, and a map of distinct texts costs 2.4 times more there
+        rows = block_trace_lines(100)[1:-1]
+        with mock.patch.object(pipeline, "_distinct", wraps=pipeline._distinct) as distinct:
+            read_trace(io.StringIO(TRACE_HEADER + "\n" + "\n".join(rows)))
+        fields = [row.split(",") for row in rows]
+        assert [call.args[1] for call in distinct.call_args_list] == [
+            [row[position] for row in fields] for position in DISTINCT_FIELDS
+        ]
+
+
 BLOCK_LENGTHS = (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)
 
 
@@ -957,6 +1026,42 @@ class TestBlockwiseTraceIO:
             read_trace(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
         with pytest.raises(UnicodeDecodeError):
             read_trace_whole(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
+
+def all_test_trace(length):
+    """mixed_phase_trace(length) with every step a test step, so report's series has length values."""
+    mape = np.random.default_rng(length).random(length) * 300.0
+    return dataclasses.replace(mixed_phase_trace(length), is_test=np.ones(length, dtype=bool),
+                               cumulative_mape=mape)
+
+
+def written(write, *args):
+    stream = io.StringIO()
+    write(*args, stream)
+    return stream.getvalue()
+
+
+class TestBlockwiseReportWriters:
+    """The decoded block and report's series file, one write a block, equal the per-row writers."""
+
+    @pytest.mark.parametrize("length", BLOCK_LENGTHS[1:])
+    def test_the_decoded_block(self, length):
+        rng = random.Random(length)
+        symbols = ["a", "b,c", 'd"e', "f\rg", "h"]
+        decoded = DecodedTrace(rng.choices(symbols, k=length), rng.choices(symbols, k=length),
+                               [rng.random() < 0.5 for _ in range(length)])
+        assert written(_write_decoded, decoded) == written(decoded_report_reference, decoded)
+
+    @pytest.mark.parametrize("length", BLOCK_LENGTHS[1:])
+    def test_the_series_file(self, length, tmp_path):
+        trace_path, series_path = tmp_path / "trace.csv", tmp_path / "series.csv"
+        with open(trace_path, "w", encoding="utf-8", newline="") as stream:
+            write_trace(all_test_trace(length), stream)
+        assert main(["report", "--input", str(trace_path), "--out", str(series_path)]) == 0
+        with open(trace_path, encoding="utf-8") as stream:
+            _, series = read_trace_reference(stream)
+        assert len(series) == length
+        assert series_path.read_bytes().decode("utf-8") == written(series_report_reference, series)
 
 
 class TestDecoderOracle:
