@@ -33,8 +33,9 @@ from .errors import BadConfigError, BadEncodingError, BadReferenceError, Symcast
 from .ingest import Corpus, _decode_lines, read_numeric_series, read_text_corpus
 from .learner import ADDITIVE_SUBTRACTIVE, MULTIPLICATIVE_DIVISIVE, LearnerConfig
 from .pipeline import (
-    BLOCK_ROWS,
+    MAPE_FORMAT,
     RunConfig,
+    _write_blocks,
     baseline_persistence,
     decode_trace,
     format_real,
@@ -195,7 +196,7 @@ def _csv_fields(texts: Sequence[str]) -> Sequence[str]:
 
 
 def _write_encode_report(encoded: EncodedCorpus, corpus: Corpus, stream: TextIO) -> None:
-    """The encode CSV, written BLOCK_ROWS rows at a time."""
+    """The encode CSV, its rows written a block at a time (see _write_blocks)."""
     slots = ["[]" if symbol is None else symbol for symbol in encoded.memory.slots]
     distinct, index = encoded.distinct, encoded.score_index
     classes = np.zeros(len(distinct), dtype=np.intp)
@@ -209,12 +210,10 @@ def _write_encode_report(encoded: EncodedCorpus, corpus: Corpus, stream: TextIO)
                           for (value, scale), cls in zip(distinct, classes.tolist())], dtype=object)
     finally:
         sys.set_int_max_str_digits(limit)
-    stream.write("row_index,symbol,match_value,scale,class\n")
-    for start in range(0, len(index), BLOCK_ROWS):
-        stop = start + BLOCK_ROWS
-        stream.write("".join(map(",".join, zip(map(str, range(start + 1, stop + 1)),
-                                               _csv_fields(corpus.items[start:stop]),
-                                               texts[index[start:stop]].tolist()))))
+    _write_blocks(stream, "row_index,symbol,match_value,scale,class", len(index),
+                  lambda start, stop: map(",".join, zip(map(str, range(start + 1, stop + 1)),
+                                                        _csv_fields(corpus.items[start:stop]),
+                                                        texts[index[start:stop]].tolist())))
     stream.write("\nclass,symbol\n")
     stream.writelines(map("{},{}\n".format, range(1, len(slots) + 1), _csv_fields(slots)))
 
@@ -239,13 +238,12 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _write_decoded(decoded, stream: TextIO) -> None:
-    """The decoded steps as CSV, one write a block; each distinct row is formed once."""
+    """The decoded steps as CSV, a block at a time; each distinct row is formed once."""
     rows = list(zip(decoded.predicted_symbol, decoded.expected_symbol, decoded.exact))
     texts = {row: "{},{},{}\n".format(*_csv_fields(row[:2]), "true" if row[2] else "false")
              for row in set(rows)}
-    stream.write("predicted_symbol,expected_symbol,exact\n")
-    for start in range(0, len(rows), BLOCK_ROWS):
-        stream.write("".join(map(texts.__getitem__, rows[start:start + BLOCK_ROWS])))
+    _write_blocks(stream, "predicted_symbol,expected_symbol,exact", len(rows),
+                  lambda start, stop: map(texts.__getitem__, rows[start:stop]))
 
 
 def _summary_lines(trace, baseline=None) -> list[str]:
@@ -261,11 +259,11 @@ def _summary_lines(trace, baseline=None) -> list[str]:
         breakdown = " ".join(f"{cls}={count}" for cls, count in enumerate(counts) if count)
         lines.append(f"exact_test_matches_by_class: {breakdown}")
     final_mape, _ = mape(trace)
-    lines.append(f"final_mape_percent: {final_mape:.6f}")
+    lines.append(f"final_mape_percent: {final_mape:{MAPE_FORMAT}}")
     lines.append(f"final_deviant_mean: {format_real(float(trace.deviant_mean_after[-1]))}")
     if baseline is not None:
         baseline_mape, _ = mape(baseline)
-        lines.append(f"baseline_final_mape_percent: {baseline_mape:.6f}")
+        lines.append(f"baseline_final_mape_percent: {baseline_mape:{MAPE_FORMAT}}")
     return lines
 
 
@@ -306,7 +304,7 @@ def _render_error_series_svg(series: np.ndarray) -> str:
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
         f'y2="{height - margin}" stroke="black"/>\n'
         f'<text x="{margin}" y="{margin - 8}" font-size="12">cumulative MAPE '
-        f"(max {top:.6f}%)</text>\n"
+        f"(max {top:{MAPE_FORMAT}}%)</text>\n"
         f'<text x="{width - margin}" y="{height - margin + 16}" font-size="12" '
         f'text-anchor="end">test step {n}</text>\n'
         f'<polyline points="{points}" fill="none" stroke="#1f6fb2" stroke-width="2"/>\n'
@@ -325,10 +323,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     _, series = mape(trace)
 
     with _output(args.out) as stream:
-        stream.write("test_step,cumulative_mape\n")
-        for start in range(0, len(series), BLOCK_ROWS):
-            stream.write("".join(map("{},{:.6f}\n".format, range(start + 1, len(series) + 1),
-                                     series[start:start + BLOCK_ROWS].tolist())))
+        row = ("{},{:" + MAPE_FORMAT + "}\n").format
+        _write_blocks(stream, "test_step,cumulative_mape", len(series),
+                      lambda start, stop: map(row, range(start + 1, stop + 1),
+                                              series[start:stop].tolist()))
 
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as handle:

@@ -33,7 +33,8 @@ from .learner import Learner, LearnerConfig
 TRAIN = "train"
 TEST = "test"
 
-BLOCK_ROWS = 4096  # trace rows formatted or parsed at a time
+BLOCK_ROWS = 4096  # output rows formatted, or trace rows parsed, at a time
+MAPE_FORMAT = ".6f"  # the text of a running MAPE wherever one is written
 
 TRACE_HEADER = (
     "step,phase,prev_class,raw_prediction,predicted_class,expected_class,"
@@ -240,21 +241,27 @@ def _texts(column: np.ndarray, end: str = "") -> list[str]:
     return np.array(texts, dtype=object)[positions].tolist()
 
 
+def _write_blocks(stream: TextIO, header: str, length: int,
+                  block_rows: Callable[[int, int], Iterable[str]]) -> None:
+    """The header, then block_rows(start, stop) per BLOCK_ROWS rows, joined: one write a block."""
+    stream.write(header + "\n")
+    for start in range(0, length, BLOCK_ROWS):
+        stream.write("".join(block_rows(start, start + BLOCK_ROWS)))
+
+
 def write_trace(trace: PredictionTrace, stream: TextIO) -> None:
     """Emit the delimited trace; reals carry 6 decimal places (see format_real).
 
-    The cumulative_mape column is empty on train steps. The columns are
-    formatted and written BLOCK_ROWS steps at a time, one write a block.
+    cumulative_mape is empty on train steps. Each block's columns are formatted on their own.
     """
-    stream.write(TRACE_HEADER + "\n")
-    for start in range(0, len(trace), BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
+    def block_rows(start: int, stop: int) -> Iterable[str]:
+        block = slice(start, stop)
         is_test = trace.is_test[block]
         first_test = np.count_nonzero(trace.is_test[:start])
         mape = trace.cumulative_mape[first_test:first_test + np.count_nonzero(is_test)]
         mape_texts = np.full(len(is_test), "", dtype=object)
-        mape_texts[is_test] = list(map(float.__format__, mape.tolist(), repeat(".6f")))
-        stream.write("".join(map(",".join, zip(
+        mape_texts[is_test] = list(map(float.__format__, mape.tolist(), repeat(MAPE_FORMAT)))
+        return map(",".join, zip(
             map(str, trace.index[block].tolist()),
             map((TRAIN, TEST).__getitem__, is_test.tolist()),
             _texts(trace.previous_class[block]),
@@ -264,7 +271,9 @@ def write_trace(trace: PredictionTrace, stream: TextIO) -> None:
             _texts(trace.abs_error[block]),
             mape_texts.tolist(),
             _texts(trace.deviant_mean_after[block], end="\n"),
-        ))))
+        ))
+
+    _write_blocks(stream, TRACE_HEADER, len(trace), block_rows)
 
 
 def _reals(texts: list[str]) -> np.ndarray:
@@ -327,6 +336,9 @@ def _parse_rows(rows: list[str]) -> tuple[np.ndarray, ...]:
         finite = np.isfinite(column)
         if not finite.all():
             raise ValueError(f"non-finite real {texts[finite.argmin()]!r}")
+    negative = mape < 0  # a mean of |error| / expected; -0.0 passes
+    if negative.any():
+        raise ValueError(f"negative cumulative_mape {mape_texts[negative.argmax()]!r}")
     return columns
 
 
@@ -357,13 +369,14 @@ def read_trace(lines: Iterable[str]) -> PredictionTrace:
 
     Stops at the first blank line. Reals come back at the precision
     they were written with. Raises TraceFormatError with the 1-based
-    line number on any malformed content: a row that is not ASCII, a
-    wrong field count or phase, a misplaced cumulative_mape, a field int()
-    or float() refuses, an integer outside [-2**63, 2**63), a '_' anywhere
-    (int() and float() would read it as a digit separator), or a real that
-    is not finite. Rows are read and parsed BLOCK_ROWS at a time, each
-    block column by column, so no line past the block of the first bad
-    row is read, and the first bad row in the file is the one named.
+    line number on any malformed content: a row that is not ASCII, a wrong
+    field count or phase, a misplaced cumulative_mape, a field int() or
+    float() refuses, an integer outside [-2**63, 2**63), a '_' anywhere (int()
+    and float() would read it as a digit separator), a real that is not
+    finite, or a negative cumulative_mape. Rows are read and parsed
+    BLOCK_ROWS at a time, each block column by column, so no line past the
+    block of the first bad row is read, and the first bad row in the file is
+    the one named.
     """
     lines = iter(lines)
     header = next(lines, None)

@@ -70,6 +70,9 @@ FIRST_BAD_LINE = "tests/test_cli.py::TestReport::test_the_first_bad_line_in_the_
 LEARN_STEPS = "tests/test_learner.py::TestLearnSteps"
 DISTINCT_TEXTS = "tests/test_pipeline.py::TestDistinctTexts"
 REPORT_BLOCKS = "tests/test_pipeline.py::TestBlockwiseReportWriters"
+WRITES = "tests/test_cli.py::TestOneWriteABlock"
+NEGATIVE_MAPE = "tests/test_cli.py::TestReport::test_a_negative_mape_is_an_input_error"
+CHART = "tests/test_pipeline.py::TestReportChart"
 CONFIG_UTF8 = ("tests/test_cli.py::TestConfigFile::"
                "test_a_config_file_not_in_utf8_names_the_file_and_line")
 
@@ -155,10 +158,22 @@ MUTANTS = [
     Mutant("src/symcast/cli.py", "if not any(special in joined",
            "if True or not any(special in joined",
            "a symbol holding a comma or a quote must be quoted", "killed", (ENCODE_CLI,)),
-    # The encode CSV's texts, one per distinct score, written a block at a time.
-    Mutant("src/symcast/cli.py", "stop = start + BLOCK_ROWS", "stop = start + BLOCK_ROWS + 1",
+    # One block writer for every output, and each caller's own rows for each block.
+    Mutant("src/symcast/pipeline.py", "block_rows(start, start + BLOCK_ROWS)",
+           "block_rows(start, start + BLOCK_ROWS + 1)",
            "a block ends where the next begins, so no row is written twice", "killed",
-           (ENCODE_BLOCKS,)),
+           (REPORT_BLOCKS, ENCODE_BLOCKS, BLOCKWISE)),
+    Mutant("src/symcast/pipeline.py", 'stream.write("".join(block_rows(',
+           "stream.writelines((block_rows(",
+           "each block goes out in one write of its joined rows", "killed", (WRITES,)),
+    Mutant("src/symcast/pipeline.py", "block = slice(start, stop)",
+           "block = slice(0, stop - start)",
+           "each trace block formats its own steps", "killed", (BLOCKWISE,)),
+    Mutant("src/symcast/cli.py", "rows[start:stop]", "rows[:stop - start]",
+           "each decoded block writes its own rows", "killed", (REPORT_BLOCKS,)),
+    Mutant("src/symcast/cli.py", "series[start:stop]", "series[:stop - start]",
+           "each series block writes its own values", "killed", (REPORT_BLOCKS,)),
+    # The encode CSV's texts, one per distinct score, written a block at a time.
     Mutant("src/symcast/cli.py", "texts[index[start:stop]]", "texts[index[:stop - start]]",
            "each block takes its own rows' texts through the score index", "killed",
            (ENCODE_BLOCKS,)),
@@ -274,11 +289,6 @@ MUTANTS = [
            "    columns = (_distinct(_integers, index),",
            "step texts are all distinct, where the map costs 2.4 times more", "killed",
            (DISTINCT_TEXTS,)),
-    Mutant("src/symcast/cli.py", "rows[start:start + BLOCK_ROWS]", "rows[start:start + BLOCK_ROWS + 1]",
-           "a decoded block ends where the next begins", "killed", (REPORT_BLOCKS,)),
-    Mutant("src/symcast/cli.py", "series[start:start + BLOCK_ROWS]",
-           "series[start:start + BLOCK_ROWS + 1]",
-           "a series block ends where the next begins", "killed", (REPORT_BLOCKS,)),
     Mutant("src/symcast/ingest.py", "filter(None,", "filter(str.strip,",
            "whitespace-only rows are corpus items", "killed",
            ("tests/test_ingest.py::TestReadTextCorpus",)),
@@ -303,6 +313,13 @@ MUTANTS = [
     Mutant("src/symcast/ingest.py", " or not line.isascii()", "",
            "float() reads full-width and Arabic-Indic digits as ASCII ones", "killed",
            ("tests/test_ingest.py::TestReadNumericSeries",)),
+    # One text rule for a running MAPE, and no negative one read.
+    Mutant("src/symcast/pipeline.py", 'MAPE_FORMAT = ".6f"', 'MAPE_FORMAT = ".5f"',
+           "the trace, the series file, the summary and the chart print a MAPE to 6 places",
+           "killed", ("tests/test_cli.py::TestReport::test_vehicle_series",)),
+    Mutant("src/symcast/pipeline.py", "    if negative.any():\n", "    if False:\n",
+           "a running MAPE is never negative, and a negative one would chart off the plot",
+           "killed", (NEGATIVE_MAPE, CHART)),
     # A closed output pipe.
     Mutant("src/symcast/cli.py", "except BrokenPipeError:", "except ZeroDivisionError:",
            "a reader that closes standard output early is not a data error", "killed",

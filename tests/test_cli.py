@@ -31,7 +31,14 @@ from symcast.cli import (
 from symcast.encoder import ClassSequence, MatchScore, encode_corpus
 from symcast.errors import SymcastError
 from symcast.ingest import Corpus
-from symcast.pipeline import BLOCK_ROWS, DecodedTrace, RunConfig, run_continual, write_trace
+from symcast.pipeline import (
+    BLOCK_ROWS,
+    TRACE_HEADER,
+    DecodedTrace,
+    RunConfig,
+    run_continual,
+    write_trace,
+)
 
 from oracle import decoded_report_reference, encode_report_reference, svg_points_reference
 
@@ -305,6 +312,67 @@ class TestEncodeReportAcrossBlocks:
         code, _, err = run(["encode", "--input", str(source), "--out", str(target)], capsys)
         assert (code, err) == (0, "")
         assert target.read_bytes() == out.encode("utf-8")
+
+
+def write_test_rows(path, mapes):
+    """A trace of one test row per cumulative_mape text."""
+    rows = [f"{step},test,1,1.000000,1,1,0,{mape},0.000000\n"
+            for step, mape in enumerate(mapes, start=1)]
+    path.write_text(TRACE_HEADER + "\n" + "".join(rows))
+
+
+class WriteLog(io.StringIO):
+    """A text stream that keeps the text of each write call."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+class TestOneWriteABlock:
+    """Each writer writes its header, then each BLOCK_ROWS rows, in one write apiece."""
+
+    @staticmethod
+    def line_counts(rows):
+        """The lines of each write: the header's, then each block's."""
+        return [1] + [min(BLOCK_ROWS, rows - start) for start in range(0, rows, BLOCK_ROWS)]
+
+    ROWS = pytest.mark.parametrize("rows", [1, BLOCK_ROWS, BLOCK_ROWS + 1])
+
+    @ROWS
+    def test_the_trace(self, rows):
+        values = tuple(random.Random(rows).choices(range(1, 6), k=rows + 1))
+        stream = WriteLog()
+        write_trace(run_continual(ClassSequence(values, 5), RunConfig()), stream)
+        assert [text.count("\n") for text in stream.writes] == self.line_counts(rows)
+
+    @ROWS
+    def test_the_encode_csv_rows(self, rows):
+        items = block_corpus(rows)
+        stream = WriteLog()
+        _write_encode_report(encode_corpus(items, 5), Corpus(items=items, source="<rows>"), stream)
+        row_writes = len(self.line_counts(rows))
+        assert [text.count("\n") for text in stream.writes[:row_writes]] == self.line_counts(rows)
+        assert stream.writes[row_writes] == "\nclass,symbol\n"
+
+    @ROWS
+    def test_the_decoded_block(self, rows):
+        stream = WriteLog()
+        _write_decoded(DecodedTrace(["a"] * rows, ["b,c"] * rows, [True] * rows), stream)
+        assert [text.count("\n") for text in stream.writes] == self.line_counts(rows)
+
+    @ROWS
+    def test_the_series_file(self, rows, tmp_path, monkeypatch):
+        trace_path = tmp_path / "trace.csv"
+        write_test_rows(trace_path, ["0.000000"] * rows)
+        stream = WriteLog()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["report", "--input", str(trace_path)]) == 0
+        assert [text.count("\n") for text in stream.writes] == self.line_counts(rows)
 
 
 class TestPredict:
@@ -800,6 +868,24 @@ class TestReport:
         assert out == ""
         assert err == f"error: line 3: non-finite real {value!r}\n"
         assert not svg.exists()
+
+    @pytest.mark.parametrize("mapes,line", [
+        (["-3.000000"], 2), (["-1e308", "5.0"], 2), (["1.000000", "-1e-300"], 3),
+    ])
+    def test_a_negative_mape_is_an_input_error(self, tmp_path, capsys, mapes, line):
+        # a running MAPE is a mean of |error| / expected: a negative one would chart off the plot
+        trace_path, svg = tmp_path / "negative.csv", tmp_path / "chart.svg"
+        write_test_rows(trace_path, mapes)
+        code, out, err = run(["report", "--input", str(trace_path), "--svg", str(svg)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: line {line}: negative cumulative_mape {mapes[line - 2]!r}\n"
+        assert not svg.exists()
+
+    def test_a_negative_zero_mape_is_read(self, tmp_path, capsys):
+        trace_path = tmp_path / "zero.csv"
+        write_test_rows(trace_path, ["-0.0"])
+        code, out, _ = run(["report", "--input", str(trace_path)], capsys)
+        assert (code, out) == (0, "test_step,cumulative_mape\n1,-0.000000\n")
 
     def test_digit_separator_is_an_input_error(self, carbus_file, tmp_path, capsys):
         trace_path = self.make_trace(carbus_file, tmp_path, capsys)

@@ -5,7 +5,10 @@ import io
 import math
 import os
 import random
+import re
+import tempfile
 import tracemalloc
+import warnings
 from functools import lru_cache
 from unittest import mock
 
@@ -673,19 +676,22 @@ def mutate_line(draw, lines, line_number):
 
 
 def newly_rejected(text, line_number):
-    """Whether the changed row has a '_' or a non-finite real, which read_trace now refuses."""
+    """Whether the changed row has a '_', a non-finite real or a negative cumulative_mape.
+
+    read_trace refuses each of them; the per-line reader does not.
+    """
     if line_number is None:
         return False
     fields = text.split("\n")[line_number - 1].split(",")
     if len(fields) != 9:
         return "_" in "".join(fields)
-    reals = [fields[3], fields[8]] + ([fields[7]] if fields[1] == TEST else [])
-    for real in reals:
+    for position in (3, 8, 7) if fields[1] == TEST else (3, 8):
         try:
-            if not math.isfinite(float(real)):
-                return True
+            value = float(fields[position])
         except ValueError:
-            pass
+            continue
+        if not math.isfinite(value) or (position == 7 and value < 0):
+            return True
     return "_" in "".join(fields)
 
 
@@ -700,6 +706,11 @@ def bad_field(convert, text):
     return False
 
 
+def lines_of_test_steps(lines):
+    """The line numbers of the test rows among a trace's lines."""
+    return [number for number, line in enumerate(lines, start=1) if line.split(",")[1:2] == [TEST]]
+
+
 @st.composite
 def two_fault_traces(draw):
     """A valid trace whose one test row has a bad cumulative_mape and a second bad field.
@@ -707,9 +718,7 @@ def two_fault_traces(draw):
     Both fields hold text their converter refuses; returns (text, the row's line number).
     """
     lines = valid_trace_text(draw).split("\n")  # header, rows, then ""
-    line_number = draw(st.sampled_from(
-        [number for number, line in enumerate(lines, start=1) if line.split(",")[1:2] == [TEST]]
-    ))
+    line_number = draw(st.sampled_from(lines_of_test_steps(lines)))
     fields = lines[line_number - 1].split(",")
     fields[7] = draw((BAD_REALS | ODD_TEXT).filter(lambda text: text and bad_field(float, text)))
     position = draw(st.sampled_from([0, 2, 3, 8]))  # step, prev_class, raw_prediction, deviant_mean
@@ -1062,6 +1071,42 @@ class TestBlockwiseReportWriters:
             _, series = read_trace_reference(stream)
         assert len(series) == length
         assert series_path.read_bytes().decode("utf-8") == written(series_report_reference, series)
+
+
+@st.composite
+def traces_with_any_mape(draw):
+    """A valid trace whose one test row has any finite float as its cumulative_mape."""
+    lines = valid_trace_text(draw).split("\n")  # header, rows, then ""
+    line_number = draw(st.sampled_from(lines_of_test_steps(lines)))
+    fields = lines[line_number - 1].split(",")
+    fields[7] = repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+    lines[line_number - 1] = ",".join(fields)
+    return "\n".join(lines)
+
+
+class TestReportChart:
+    """report either refuses a trace or charts it inside the plot box, without a warning."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=traces_with_any_mape() | mutated_traces().map(lambda case: case[0]))
+    @example(text=TRACE_HEADER + "\n1,test,1,1.000000,1,2,1,-1.0,0.000000\n")
+    @example(text=TRACE_HEADER + "\n1,test,1,1.000000,1,2,1,-1e308,0.000000\n"
+                                 "2,test,2,2.000000,2,2,0,5.0,0.000000\n")
+    def test_every_point_lies_in_the_plot_box(self, text):
+        with tempfile.TemporaryDirectory() as work:
+            trace, chart = os.path.join(work, "trace.csv"), os.path.join(work, "chart.svg")
+            with open(trace, "w", encoding="utf-8", errors="surrogatepass", newline="") as stream:
+                stream.write(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["report", "--input", trace, "--out", os.devnull, "--svg", chart])
+            assert code in (0, 1)
+            if code == 0:
+                with open(chart, encoding="utf-8") as stream:
+                    points = re.search(r'<polyline points="([^"]*)"', stream.read())[1]
+                for point in points.split():
+                    x, y = map(float, point.split(","))
+                    assert 48 <= x <= 592 and 48 <= y <= 312, point
 
 
 class TestDecoderOracle:
