@@ -366,11 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     predict = commands.add_parser("predict", help="encode, then continually predict")
     _add_common_io(predict)
-    _add_config_flags(
-        predict,
-        ["class_level", "reference", "train_fraction", "population",
-         "max_adjust", "rule", "lp", "k_winners"],
-    )
+    _add_config_flags(predict, [name for name in _FIELDS if name != "freeze_after_train"])
     predict.add_argument("--numeric", action="store_true", help="parse lines as numbers")
     predict.add_argument("--baseline", action="store_true",
                          help="append a persistence-baseline trace")

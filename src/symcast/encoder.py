@@ -84,10 +84,17 @@ class MatchScore(NamedTuple):
 
 @dataclass(frozen=True)
 class ClassSequence:
-    """Integer classes for a corpus, each in [1, class_level]."""
+    """Integer classes for a corpus, each in [1, class_level]; any other is refused when built."""
 
     classes: tuple[int, ...]
     class_level: int
+
+    def __post_init__(self) -> None:
+        check_class_level(self.class_level)
+        outside = {cls for cls in set(self.classes) if not 1 <= cls <= self.class_level}
+        if outside:  # each distinct class was tested once; name the first bad one in sequence order
+            bad = next(cls for cls in self.classes if cls in outside)
+            raise BadClassError(f"class {bad} out of range [1, {self.class_level}]")
 
     def __len__(self) -> int:
         return len(self.classes)

@@ -364,8 +364,8 @@ def _ranked(
     V; a run that ties on it is ranked by the parts after it.
     """
 
-    def key(index: int) -> tuple:
-        return (*[abs(part(index)) for part in signed_parts], index)
+    def key(index: int) -> tuple:  # no index: sorted is stable, and ties come in index order
+        return tuple(abs(part(index)) for part in signed_parts)
 
     if stop - start <= count:
         return sorted(range(start, stop), key=key)

@@ -26,8 +26,8 @@ from typing import Callable, Iterable, NamedTuple, TextIO
 
 import numpy as np
 
-from .encoder import ClassSequence, SensorMemory, _equal_fields, check_class_level, decode_class
-from .errors import BadClassError, BadConfigError, NoTestStepsError, TooShortError, TraceFormatError
+from .encoder import ClassSequence, SensorMemory, _equal_fields, decode_class
+from .errors import BadConfigError, NoTestStepsError, TooShortError, TraceFormatError
 from .learner import Learner, LearnerConfig
 
 TRAIN = "train"
@@ -140,21 +140,15 @@ def _walk(classes: ClassSequence, config: RunConfig, learning: bool) -> Predicti
     before its step, in one array expression, and one array pass rounds
     it half away from zero and clamps it to [1, class_level]. The running
     test MAPE is computed from the columns: np.cumsum adds 1-D float64 in
-    order, as a running sum would. A class outside [1, class_level]
-    raises BadClassError, so each ratio is defined.
+    order, as a running sum would.
     """
     config.validate()
     level = classes.class_level
-    check_class_level(level)
-    values = np.array(classes.classes)
-    outside = (values < 1) | (values > level)
-    if outside.any():
-        raise BadClassError(f"class {values[outside.argmax()]} out of range [1, {level}]")
     length = len(classes)
     split = split_index(length, config.train_fraction)
     learner = Learner(config.learner)
 
-    values = values.astype(np.int8)
+    values = np.array(classes.classes, dtype=np.int8)  # in [1, level]: ClassSequence holds no other
     previous, expected = values[:-1], values[1:]
     means = np.full(length, learner.deviant_mean)  # means[s] before step s, means[s + 1] after
     # the leading steps the learner updates on; the rest keep the mean it then holds

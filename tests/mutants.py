@@ -73,6 +73,8 @@ REPORT_BLOCKS = "tests/test_pipeline.py::TestBlockwiseReportWriters"
 WRITES = "tests/test_cli.py::TestOneWriteABlock"
 NEGATIVE_MAPE = "tests/test_cli.py::TestReport::test_a_negative_mape_is_an_input_error"
 CHART = "tests/test_pipeline.py::TestReportChart"
+CLASS_SEQUENCE = "tests/test_encoder.py::TestClassSequence"
+CONFIG_FILE = "tests/test_cli.py::TestConfigFile"
 CONFIG_UTF8 = ("tests/test_cli.py::TestConfigFile::"
                "test_a_config_file_not_in_utf8_names_the_file_and_line")
 
@@ -94,6 +96,16 @@ MAPE_CONVERTED_LAST = (
 )
 
 MUTANTS = [
+    # The class rule's one home: a ClassSequence refuses a bad class or level when built.
+    Mutant(ENCODER, "if not 1 <= cls <= self.class_level}", "if not 0 <= cls <= self.class_level}",
+           "class 0 has no slot: build_sensor_memory would fill the top class's", "killed",
+           (CLASS_SEQUENCE,)),
+    Mutant(ENCODER, "        check_class_level(self.class_level)\n", "",
+           "a level outside 2..10 is refused where the sequence is built", "killed",
+           (CLASS_SEQUENCE,)),
+    Mutant(ENCODER, "next(cls for cls in self.classes if cls in outside)", "min(outside)",
+           "the first bad class in sequence order is named, not the smallest", "killed",
+           (CLASS_SEQUENCE,)),
     # Scoring each distinct match value once.
     Mutant(ENCODER, "max_value = values[-1]", "max_value = values[0]",
            "the maximum is the last distinct value, not the first", "killed", (DISTINCT,)),
@@ -240,13 +252,8 @@ MUTANTS = [
     Mutant("src/symcast/learner.py", "elif target * mean > 0:", "elif True:",
            "a weakening reciprocal crosses only a target of the mean's sign", "killed",
            (STEP_ORACLE,)),
-    Mutant("src/symcast/learner.py", "(*[abs(part(index)) for part in signed_parts], index)",
-           "(*[abs(part(index)) for part in signed_parts],)",
-           "sorted is stable and each list it sorts holds its ties in index order, the left "
-           "run's before the right run's, so the trailing index never decides",
-           "equivalent", ()),
-    Mutant("src/symcast/learner.py", "(*[abs(part(index)) for part in signed_parts], index)",
-           "(abs(signed_parts[0](index)), index)",
+    Mutant("src/symcast/learner.py", "tuple(abs(part(index)) for part in signed_parts)",
+           "(abs(signed_parts[0](index)),)",
            "indices that tie on |residual| are ranked by |candidate| before their index",
            "killed", (RANKED,)),
     # The walk's raw predictions, each from the mean held before its step.
@@ -320,6 +327,19 @@ MUTANTS = [
     Mutant("src/symcast/pipeline.py", "    if negative.any():\n", "    if False:\n",
            "a running MAPE is never negative, and a negative one would chart off the plot",
            "killed", (NEGATIVE_MAPE, CHART)),
+    # The settings' text parsers.
+    Mutant("src/symcast/cli.py", '("false", "no", "0"):\n        return False',
+           '("false", "no", "0"):\n        return True',
+           "a config file's freeze_after_train = no leaves the learner learning", "killed",
+           (CONFIG_FILE,)),
+    Mutant("src/symcast/cli.py", 'if "=" not in line:', "if False:",
+           "a config line without = is named as such, not as an unknown key", "killed",
+           (CONFIG_FILE,)),
+    Mutant("src/symcast/cli.py",
+           'raise ValueError(f"reference must be last, first, or a row number, got {text!r}")'
+           " from None", "raise",
+           "a reference that is no name and no number is told what it may be, not int()'s "
+           "message", "killed", ("tests/test_cli.py::TestPredict",)),
     # A closed output pipe.
     Mutant("src/symcast/cli.py", "except BrokenPipeError:", "except ZeroDivisionError:",
            "a reader that closes standard output early is not a data error", "killed",

@@ -492,6 +492,15 @@ class TestPredict:
         assert (code, out) == (2, "")
         assert err == f"error: reference: row 99 out of range for 4 rows (from {where})\n"
 
+    def test_a_reference_neither_a_name_nor_a_number_is_a_config_error(self, carbus_file,
+                                                                        capsys):
+        code, out, err = run(
+            ["predict", "--input", str(carbus_file), "--reference", "middle"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == ("error: reference: reference must be last, first, or a row number, "
+                       "got 'middle' (from flag --reference)\n")
+
     def test_k_winners_cannot_exceed_population(self, carbus_file, capsys):
         code, _, err = run(
             [
@@ -671,6 +680,33 @@ class TestConfigFile:
         assert code == 2
         assert "line 1" in err
         assert "class_levle" in err
+
+    def test_a_line_without_an_equals_sign_names_the_file_and_line(
+        self, carbus_file, tmp_path, capsys
+    ):
+        config = tmp_path / "run.conf"
+        config.write_text("# header\nrule muldiv\n")
+        code, out, err = run(
+            ["predict", "--input", str(carbus_file), "--config", str(config)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: config file: {config} line 2: expected key = value\n"
+
+    @pytest.mark.parametrize("text", ["false", "no", "0"])
+    def test_a_false_freeze_after_train_runs_as_no_config(self, text, tmp_path, capsys):
+        corpus = tmp_path / "mixed.txt"
+        corpus.write_text("\n".join(MIXED_CORPUS) + "\n")  # freezing changes its trace
+        config = tmp_path / "run.conf"
+        config.write_text(f"freeze_after_train = {text}\n")
+
+        def trace(label, *extra):
+            path = tmp_path / f"{label}.csv"
+            code, _, _ = run(["predict", "--input", str(corpus), "--out", str(path), *extra],
+                             capsys)
+            assert code == 0
+            return path.read_bytes()
+
+        assert trace("file", "--config", str(config)) == trace("default")
 
     def test_bad_value_names_file_and_line(self, carbus_file, tmp_path, capsys):
         config = tmp_path / "run.conf"

@@ -323,6 +323,36 @@ class TestSwapMatch:
             swap_match(matrix, 2)
 
 
+class TestClassSequence:
+    @pytest.mark.parametrize("classes,bad", [((1, 0), 0), ((6, 1), 6), ((1, 9, 0, 1), 9)])
+    def test_the_first_class_outside_the_level_is_named(self, classes, bad):
+        with pytest.raises(BadClassError) as info:
+            ClassSequence(classes, 5)
+        assert str(info.value) == f"class {bad} out of range [1, 5]"
+
+    @pytest.mark.parametrize("level", [1, 11])
+    def test_a_level_outside_two_to_ten_is_refused(self, level):
+        with pytest.raises(BadClassLevelError) as info:
+            ClassSequence((1, 1, 1), level)
+        assert str(info.value) == f"class_level: class level must be in [2, 10], got {level}"
+
+    @given(classes=st.lists(st.integers(-3, 12), max_size=20), level=st.integers(2, 10))
+    def test_refused_exactly_when_a_row_is_out_of_range(self, classes, level):
+        bad = [cls for cls in classes if not 1 <= cls <= level]
+        if not bad:
+            assert ClassSequence(tuple(classes), level).classes == tuple(classes)
+            return
+        with pytest.raises(BadClassError) as info:
+            ClassSequence(tuple(classes), level)
+        assert str(info.value) == f"class {bad[0]} out of range [1, {level}]"
+
+    def test_no_sensor_memory_is_built_from_a_bad_class(self):
+        # class 0 would fill class level's slot, as slots[-1]; class 6 would index past the end
+        for classes in ((0, 1), (6, 1)):
+            with pytest.raises(BadClassError):
+                build_sensor_memory(["a", "b"], ClassSequence(classes, 5))
+
+
 class TestClassEncode:
     def test_vehicle_scales(self):
         scores = [
@@ -350,6 +380,10 @@ class TestClassEncode:
     def test_no_scores_rejected(self):
         with pytest.raises(ValueError):
             class_encode([], 5)
+
+    def test_a_scale_above_one_gives_no_class_above_the_level(self):
+        with pytest.raises(BadClassError, match=r"^class 25 out of range \[1, 5\]$"):
+            class_encode([MatchScore(3, 2.0)], 5)
 
     @given(
         scales=st.lists(st.floats(min_value=0, max_value=1), min_size=2, max_size=12),

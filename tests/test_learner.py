@@ -232,6 +232,10 @@ class TestSelectWinners:
         with pytest.raises(ValueError):
             select_winners(np.array([1.0]), 1, 2, k_winners=2)
 
+    def test_no_candidates_is_refused_before_k_is_checked(self):
+        with pytest.raises(ValueError, match="^candidates is empty$"):
+            select_winners(np.array([]), 1, 2)
+
     @given(
         candidates=st.lists(
             st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=40
