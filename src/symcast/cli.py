@@ -148,8 +148,9 @@ def _given(args: argparse.Namespace) -> dict[str, tuple[str, str]]:
     return given
 
 
-def _merge_settings(args: argparse.Namespace) -> Settings:
-    given = _given(args)
+def _merge_settings(args: argparse.Namespace, given: dict | None = None) -> Settings:
+    """The checked settings from given, the result of _given(args), which is read if not passed."""
+    given = _given(args) if given is None else given
     values: dict[type, dict] = {Settings: {}, RunConfig: {}, LearnerConfig: {}}
     for name, (raw, source) in given.items():
         _, parse, owner, field, _ = _FIELDS[name]
@@ -220,11 +221,12 @@ def _write_encode_report(encoded: EncodedCorpus, corpus: Corpus, stream: TextIO)
 
 def _encode(args: argparse.Namespace) -> tuple[Settings, Corpus, EncodedCorpus]:
     """Merged settings, corpus and encoding; a reference row past the corpus is a config error."""
-    settings, corpus = _merge_settings(args), _read_corpus(args)
+    given = _given(args)  # a config file is read once: it may be a pipe
+    settings, corpus = _merge_settings(args, given), _read_corpus(args)
     try:
         encoded = encode_corpus(corpus.items, settings.class_level, settings.reference)
     except BadReferenceError:  # the setting is last, first or a row index >= 0
-        row, rows, source = settings.reference + 1, len(corpus.items), _given(args)["reference"][1]
+        row, rows, source = settings.reference + 1, len(corpus.items), given["reference"][1]
         raise BadConfigError("reference",
                              f"row {row} out of range for {rows} rows (from {source})") from None
     return settings, corpus, encoded

@@ -19,7 +19,7 @@ __all__ = [
 ]
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import NamedTuple, Sequence, Union
 
@@ -43,16 +43,29 @@ MIN_CLASS_LEVEL = 2
 MAX_CLASS_LEVEL = 10
 
 
-def _equal_fields(self, other: object) -> bool:
-    """__eq__ of a dataclass holding arrays: field by field (its vars), arrays by np.array_equal."""
-    if not isinstance(other, type(self)):
-        return NotImplemented
-    return all(np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
-               for mine, theirs in zip(vars(self).values(), vars(other).values()))
+@dataclass(frozen=True, eq=False)
+class ArrayRecord:
+    """A record whose np.ndarray fields are read-only views, however it is built or copied."""
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            if field.type == "np.ndarray":  # annotations are text under the __future__ import
+                array = np.asarray(getattr(self, field.name)).view()
+                array.flags.writeable = False
+                object.__setattr__(self, field.name, array)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+                   for mine, theirs in zip(vars(self).values(), vars(other).values()))
+
+    def __reduce__(self):
+        return type(self), tuple(vars(self).values())  # copy and pickle call __init__
 
 
 @dataclass(frozen=True, eq=False)
-class SymbolMatrix:
+class SymbolMatrix(ArrayRecord):
     """Padded matrix of character codes, one row per corpus item.
 
     ``codes`` is a read-only array of shape (rows, width), ``uint8`` for an
@@ -65,8 +78,6 @@ class SymbolMatrix:
     rows: int
     width: int
     codes: np.ndarray
-
-    __eq__ = _equal_fields
 
 
 class MatchScore(NamedTuple):
@@ -115,7 +126,7 @@ class SensorMemory(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class EncodedCorpus:
+class EncodedCorpus(ArrayRecord):
     """Everything the encoder derives from one corpus: row r's score is distinct[score_index[r]]."""
 
     matrix: SymbolMatrix
@@ -123,8 +134,6 @@ class EncodedCorpus:
     score_index: np.ndarray  # read-only, one entry per row
     classes: ClassSequence
     memory: SensorMemory
-
-    __eq__ = _equal_fields
 
     @property
     def scores(self) -> tuple[MatchScore, ...]:
@@ -154,7 +163,6 @@ def symbol_integer_transform(corpus: Sequence[str]) -> SymbolMatrix:
     # numpy sizes the strings to the longest row and pads with NUL, the code refused above
     strings = np.array(corpus, dtype="S" if narrow else "U")
     codes = strings.view(np.uint8 if narrow else np.uint32).reshape(len(corpus), -1)
-    codes.flags.writeable = False
     return SymbolMatrix(*codes.shape, codes)
 
 
@@ -187,7 +195,6 @@ def _distinct_scores(matrix: SymbolMatrix,
     starts = np.r_[True, np.diff(words[order], axis=0).any(axis=1)]  # a new value begins
     index = np.empty_like(order)
     index[order] = np.cumsum(starts) - 1
-    index.flags.writeable = False
     distinct = words[order[starts]].view(f"V{8 * words.shape[1]}")[:, 0].tolist()
     values = list(map(int.from_bytes, distinct, repeat("big")))
     max_value = values[-1]

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, NamedTuple, TextIO
 
 import numpy as np
 
-from .encoder import ClassSequence, SensorMemory, _equal_fields, decode_class
+from .encoder import ArrayRecord, ClassSequence, SensorMemory, decode_class
 from .errors import BadConfigError, NoTestStepsError, TooShortError, TraceFormatError
 from .learner import Learner, LearnerConfig
 
@@ -67,7 +67,7 @@ class StepRecord(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class PredictionTrace:
+class PredictionTrace(ArrayRecord):
     """All steps of one run as read-only columns, plus the running test MAPE (percent).
 
     Every column but cumulative_mape holds one entry per step, in step
@@ -86,16 +86,8 @@ class PredictionTrace:
     deviant_mean_after: np.ndarray
     cumulative_mape: np.ndarray
 
-    def __post_init__(self) -> None:
-        for column in fields(self):
-            array = np.asarray(getattr(self, column.name)).view()
-            array.flags.writeable = False
-            object.__setattr__(self, column.name, array)
-
     def __len__(self) -> int:
         return len(self.index)
-
-    __eq__ = _equal_fields
 
     @property
     def steps(self) -> tuple[StepRecord, ...]:

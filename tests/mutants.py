@@ -2,7 +2,7 @@
 
 Run from the root of the repository (it is not part of the pytest suite):
 
-    python3 tests/mutants.py    # about 120 s on a 2-vCPU VM, two rows at a time
+    python3 tests/mutants.py    # about 135 s on a 2-vCPU VM, two rows at a time
 
 Each row names a file under src/, a text that must occur in it exactly
 once, the text that replaces it, why the change matters, whether the tests
@@ -75,6 +75,8 @@ NEGATIVE_MAPE = "tests/test_cli.py::TestReport::test_a_negative_mape_is_an_input
 CHART = "tests/test_pipeline.py::TestReportChart"
 CLASS_SEQUENCE = "tests/test_encoder.py::TestClassSequence"
 CONFIG_FILE = "tests/test_cli.py::TestConfigFile"
+READ_ONLY = "tests/test_api.py::test_array_fields_stay_read_only_however_the_record_is_made"
+PAST_THE_END = "tests/test_cli.py::TestPredict::test_a_reference_row_past_the_end_is_named_as_given"
 CONFIG_UTF8 = ("tests/test_cli.py::TestConfigFile::"
                "test_a_config_file_not_in_utf8_names_the_file_and_line")
 
@@ -148,6 +150,16 @@ MUTANTS = [
            "of one shape with different codes", "killed",
            ("tests/test_api.py::TestEncodedCorpusEquality",
             "tests/test_api.py::TestSymbolMatrixEquality")),
+    # The one base of the records that hold arrays: read-only arrays, however made.
+    Mutant(ENCODER, "                array.flags.writeable = False\n", "",
+           "a record's arrays are read-only, so a frozen record cannot change under its owner",
+           "killed", (READ_ONLY,)),
+    Mutant(ENCODER, 'if field.type == "np.ndarray":', "if field.type == np.ndarray:",
+           "under the __future__ import a field's type is its annotation's text, so the class "
+           "would match no field", "killed", (READ_ONLY,)),
+    Mutant(ENCODER, "    def __reduce__(self):", "    def _reduce(self):",
+           "copy and pickle skip __post_init__ unless they rebuild through the constructor",
+           "killed", (READ_ONLY,)),
     # The byte-wide code matrix of an ASCII corpus.
     Mutant(ENCODER, "narrow = text.isascii()", "narrow = True",
            "only an ASCII corpus fits one byte per cell", "killed", (NARROW,)),
@@ -340,6 +352,10 @@ MUTANTS = [
            " from None", "raise",
            "a reference that is no name and no number is told what it may be, not int()'s "
            "message", "killed", ("tests/test_cli.py::TestPredict",)),
+    # A config file is read once, so it may be a pipe.
+    Mutant("src/symcast/cli.py", 'given["reference"][1]', '_given(args)["reference"][1]',
+           "a second read of a pipe finds it empty, and the reference's source is lost",
+           "killed", (PAST_THE_END,)),
     # A closed output pipe.
     Mutant("src/symcast/cli.py", "except BrokenPipeError:", "except ZeroDivisionError:",
            "a reader that closes standard output early is not a data error", "killed",

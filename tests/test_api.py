@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import io
+import pickle
 import types
 
 import numpy as np
@@ -13,7 +14,13 @@ from hypothesis import strategies as st
 import symcast
 from symcast import encoder, errors, ingest, learner, pipeline
 from symcast.cli import Settings
-from symcast.encoder import SensorMemory, encode_corpus, symbol_integer_transform
+from symcast.encoder import (
+    EncodedCorpus,
+    SensorMemory,
+    SymbolMatrix,
+    encode_corpus,
+    symbol_integer_transform,
+)
 from symcast.ingest import Corpus, read_text_corpus
 from symcast.learner import Learner, LearnerConfig
 from symcast.pipeline import PredictionTrace, RunConfig, decode_trace, run_continual
@@ -105,6 +112,28 @@ class TestRecordContract:
 
     def test_run_config_defaults_to_the_default_learner(self):
         assert RunConfig().learner == LearnerConfig()
+
+
+ARRAY_RECORDS = [record for record in RECORDS
+                 if isinstance(record, (SymbolMatrix, EncodedCorpus, PredictionTrace))]
+
+
+@pytest.mark.parametrize("record", ARRAY_RECORDS, ids=lambda record: type(record).__name__)
+def test_array_fields_stay_read_only_however_the_record_is_made(record):
+    names = [name for name in field_names(record) if isinstance(getattr(record, name), np.ndarray)]
+    assert names
+    writable = {name: np.array(getattr(record, name)) for name in names}  # fresh, writable copies
+    made = {
+        "constructor": type(record)(**{**vars(record), **writable}),
+        "replace": dataclasses.replace(record, **writable),
+        "copy": copy.copy(record),
+        "deepcopy": copy.deepcopy(record),
+        "pickle": pickle.loads(pickle.dumps(record)),
+    }
+    for how, other in made.items():
+        assert other == record, how
+        for name in names:
+            assert not getattr(other, name).flags.writeable, (how, name)
 
 
 class TestSymbolMatrixEquality:

@@ -479,16 +479,25 @@ class TestPredict:
         assert code == 2
 
     @pytest.mark.parametrize("command", ["encode", "predict"])
-    @pytest.mark.parametrize("by_file", [False, True])
-    def test_a_reference_row_past_the_end_is_named_as_given(self, command, by_file, tmp_path,
+    @pytest.mark.parametrize("given_by", ["flag", "file", "pipe"])
+    def test_a_reference_row_past_the_end_is_named_as_given(self, command, given_by, tmp_path,
                                                             capsys):
         source = tmp_path / "four.txt"
         source.write_text("a\nb\nc\nd\n")
-        config = tmp_path / "run.conf"
-        config.write_text("# header\nreference = 99\n")
-        given = ["--config", str(config)] if by_file else ["--reference", "99"]
-        where = f"config file {config} line 2" if by_file else "flag --reference"
-        code, out, err = run([command, "--input", str(source), *given], capsys)
+        text = b"# header\nreference = 99\n"
+        with contextlib.ExitStack() as stack:
+            if given_by == "pipe":  # a pipe can be read once only
+                read_end, write_end = os.pipe()
+                stack.callback(os.close, read_end)
+                os.write(write_end, text)
+                os.close(write_end)
+                config = f"/dev/fd/{read_end}"
+            else:
+                config = tmp_path / "run.conf"
+                config.write_bytes(text)
+            given = ["--reference", "99"] if given_by == "flag" else ["--config", str(config)]
+            where = "flag --reference" if given_by == "flag" else f"config file {config} line 2"
+            code, out, err = run([command, "--input", str(source), *given], capsys)
         assert (code, out) == (2, "")
         assert err == f"error: reference: row 99 out of range for 4 rows (from {where})\n"
 
