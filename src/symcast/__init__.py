@@ -8,19 +8,22 @@ test phases.
 """
 
 __version__ = "0.1.0"
+_MODULES = ("config", "encoder", "errors", "ingest", "learner", "pipeline", "tracetext")
 
-# Each module's __all__ says which of its names are public; the package
-# republishes exactly those.
-from . import encoder, errors, ingest, learner, pipeline
-from .encoder import *
-from .errors import *
-from .ingest import *
-from .learner import *
-from .pipeline import *
 
-__all__: list[str] = []
-__all__ += encoder.__all__
-__all__ += errors.__all__
-__all__ += ingest.__all__
-__all__ += learner.__all__
-__all__ += pipeline.__all__
+def __getattr__(name: str):
+    """PEP 562: the first lookup the package misses binds each module's __all__ names, and __all__.
+
+    So the modules, and numpy, are imported only when a public name is first looked up.
+    """
+    from importlib import import_module
+    modules = [import_module(f"{__name__}.{module}") for module in _MODULES]
+    public = {key: getattr(module, key) for module in modules for key in module.__all__}
+    globals().update(public, __all__=list(public))
+    if name not in globals():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__getattr__("__all__")})

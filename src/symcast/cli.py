@@ -7,6 +7,9 @@ decimal separator, reals at fixed precision.
 
 Exit codes: 0 success, 1 input/data error (or, with nothing printed,
 standard output closed by its reader), 2 configuration error.
+
+Each command imports the encoder, the learner and the walk, which import
+numpy, where it runs them, so `report` and `--version` start without numpy.
 """
 
 from __future__ import annotations
@@ -18,32 +21,14 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator, NamedTuple, Sequence, TextIO
 
-import numpy as np
-
 from . import __version__
-from .encoder import (
-    MAX_CLASS_LEVEL,
-    MIN_CLASS_LEVEL,
-    EncodedCorpus,
-    Reference,
-    check_class_level,
-    encode_corpus,
+from .config import (
+    ADDITIVE_SUBTRACTIVE, MAX_CLASS_LEVEL, MIN_CLASS_LEVEL, MULTIPLICATIVE_DIVISIVE, LearnerConfig,
+    Reference, RunConfig, check_class_level,
 )
 from .errors import BadConfigError, BadEncodingError, BadReferenceError, SymcastError
 from .ingest import Corpus, _decode_lines, read_numeric_series, read_text_corpus
-from .learner import ADDITIVE_SUBTRACTIVE, MULTIPLICATIVE_DIVISIVE, LearnerConfig
-from .pipeline import (
-    MAPE_FORMAT,
-    RunConfig,
-    _write_blocks,
-    baseline_persistence,
-    decode_trace,
-    format_real,
-    mape,
-    read_trace,
-    run_continual,
-    write_trace,
-)
+from .tracetext import MAPE_FORMAT, _test_mapes, _write_blocks, read_columns
 
 _SPECIALS = ',"\r\n'  # a CSV field holding any of these is quoted
 _NEEDS_QUOTES = re.compile(f"[{_SPECIALS}]").search
@@ -196,8 +181,9 @@ def _csv_fields(texts: Sequence[str]) -> Sequence[str]:
     return ['"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text for text in texts]
 
 
-def _write_encode_report(encoded: EncodedCorpus, corpus: Corpus, stream: TextIO) -> None:
-    """The encode CSV, its rows written a block at a time (see _write_blocks)."""
+def _write_encode_report(encoded, corpus: Corpus, stream: TextIO) -> None:
+    """The encode CSV of an EncodedCorpus, written a block at a time (see _write_blocks)."""
+    import numpy as np
     slots = ["[]" if symbol is None else symbol for symbol in encoded.memory.slots]
     distinct, index = encoded.distinct, encoded.score_index
     classes = np.zeros(len(distinct), dtype=np.intp)
@@ -219,8 +205,9 @@ def _write_encode_report(encoded: EncodedCorpus, corpus: Corpus, stream: TextIO)
     stream.writelines(map("{},{}\n".format, range(1, len(slots) + 1), _csv_fields(slots)))
 
 
-def _encode(args: argparse.Namespace) -> tuple[Settings, Corpus, EncodedCorpus]:
-    """Merged settings, corpus and encoding; a reference row past the corpus is a config error."""
+def _encode(args: argparse.Namespace) -> tuple:
+    """Settings, corpus and EncodedCorpus; a reference row past the corpus is a config error."""
+    from .encoder import encode_corpus
     given = _given(args)  # a config file is read once: it may be a pipe
     settings, corpus = _merge_settings(args, given), _read_corpus(args)
     try:
@@ -249,6 +236,8 @@ def _write_decoded(decoded, stream: TextIO) -> None:
 
 
 def _summary_lines(trace, baseline=None) -> list[str]:
+    import numpy as np
+    from .pipeline import format_real, mape
     test_steps = np.count_nonzero(trace.is_test)
     exact = trace.is_test & (trace.predicted_class == trace.expected_class)
     counts = np.bincount(trace.expected_class[exact]).tolist()  # walk classes are >= 1
@@ -270,6 +259,7 @@ def _summary_lines(trace, baseline=None) -> list[str]:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    from .pipeline import baseline_persistence, decode_trace, run_continual, write_trace
     settings, _, encoded = _encode(args)
     trace = run_continual(encoded.classes, settings.run)
     baseline = baseline_persistence(encoded.classes, settings.run) if args.baseline else None
@@ -290,14 +280,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_error_series_svg(series: np.ndarray) -> str:
+def _render_error_series_svg(series: Sequence[float]) -> str:
+    """The line chart of a nonempty series, its coordinates computed in Python floats."""
     width, height, margin = 640, 360, 48
-    top = max(float(series.max()), 1e-9)
+    top = max(max(series), 1e-9)
     n = len(series)
-    spread = np.arange(n) / (n - 1) if n > 1 else np.full(n, 0.5)
-    x = margin + (width - 2 * margin) * spread
-    y = height - margin - (height - 2 * margin) * (series / top)
-    points = " ".join(map("{:.2f},{:.2f}".format, x.tolist(), y.tolist()))
+    spread = [i / (n - 1) for i in range(n)] if n > 1 else [0.5]
+    x = [margin + (width - 2 * margin) * at for at in spread]
+    y = [height - margin - (height - 2 * margin) * (value / top) for value in series]
+    points = " ".join(map("{:.2f},{:.2f}".format, x, y))
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">\n'
         f'<rect width="{width}" height="{height}" fill="white"/>\n'
@@ -317,18 +308,15 @@ def _render_error_series_svg(series: np.ndarray) -> str:
 def cmd_report(args: argparse.Namespace) -> int:
     stdin = args.input == "-"  # read as a file is: UTF-8, with universal newlines
     source = sys.stdin.fileno() if stdin else args.input
-    # a byte that is not UTF-8 decodes to a lone surrogate, which read_trace
+    # a byte that is not UTF-8 decodes to a lone surrogate, which read_columns
     # refuses as not ASCII with its line, so the first bad line is named
     with open(source, encoding="utf-8", errors="surrogateescape", closefd=not stdin) as handle:
-        trace = read_trace(handle)
-
-    _, series = mape(trace)
+        series = _test_mapes(read_columns(handle)[-1])
 
     with _output(args.out) as stream:
         row = ("{},{:" + MAPE_FORMAT + "}\n").format
         _write_blocks(stream, "test_step,cumulative_mape", len(series),
-                      lambda start, stop: map(row, range(start + 1, stop + 1),
-                                              series[start:stop].tolist()))
+                      lambda start, stop: map(row, range(start + 1, stop + 1), series[start:stop]))
 
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as handle:

@@ -21,27 +21,15 @@ __all__ = [
 import math
 from dataclasses import dataclass, fields
 from itertools import repeat
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .config import Reference, check_class_level
 from .errors import (
-    BadClassError,
-    BadClassLevelError,
-    BadReferenceError,
-    EmptyCorpusError,
-    EmptyMemoryError,
-    EmptyRowError,
-    LengthMismatchError,
-    NulCharacterError,
+    BadClassError, BadReferenceError, EmptyCorpusError, EmptyMemoryError, EmptyRowError,
+    LengthMismatchError, NulCharacterError,
 )
-
-# Reference-row selector: "last", "first", or a 0-based row index.
-Reference = Union[str, int]
-
-MIN_CLASS_LEVEL = 2
-MAX_CLASS_LEVEL = 10
-
 
 @dataclass(frozen=True, eq=False)
 class ArrayRecord:
@@ -206,14 +194,6 @@ def swap_match(matrix: SymbolMatrix, reference: Reference = "last") -> list[Matc
     """Each row's positional agreement with the reference row; equal values share one score."""
     distinct, index = _distinct_scores(matrix, reference)
     return list(map(distinct.__getitem__, index.tolist()))
-
-
-def check_class_level(class_level: int) -> None:
-    """The one range rule for class_level; raises BadClassLevelError."""
-    if not (MIN_CLASS_LEVEL <= class_level <= MAX_CLASS_LEVEL):
-        raise BadClassLevelError(
-            f"class level must be in [{MIN_CLASS_LEVEL}, {MAX_CLASS_LEVEL}], got {class_level}"
-        )
 
 
 def class_encode(scores: Sequence[MatchScore], class_level: int) -> ClassSequence:

@@ -24,52 +24,18 @@ they do on most steps of a real stream.
 
 from __future__ import annotations
 
-__all__ = [
-    "ADDITIVE_SUBTRACTIVE", "MULTIPLICATIVE_DIVISIVE", "Learner", "LearnerConfig", "StepOutcome",
-]
+__all__ = ["Learner", "StepOutcome"]
 
 import bisect
 import math
-import sys
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
+from .config import ADDITIVE_SUBTRACTIVE, MULTIPLICATIVE_DIVISIVE, RULE_MODES, LearnerConfig
 from .errors import BadConfigError, DegenerateDivisiveError, NonFiniteStateError
 
-ADDITIVE_SUBTRACTIVE = "addsub"
-MULTIPLICATIVE_DIVISIVE = "muldiv"
-RULE_MODES = (ADDITIVE_SUBTRACTIVE, MULTIPLICATIVE_DIVISIVE)
 MEMO_ENTRIES = 4_096  # step outcomes one Learner keeps, about 1.4 MiB
-
-
-class LearnerConfig(NamedTuple):
-    population_size: int = 1000
-    max_deviant_adjust: float = 2.0
-    rule_mode: str = ADDITIVE_SUBTRACTIVE
-    bias: float = 0.0
-    k_winners: int = 1
-
-    def validate(self) -> None:
-        if not 1 <= self.population_size <= sys.maxsize:
-            raise BadConfigError(
-                "population_size", f"must be in [1, {sys.maxsize}], got {self.population_size}"
-            )
-        if not (0 < self.max_deviant_adjust < math.inf):
-            raise BadConfigError(
-                "max_deviant_adjust", f"must be finite and > 0, got {self.max_deviant_adjust}"
-            )
-        if self.rule_mode not in RULE_MODES:
-            raise BadConfigError("rule_mode", f"must be one of {RULE_MODES}, got {self.rule_mode!r}")
-        if not math.isfinite(self.bias):
-            raise BadConfigError("bias", f"must be finite, got {self.bias}")
-        if self.k_winners < 1:
-            raise BadConfigError("k_winners", f"must be >= 1, got {self.k_winners}")
-        if self.k_winners > self.population_size:
-            raise BadConfigError(
-                "k_winners",
-                f"must be <= population_size ({self.population_size}), got {self.k_winners}",
-            )
 
 
 class StepOutcome(NamedTuple):

@@ -15,42 +15,24 @@ trace.
 from __future__ import annotations
 
 __all__ = [
-    "DecodedTrace", "PredictionTrace", "RunConfig", "baseline_persistence", "decode_trace", "mape",
-    "read_trace", "run_continual", "split_index", "write_trace",
+    "DecodedTrace", "PredictionTrace", "baseline_persistence", "decode_trace", "mape", "read_trace",
+    "run_continual", "split_index", "write_trace",
 ]
 
 import math
 from dataclasses import dataclass, fields
-from itertools import count, islice, repeat, takewhile
-from typing import Callable, Iterable, NamedTuple, TextIO
+from itertools import repeat
+from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
+from .config import RunConfig
 from .encoder import ArrayRecord, ClassSequence, SensorMemory, decode_class
-from .errors import BadConfigError, NoTestStepsError, TooShortError, TraceFormatError
-from .learner import Learner, LearnerConfig
-
-TRAIN = "train"
-TEST = "test"
-
-BLOCK_ROWS = 4096  # output rows formatted, or trace rows parsed, at a time
-MAPE_FORMAT = ".6f"  # the text of a running MAPE wherever one is written
-
-TRACE_HEADER = (
-    "step,phase,prev_class,raw_prediction,predicted_class,expected_class,"
-    "abs_error,cumulative_mape,deviant_mean"
+from .errors import TooShortError
+from .learner import Learner
+from .tracetext import (
+    MAPE_FORMAT, TEST, TRACE_HEADER, TRAIN, _test_mapes, _write_blocks, read_columns,
 )
-
-
-class RunConfig(NamedTuple):
-    train_fraction: float = 0.35
-    learner: LearnerConfig = LearnerConfig()
-    freeze_after_train: bool = False
-
-    def validate(self) -> None:
-        if not (0.0 < self.train_fraction < 1.0):
-            raise BadConfigError("train_fraction", f"must be in (0, 1), got {self.train_fraction}")
-        self.learner.validate()
 
 
 class StepRecord(NamedTuple):
@@ -182,9 +164,8 @@ def baseline_persistence(classes: ClassSequence, config: RunConfig) -> Predictio
 
 def mape(trace: PredictionTrace) -> tuple[float, np.ndarray]:
     """Final and per-step running test MAPE, in percent, as stored in the trace."""
-    if not len(trace.cumulative_mape):
-        raise NoTestStepsError("trace has no test steps")
-    return float(trace.cumulative_mape[-1]), trace.cumulative_mape
+    series = _test_mapes(trace.cumulative_mape)
+    return float(series[-1]), series
 
 
 def decode_trace(trace: PredictionTrace, memory: SensorMemory) -> DecodedTrace:
@@ -227,14 +208,6 @@ def _texts(column: np.ndarray, end: str = "") -> list[str]:
     return np.array(texts, dtype=object)[positions].tolist()
 
 
-def _write_blocks(stream: TextIO, header: str, length: int,
-                  block_rows: Callable[[int, int], Iterable[str]]) -> None:
-    """The header, then block_rows(start, stop) per BLOCK_ROWS rows, joined: one write a block."""
-    stream.write(header + "\n")
-    for start in range(0, length, BLOCK_ROWS):
-        stream.write("".join(block_rows(start, start + BLOCK_ROWS)))
-
-
 def write_trace(trace: PredictionTrace, stream: TextIO) -> None:
     """Emit the delimited trace; reals carry 6 decimal places (see format_real).
 
@@ -262,118 +235,6 @@ def write_trace(trace: PredictionTrace, stream: TextIO) -> None:
     _write_blocks(stream, TRACE_HEADER, len(trace), block_rows)
 
 
-def _reals(texts: list[str]) -> np.ndarray:
-    return np.array(list(map(float, texts)), dtype=np.float64)
-
-
-def _integers(texts: list[str]) -> np.ndarray:
-    values = list(map(int, texts))
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        text = next(text for text, value in zip(texts, values) if not -2**63 <= value < 2**63)
-        raise ValueError(f"integer {text!r} outside the 64-bit range") from None
-
-
-def _distinct(convert: Callable[[list[str]], np.ndarray], texts: list[str]) -> np.ndarray:
-    """convert(texts), converting each distinct text once, first occurrence first (see _texts)."""
-    first = {}  # each distinct text -> the row where it first occurs
-    rows = np.fromiter(map(first.setdefault, texts, count()), dtype=np.intp, count=len(texts))
-    values = convert(list(first))
-    column = np.empty(len(texts), dtype=values.dtype)
-    column[list(first.values())] = values
-    return column[rows]
-
-
-def _parse_rows(rows: list[str]) -> tuple[np.ndarray, ...]:
-    """The rows as nine columns in PredictionTrace's field order, or ValueError naming a problem.
-
-    Each check runs over all rows before the next starts, in the order
-    in which they ran on each row when rows were read one at a time, so
-    for a single row the message names its first problem: cumulative_mape
-    converts first, then the other fields in file order.
-    """
-    text = ",".join(rows)
-    if not text.isascii():  # a flag CPython keeps on the string: no scan
-        raise ValueError(f"non-ASCII character {next(c for c in text if not c.isascii())!r}")
-    commas = list(map(str.count, rows, repeat(",")))
-    if set(commas) != {8}:
-        raise ValueError(f"expected 9 fields, got {next(c for c in commas if c != 8) + 1}")
-    table = text.split(",")
-    index, phase, previous, raw, predicted, expected, abs_error, mape_fields, mean = (
-        table[position::9] for position in range(9)
-    )
-    if not set(phase) <= {TRAIN, TEST}:
-        raise ValueError(f"bad phase {next(p for p in phase if p not in (TRAIN, TEST))!r}")
-    is_test = list(map(TEST.__eq__, phase))
-    if list(map(bool, mape_fields)) != is_test:
-        if next(test for test, mape in zip(is_test, mape_fields) if test != bool(mape)):
-            raise ValueError("test step missing cumulative_mape")
-        raise ValueError("train step carries cumulative_mape")
-    mape_texts = list(filter(None, mape_fields))
-    mape = _reals(mape_texts)
-    columns = (_integers(index), np.array(is_test, dtype=bool), _distinct(_integers, previous),
-               _distinct(_reals, raw), _distinct(_integers, predicted),
-               _distinct(_integers, expected), _distinct(_integers, abs_error),
-               _distinct(_reals, mean), mape)
-    if "_" in text:
-        raise ValueError(f"digit separator '_' in {next(f for f in table if '_' in f)!r}")
-    for texts, column in ((mape_texts, mape), (raw, columns[3]), (mean, columns[7])):
-        finite = np.isfinite(column)
-        if not finite.all():
-            raise ValueError(f"non-finite real {texts[finite.argmin()]!r}")
-    negative = mape < 0  # a mean of |error| / expected; -0.0 passes
-    if negative.any():
-        raise ValueError(f"negative cumulative_mape {mape_texts[negative.argmax()]!r}")
-    return columns
-
-
-def _parse_block(rows: list[str], first_line: int) -> tuple[np.ndarray, ...]:
-    """_parse_rows on rows from line first_line on; a failing block is halved to its first bad line."""
-    try:
-        return _parse_rows(rows)
-    except ValueError:
-        # rows[low:high] holds the first row that fails alone
-        low, high = 0, len(rows)
-        while high - low > 1:
-            middle = (low + high) // 2
-            try:
-                _parse_rows(rows[low:middle])
-            except ValueError:
-                high = middle
-            else:
-                low = middle
-        try:
-            _parse_rows(rows[low:high])
-        except ValueError as exc:
-            raise TraceFormatError(first_line + low, str(exc)) from exc
-        raise
-
-
 def read_trace(lines: Iterable[str]) -> PredictionTrace:
-    """Parse the first trace block from an iterable of lines.
-
-    Stops at the first blank line. Reals come back at the precision
-    they were written with. Raises TraceFormatError with the 1-based
-    line number on any malformed content: a row that is not ASCII, a wrong
-    field count or phase, a misplaced cumulative_mape, a field int() or
-    float() refuses, an integer outside [-2**63, 2**63), a '_' anywhere (int()
-    and float() would read it as a digit separator), a real that is not
-    finite, or a negative cumulative_mape. Rows are read and parsed
-    BLOCK_ROWS at a time, each block column by column, so no line past the
-    block of the first bad row is read, and the first bad row in the file is
-    the one named.
-    """
-    lines = iter(lines)
-    header = next(lines, None)
-    if header is None:
-        raise TraceFormatError(1, "empty trace file")
-    if header.rstrip("\r\n") != TRACE_HEADER:
-        raise TraceFormatError(1, "missing or wrong trace header")
-    rows = takewhile(bool, map(str.rstrip, lines, repeat("\r\n")))
-    blocks = []
-    while block := list(islice(rows, BLOCK_ROWS)):
-        blocks.append(_parse_block(block, 2 + BLOCK_ROWS * len(blocks)))
-    if not blocks:
-        raise TraceFormatError(2, "trace has no step rows")
-    return PredictionTrace(*map(np.concatenate, zip(*blocks)))
+    """The first trace block of an iterable of lines, as tracetext.read_columns reads it."""
+    return PredictionTrace(*read_columns(lines))

@@ -2,7 +2,7 @@
 
 Run from the root of the repository (it is not part of the pytest suite):
 
-    python3 tests/mutants.py    # about 135 s on a 2-vCPU VM, two rows at a time
+    python3 tests/mutants.py    # 115-145 s on a 2-vCPU VM, two rows at a time
 
 Each row names a file under src/, a text that must occur in it exactly
 once, the text that replaces it, why the change matters, whether the tests
@@ -51,6 +51,7 @@ class Mutant(NamedTuple):
 
 
 ENCODER = "src/symcast/encoder.py"
+TRACE_TEXT = "src/symcast/tracetext.py"
 DISTINCT = "tests/test_encoder.py::TestDistinctValues"
 KEPT = "tests/test_learner.py::TestKeptOutcomes"
 SEARCH = "tests/test_learner.py::TestSearchStart"
@@ -77,19 +78,20 @@ CLASS_SEQUENCE = "tests/test_encoder.py::TestClassSequence"
 CONFIG_FILE = "tests/test_cli.py::TestConfigFile"
 READ_ONLY = "tests/test_api.py::test_array_fields_stay_read_only_however_the_record_is_made"
 PAST_THE_END = "tests/test_cli.py::TestPredict::test_a_reference_row_past_the_end_is_named_as_given"
+LAZY_NAMESPACE = "tests/test_api.py::TestLazyNamespace"
 CONFIG_UTF8 = ("tests/test_cli.py::TestConfigFile::"
                "test_a_config_file_not_in_utf8_names_the_file_and_line")
 
 # _parse_rows's conversions as they are, and with cumulative_mape's moved after the others
 MAPE_CONVERTED_FIRST = (
     "    mape = _reals(mape_texts)\n"
-    "    columns = (_integers(index), np.array(is_test, dtype=bool), _distinct(_integers, previous),\n"
+    "    columns = (_integers(index), is_test, _distinct(_integers, previous),\n"
     "               _distinct(_reals, raw), _distinct(_integers, predicted),\n"
     "               _distinct(_integers, expected), _distinct(_integers, abs_error),\n"
     "               _distinct(_reals, mean), mape)\n"
 )
 MAPE_CONVERTED_LAST = (
-    "    columns = (_integers(index), np.array(is_test, dtype=bool), _distinct(_integers, previous),\n"
+    "    columns = (_integers(index), is_test, _distinct(_integers, previous),\n"
     "               _distinct(_reals, raw), _distinct(_integers, predicted),\n"
     "               _distinct(_integers, expected), _distinct(_integers, abs_error),\n"
     "               _distinct(_reals, mean))\n"
@@ -183,11 +185,11 @@ MUTANTS = [
            "if True or not any(special in joined",
            "a symbol holding a comma or a quote must be quoted", "killed", (ENCODE_CLI,)),
     # One block writer for every output, and each caller's own rows for each block.
-    Mutant("src/symcast/pipeline.py", "block_rows(start, start + BLOCK_ROWS)",
+    Mutant(TRACE_TEXT, "block_rows(start, start + BLOCK_ROWS)",
            "block_rows(start, start + BLOCK_ROWS + 1)",
            "a block ends where the next begins, so no row is written twice", "killed",
            (REPORT_BLOCKS, ENCODE_BLOCKS, BLOCKWISE)),
-    Mutant("src/symcast/pipeline.py", 'stream.write("".join(block_rows(',
+    Mutant(TRACE_TEXT, 'stream.write("".join(block_rows(',
            "stream.writelines((block_rows(",
            "each block goes out in one write of its joined rows", "killed", (WRITES,)),
     Mutant("src/symcast/pipeline.py", "block = slice(start, stop)",
@@ -285,26 +287,25 @@ MUTANTS = [
            "keyed by value, -0.0 and 0.0 would share one text", "killed",
            ("tests/test_pipeline.py::TestTraceSerialization",)),
     # The order in which a trace row's fields convert.
-    Mutant("src/symcast/pipeline.py", MAPE_CONVERTED_FIRST, MAPE_CONVERTED_LAST,
+    Mutant(TRACE_TEXT, MAPE_CONVERTED_FIRST, MAPE_CONVERTED_LAST,
            "each row converted its cumulative_mape before its other fields, so that error is "
            "named first", "killed", (TWO_FAULTS,)),
     # Trace rows written and read in blocks.
-    Mutant("src/symcast/pipeline.py", "2 + BLOCK_ROWS * len(blocks)", "2",
+    Mutant(TRACE_TEXT, "2 + BLOCK_ROWS * len(blocks)", "2",
            "a bad row in a later block is named by its line in the file", "killed", (BLOCKWISE,)),
     Mutant("src/symcast/pipeline.py", "np.count_nonzero(trace.is_test[:start])",
            "np.count_nonzero(trace.is_test[:start + 1])",
            "a block's test steps take the cumulative_mape values after all earlier test steps",
            "killed", (BLOCKWISE,)),
-    Mutant("src/symcast/pipeline.py", "while block := list(islice(rows, BLOCK_ROWS)):",
+    Mutant(TRACE_TEXT, "while block := list(islice(rows, BLOCK_ROWS)):",
            "while block := list(islice(rows, 1 if blocks else BLOCK_ROWS)):",
            "rows past the first block keep their line numbers whatever the blocks hold",
            "killed", (BLOCKWISE,)),
     # Six columns read once per distinct text; each block of output text in one write.
-    Mutant("src/symcast/pipeline.py", "column[list(first.values())] = values",
-           "column[:len(values)] = values",
-           "a distinct text's value goes to the row where it first occurs", "killed",
+    Mutant(TRACE_TEXT, "dict(zip(distinct, values))", "dict(zip(sorted(distinct), values))",
+           "a distinct text's value goes to the rows that hold that text", "killed",
            (DISTINCT_TEXTS,)),
-    Mutant("src/symcast/pipeline.py", "    columns = (_integers(index),",
+    Mutant(TRACE_TEXT, "    columns = (_integers(index),",
            "    columns = (_distinct(_integers, index),",
            "step texts are all distinct, where the map costs 2.4 times more", "killed",
            (DISTINCT_TEXTS,)),
@@ -316,11 +317,11 @@ MUTANTS = [
            "a name that leaves a module's __all__ leaves the package namespace", "killed",
            (NAMESPACE,)),
     # Trace rows: ASCII only, integers in int64.
-    Mutant("src/symcast/pipeline.py", "if not text.isascii():", "if False:",
+    Mutant(TRACE_TEXT, "if not text.isascii():", "if False:",
            "a row that is not ASCII is refused first, so a bad byte is named by its line and "
            "int() reads no other script's digits", "killed",
            (NON_ASCII_DIGIT, FIRST_BAD_LINE)),
-    Mutant("src/symcast/pipeline.py", "value < 2**63)", "value <= 2**63)",
+    Mutant(TRACE_TEXT, "value < 2**63)", "value <= 2**63)",
            "2**63 is past int64, and its text is named", "killed",
            ("tests/test_pipeline.py::TestReaderOracle",)),
     # One line-end rule for a bad byte's line and for the lines themselves.
@@ -333,10 +334,10 @@ MUTANTS = [
            "float() reads full-width and Arabic-Indic digits as ASCII ones", "killed",
            ("tests/test_ingest.py::TestReadNumericSeries",)),
     # One text rule for a running MAPE, and no negative one read.
-    Mutant("src/symcast/pipeline.py", 'MAPE_FORMAT = ".6f"', 'MAPE_FORMAT = ".5f"',
+    Mutant(TRACE_TEXT, 'MAPE_FORMAT = ".6f"', 'MAPE_FORMAT = ".5f"',
            "the trace, the series file, the summary and the chart print a MAPE to 6 places",
            "killed", ("tests/test_cli.py::TestReport::test_vehicle_series",)),
-    Mutant("src/symcast/pipeline.py", "    if negative.any():\n", "    if False:\n",
+    Mutant(TRACE_TEXT, "    if min(mape, default=0.0) < 0:", "    if False:",
            "a running MAPE is never negative, and a negative one would chart off the plot",
            "killed", (NEGATIVE_MAPE, CHART)),
     # The settings' text parsers.
@@ -360,6 +361,33 @@ MUTANTS = [
     Mutant("src/symcast/cli.py", "except BrokenPipeError:", "except ZeroDivisionError:",
            "a reader that closes standard output early is not a data error", "killed",
            ("tests/test_cli.py::TestEncode::test_a_closed_output_pipe_stops_quietly",)),
+    # report and --version without numpy: a lazy namespace, stdlib columns, a float chart.
+    Mutant("src/symcast/__init__.py",
+           '        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")\n',
+           "        return None\n",
+           "a name no module lists is an AttributeError, as on any module", "killed",
+           (LAZY_NAMESPACE,)),
+    Mutant("src/symcast/__init__.py", "globals().update(public, __all__=list(public))",
+           "globals().update(public)",
+           "without __all__, `from symcast import *` would bind the modules too", "killed",
+           (LAZY_NAMESPACE,)),
+    Mutant("src/symcast/cli.py", "from . import __version__\n",
+           "import numpy  # noqa: F401\nfrom . import __version__\n",
+           "report and --version start without numpy", "killed",
+           ("tests/test_cli.py::TestStartWithoutNumpy",)),
+    Mutant(TRACE_TEXT, 'return array("q", values)', 'return array("Q", values)',
+           "int64 is signed: -2**63 is read, and 2**63 is refused with its text", "killed",
+           ("tests/test_pipeline.py::TestReaderOracle",)),
+    Mutant(TRACE_TEXT, "if not all(map(math.isfinite, column)):",
+           "if not all(map(math.isfinite, column[:1])):",
+           "every value of a real column is checked, not only its first", "killed",
+           ("tests/test_pipeline.py::TestReaderOracle::"
+            "test_non_finite_reals_are_refused_with_their_line",)),
+    Mutant(TRACE_TEXT, "for block in blocks[1:]:", "for block in blocks[2:]:",
+           "every later block's rows join the first block's columns", "killed", (BLOCKWISE,)),
+    Mutant("src/symcast/cli.py", "[i / (n - 1) for i in range(n)]", "[i / n for i in range(n)]",
+           "the chart spreads its points over the whole axis", "killed",
+           ("tests/test_cli.py::TestReport::test_chart_points_equal_the_per_point_reference",)),
 ]
 
 

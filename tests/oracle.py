@@ -30,7 +30,8 @@ from itertools import repeat, takewhile
 from symcast.encoder import decode_class
 from symcast.errors import TraceFormatError
 from symcast.learner import Learner
-from symcast.pipeline import PredictionTrace, _parse_rows
+from symcast.pipeline import PredictionTrace
+from symcast.tracetext import _parse_rows
 
 
 def match_reference(corpus, reference_index):

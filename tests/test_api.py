@@ -3,8 +3,12 @@
 import copy
 import dataclasses
 import io
+import os
 import pickle
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import symcast
-from symcast import encoder, errors, ingest, learner, pipeline
+from symcast import config, encoder, errors, ingest, learner, pipeline, tracetext
 from symcast.cli import Settings
 from symcast.encoder import (
     EncodedCorpus,
@@ -29,9 +33,10 @@ from conftest import CARBUS
 
 
 def test_all_names_every_public_binding():
+    names = symcast.__all__  # the namespace is lazy: this lookup binds every public name
     bound = {name for name, value in vars(symcast).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert sorted(symcast.__all__) == sorted(bound)
+    assert sorted(names) == sorted(bound)
 
 
 PUBLIC_NAMES = [
@@ -51,12 +56,45 @@ PUBLIC_NAMES = [
 def test_the_namespace_is_each_modules_own_public_names():
     # the package republishes its modules' __all__ lists; none may lose or gain a name
     assert sorted(symcast.__all__) == PUBLIC_NAMES
-    for module in (encoder, errors, ingest, learner, pipeline):
+    for module in (config, encoder, errors, ingest, learner, pipeline, tracetext):
         for name in module.__all__:
             value = getattr(module, name)
             assert getattr(symcast, name) is value
             if callable(value):  # defined there, not imported from elsewhere
                 assert value.__module__ == module.__name__, name
+
+
+class TestLazyNamespace:
+    """The package binds its public names, and imports their modules, on a first lookup."""
+
+    def fresh(self, code):
+        """What code prints in a new interpreter, where no symcast module has been imported."""
+        env = dict(os.environ, PYTHONPATH=str(Path(symcast.__file__).resolve().parent.parent))
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True).stdout
+
+    def test_a_star_import_gives_exactly_the_public_names(self):
+        namespace = {}
+        exec("from symcast import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+        star = "from symcast import *\nprint(sorted(n for n in dir() if not n.startswith('__')))"
+        assert self.fresh(star) == f"{PUBLIC_NAMES}\n"
+
+    def test_dir_covers_the_public_names(self):
+        assert set(PUBLIC_NAMES) <= set(dir(symcast))
+        listed = self.fresh("import symcast\nprint(*dir(symcast))")
+        assert set(PUBLIC_NAMES) <= set(listed.split())
+
+    def test_importing_the_package_imports_none_of_its_modules(self):
+        loaded = "import sys, symcast\nprint(*sorted(m for m in sys.modules if 'symcast' in m))"
+        assert self.fresh(loaded) == "symcast\n"
+
+    def test_an_unknown_name_raises_the_standard_attribute_error(self):
+        with pytest.raises(AttributeError, match="^module 'symcast' has no attribute 'nonesuch'$"):
+            symcast.nonesuch
+        assert not hasattr(symcast, "nonesuch")
+        with pytest.raises(ImportError, match="cannot import name 'nonesuch' from 'symcast'"):
+            from symcast import nonesuch  # noqa: F401
 
 
 def public_records():

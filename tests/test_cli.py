@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import symcast
@@ -31,14 +31,8 @@ from symcast.cli import (
 from symcast.encoder import ClassSequence, MatchScore, encode_corpus
 from symcast.errors import SymcastError
 from symcast.ingest import Corpus
-from symcast.pipeline import (
-    BLOCK_ROWS,
-    TRACE_HEADER,
-    DecodedTrace,
-    RunConfig,
-    run_continual,
-    write_trace,
-)
+from symcast.pipeline import DecodedTrace, RunConfig, run_continual, write_trace
+from symcast.tracetext import BLOCK_ROWS, TRACE_HEADER
 
 from oracle import decoded_report_reference, encode_report_reference, svg_points_reference
 
@@ -957,6 +951,11 @@ class TestReport:
         assert "polyline" in content
 
     @given(st.lists(st.floats(min_value=0.0, max_value=900.0), min_size=1, max_size=60))
+    @example([5.0])  # one point sits mid-axis
+    @example([1.0, 2.0])
+    @example([0.0, 0.0, 0.0])  # the top is then 1e-9
+    @example([-0.0, 0.0])
+    @example([1e308, 1.7976931348623157e308, 0.5, 5e-324])
     def test_chart_points_equal_the_per_point_reference(self, series):
         svg = _render_error_series_svg(np.array(series))
         assert f'<polyline points="{svg_points_reference(series)}"' in svg
@@ -1045,6 +1044,42 @@ class TestReport:
                                 input=data, capture_output=True, env=env, check=False)
         assert (result.returncode, result.stderr) == (0, b"")
         assert result.stdout.decode("utf-8") == from_file
+
+
+# runs `python -m symcast.cli ARGS`, then says on its last stderr line whether numpy was imported
+RUN_THEN_LIST_NUMPY = """\
+import runpy, sys
+try:
+    runpy.run_module("symcast.cli", run_name="__main__", alter_sys=True)
+finally:
+    print("numpy imported:", "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+class TestStartWithoutNumpy:
+    """report and --version import no numpy, on success or failure; predict does."""
+
+    def spawn(self, *args):
+        env = dict(os.environ, PYTHONPATH=str(Path(symcast.__file__).resolve().parent.parent))
+        result = subprocess.run([sys.executable, "-c", RUN_THEN_LIST_NUMPY, *args],
+                                capture_output=True, text=True, env=env, check=False)
+        *errors, numpy_line = result.stderr.splitlines()
+        return result.returncode, errors, numpy_line
+
+    def test_report_and_version_run_without_numpy(self, carbus_file, tmp_path):
+        trace, chart = tmp_path / "trace.csv", tmp_path / "chart.svg"
+        assert self.spawn("predict", "--input", str(carbus_file), "--out", str(trace)) == (
+            0, [], "numpy imported: True")
+        assert self.spawn("report", "--input", str(trace), "--out", str(tmp_path / "series.csv"),
+                          "--svg", str(chart)) == (0, [], "numpy imported: False")
+        assert chart.read_text(encoding="utf-8").startswith("<svg")
+        assert self.spawn("--version") == (0, [], "numpy imported: False")
+
+    def test_a_refused_trace_is_reported_without_numpy(self, tmp_path):
+        trace = tmp_path / "train_only.csv"
+        trace.write_text(TRACE_HEADER + "\n1,train,1,1.000000,1,5,4,,2.000000\n")
+        assert self.spawn("report", "--input", str(trace)) == (
+            1, ["error: trace has no test steps"], "numpy imported: False")
 
 
 class TestParser:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symcast import pipeline
+from symcast import tracetext
 from symcast.cli import _write_decoded, main
 from symcast.encoder import ClassSequence, SensorMemory, decode_class
 from symcast.errors import (
@@ -36,7 +36,6 @@ from symcast.learner import (
     LearnerConfig,
 )
 from symcast.pipeline import (
-    BLOCK_ROWS,
     TEST,
     TRACE_HEADER,
     TRAIN,
@@ -54,6 +53,7 @@ from symcast.pipeline import (
     split_index,
     write_trace,
 )
+from symcast.tracetext import BLOCK_ROWS
 
 from oracle import (
     decode_reference,
@@ -879,7 +879,7 @@ class TestDistinctTexts:
     def test_index_and_cumulative_mape_convert_field_by_field(self):
         # their texts are all distinct, and a map of distinct texts costs 2.4 times more there
         rows = block_trace_lines(100)[1:-1]
-        with mock.patch.object(pipeline, "_distinct", wraps=pipeline._distinct) as distinct:
+        with mock.patch.object(tracetext, "_distinct", wraps=tracetext._distinct) as distinct:
             read_trace(io.StringIO(TRACE_HEADER + "\n" + "\n".join(rows)))
         fields = [row.split(",") for row in rows]
         assert [call.args[1] for call in distinct.call_args_list] == [
@@ -971,6 +971,10 @@ class TestBlockwiseTraceIO:
         text = "\n".join(block_trace_lines(length))
         blockwise, whole = read_both(text)
         assert blockwise == whole
+        assert dtypes(blockwise) == [np.int64, bool, np.int64, np.float64, np.int64, np.int64,
+                                     np.int64, np.float64, np.float64]
+        assert not any(getattr(blockwise, name).flags.writeable
+                       for name in PredictionTrace.__dataclass_fields__)
         written = block_trace(length)
         for name in ("index", "is_test", "previous_class", "predicted_class", "expected_class",
                      "abs_error"):

@@ -47,7 +47,7 @@ EXPECTED = [
           "test_a_closed_output_pipe_stops_quietly spawns, which is not traced"),
     Unrun("src/symcast/cli.py", "    sys.exit(main())\n",
           "runs only as `python -m symcast.cli`, in a spawned process"),
-    Unrun("src/symcast/pipeline.py",
+    Unrun("src/symcast/tracetext.py",
           "            raise TraceFormatError(first_line + low, str(exc)) from exc\n"
           "        raise\n",
           "_parse_block's last raise is for a block that fails while none of its rows fails "
