@@ -28,7 +28,7 @@ from .config import (
 )
 from .errors import BadConfigError, BadEncodingError, BadReferenceError, SymcastError
 from .ingest import Corpus, _decode_lines, read_numeric_series, read_text_corpus
-from .tracetext import MAPE_FORMAT, _test_mapes, _write_blocks, read_columns
+from .tracetext import MAPE_FORMAT, _test_mapes, _write_blocks, format_real, read_columns
 
 _SPECIALS = ',"\r\n'  # a CSV field holding any of these is quoted
 _NEEDS_QUOTES = re.compile(f"[{_SPECIALS}]").search
@@ -237,7 +237,7 @@ def _write_decoded(decoded, stream: TextIO) -> None:
 
 def _summary_lines(trace, baseline=None) -> list[str]:
     import numpy as np
-    from .pipeline import format_real, mape
+    from .pipeline import mape
     test_steps = np.count_nonzero(trace.is_test)
     exact = trace.is_test & (trace.predicted_class == trace.expected_class)
     counts = np.bincount(trace.expected_class[exact]).tolist()  # walk classes are >= 1

@@ -59,13 +59,19 @@ class SymbolMatrix(ArrayRecord):
     ``codes`` is a read-only array of shape (rows, width), ``uint8`` for an
     ASCII corpus and ``uint32`` otherwise: cell [r, k] is the code point of
     row r's k-th character, or 0 past the row's end. NUL is refused, so a
-    row's length is its count of nonzero codes. rows and width restate the
+    row's length is its count of nonzero codes. rows and width read the
     shape, and equality compares the codes by value, whatever their dtype.
     """
 
-    rows: int
-    width: int
     codes: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        return self.codes.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.codes.shape[1]
 
 
 class MatchScore(NamedTuple):
@@ -151,7 +157,7 @@ def symbol_integer_transform(corpus: Sequence[str]) -> SymbolMatrix:
     # numpy sizes the strings to the longest row and pads with NUL, the code refused above
     strings = np.array(corpus, dtype="S" if narrow else "U")
     codes = strings.view(np.uint8 if narrow else np.uint32).reshape(len(corpus), -1)
-    return SymbolMatrix(*codes.shape, codes)
+    return SymbolMatrix(codes)
 
 
 def resolve_reference(reference: Reference, rows: int) -> int:

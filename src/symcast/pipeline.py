@@ -31,7 +31,7 @@ from .encoder import ArrayRecord, ClassSequence, SensorMemory, decode_class
 from .errors import TooShortError
 from .learner import Learner
 from .tracetext import (
-    MAPE_FORMAT, TEST, TRACE_HEADER, TRAIN, _test_mapes, _write_blocks, read_columns,
+    MAPE_FORMAT, TEST, TRACE_HEADER, TRAIN, _test_mapes, _write_blocks, format_real, read_columns,
 )
 
 
@@ -185,14 +185,6 @@ def decode_trace(trace: PredictionTrace, memory: SensorMemory) -> DecodedTrace:
     predicted, expected = trace.predicted_class, trace.expected_class
     return DecodedTrace(symbols[predicted].tolist(), symbols[expected].tolist(),
                         (own_slot[predicted] & own_slot[expected]).tolist())
-
-
-def format_real(value: float) -> str:
-    """Six decimal places, or six significant decimals in exponent form from 1e15 up.
-
-    Fixed point would spell out every integer digit of a huge value.
-    """
-    return f"{value:.6f}" if abs(value) < 1e15 else f"{value:.6e}"
 
 
 def _texts(column: np.ndarray, end: str = "") -> list[str]:

@@ -42,6 +42,14 @@ def _write_blocks(stream: TextIO, header: str, length: int,
         stream.write("".join(block_rows(start, start + BLOCK_ROWS)))
 
 
+def format_real(value: float) -> str:
+    """Six decimal places, or six significant decimals in exponent form from 1e15 up.
+
+    Fixed point would spell out every integer digit of a huge value.
+    """
+    return f"{value:.6f}" if abs(value) < 1e15 else f"{value:.6e}"
+
+
 def _reals(texts: list[str]) -> array:
     return array("d", map(float, texts))
 
@@ -107,24 +115,15 @@ def _parse_rows(rows: list[str]) -> tuple:
 
 
 def _parse_block(rows: list[str], first_line: int) -> tuple:
-    """_parse_rows on rows from line first_line on; a failing block is halved to its first bad line."""
+    """_parse_rows on rows from line first_line on; a failure names the first row to fail alone."""
     try:
         return _parse_rows(rows)
     except ValueError:
-        # rows[low:high] holds the first row that fails alone
-        low, high = 0, len(rows)
-        while high - low > 1:
-            middle = (low + high) // 2
+        for offset, row in enumerate(rows):
             try:
-                _parse_rows(rows[low:middle])
-            except ValueError:
-                high = middle
-            else:
-                low = middle
-        try:
-            _parse_rows(rows[low:high])
-        except ValueError as exc:
-            raise TraceFormatError(first_line + low, str(exc)) from exc
+                _parse_rows([row])
+            except ValueError as exc:
+                raise TraceFormatError(first_line + offset, str(exc)) from exc
         raise
 
 
@@ -139,8 +138,8 @@ def read_columns(lines: Iterable[str]) -> tuple:
     and float() would read it as a digit separator), a real that is not
     finite, or a negative cumulative_mape. Rows are read and parsed
     BLOCK_ROWS at a time, each block column by column, so no line past the
-    block of the first bad row is read, and the first bad row in the file is
-    the one named.
+    block of the first bad row is read; a block that fails is parsed again
+    row by row, in order, and its first row to fail alone is the one named.
     """
     lines = iter(lines)
     header = next(lines, None)

@@ -64,6 +64,7 @@ TWO_FAULTS = ("tests/test_pipeline.py::TestReaderOracle::"
 RANKED = "tests/test_learner.py::TestRanked"
 ENCODE_BLOCKS = "tests/test_cli.py::TestEncodeReportAcrossBlocks"
 FIXED_WIDTH = "tests/test_encoder.py::TestFixedWidthTransform"
+MATRIX_SHAPE = "tests/test_encoder.py::TestSymbolMatrixShape"
 NAMESPACE = "tests/test_api.py::test_the_namespace_is_each_modules_own_public_names"
 NON_ASCII_DIGIT = ("tests/test_pipeline.py::TestReaderOracle::"
                    "test_a_non_ascii_digit_is_refused_with_its_line")
@@ -143,6 +144,9 @@ MUTANTS = [
     Mutant(ENCODER, "else np.uint32)", "else np.uint16)",
            "a cell of a non-ASCII corpus holds a whole code point, astral or lone surrogate "
            "too, as ord() gives it", "killed", (FIXED_WIDTH,)),
+    Mutant(ENCODER, "return self.codes.shape[1]", "return self.codes.shape[0]",
+           "width is the codes' second axis: a matrix's shape has one source", "killed",
+           (MATRIX_SHAPE,)),
     Mutant(ENCODER, '"S" if narrow else "U"', '"U" if narrow else "S"',
            "an ASCII corpus is held as bytes, any other as 32-bit code points", "killed",
            (FIXED_WIDTH,)),
@@ -280,7 +284,7 @@ MUTANTS = [
            "the first bad class in step order names the error, not the first in value order",
            "killed", ("tests/test_pipeline.py::TestDecoderOracle",)),
     # The trace's text columns and the corpus reader.
-    Mutant("src/symcast/pipeline.py", "abs(value) < 1e15", "abs(value) <= 1e15",
+    Mutant(TRACE_TEXT, "abs(value) < 1e15", "abs(value) <= 1e15",
            "a real of exactly 1e15 prints in exponent form", "killed",
            ("tests/test_pipeline.py::TestTraceSerialization",)),
     Mutant("src/symcast/pipeline.py", "format_real, column.view(np.int64)", "format_real, column",
@@ -293,6 +297,12 @@ MUTANTS = [
     # Trace rows written and read in blocks.
     Mutant(TRACE_TEXT, "2 + BLOCK_ROWS * len(blocks)", "2",
            "a bad row in a later block is named by its line in the file", "killed", (BLOCKWISE,)),
+    Mutant(TRACE_TEXT, "first_line + offset", "first_line + offset + 1",
+           "the rescan names a bad row by its own line, not the next", "killed", (BLOCKWISE,)),
+    Mutant(TRACE_TEXT, "for offset, row in enumerate(rows):",
+           "for offset, row in reversed(list(enumerate(rows))):",
+           "of two bad rows in a block, the rescan names the first, not the last", "killed",
+           (BLOCKWISE, TWO_FAULTS)),
     Mutant("src/symcast/pipeline.py", "np.count_nonzero(trace.is_test[:start])",
            "np.count_nonzero(trace.is_test[:start + 1])",
            "a block's test steps take the cumulative_mape values after all earlier test steps",

@@ -18,7 +18,9 @@ rounding rule that the walk applies to whole columns.
 read_trace_whole is the trace reader as it was before it read in blocks:
 every row up to the first blank line is parsed as one block by the
 pipeline's own row parser, halved down to its first bad line on failure.
-It checks the block-wise reader's offsets and joins, not the parsing.
+It checks the block-wise reader's offsets and joins, not the parsing. Its
+halving is a search of its own, not a copy of the reader's, which parses a
+failed block again row by row, in order.
 """
 
 import csv
@@ -240,8 +242,9 @@ def read_trace_whole(lines):
     """Parse the first trace block as one block; raises TraceFormatError as read_trace does.
 
     The pipeline's row parser gives the columns, which are wrapped in one
-    PredictionTrace; the halving search for the first bad line is this
-    module's own copy, so that it checks read_trace's per-block search.
+    PredictionTrace. The halving search for the first bad line is
+    independent of read_trace's in-order rescan of a failed block, so each
+    checks the line that the other names.
     """
     lines = iter(lines)
     header = next(lines, None)

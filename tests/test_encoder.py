@@ -1,5 +1,6 @@
 """Tests for the symbol-to-integer-class encoder."""
 
+import dataclasses
 import io
 import random
 import tracemalloc
@@ -213,11 +214,11 @@ class TestNarrowCodes:
     @given(corpus=ascii_corpora)
     def test_equality_holds_across_the_two_dtypes(self, corpus):
         narrow = symbol_integer_transform(corpus)
-        wide = SymbolMatrix(narrow.rows, narrow.width, utf32_codes(corpus))
+        wide = SymbolMatrix(utf32_codes(corpus))
         assert narrow == wide and wide == narrow
         changed = wide.codes.copy()
         changed[0, 0] += 1
-        assert narrow != SymbolMatrix(narrow.rows, narrow.width, changed)
+        assert narrow != SymbolMatrix(changed)
 
     @given(corpus=ascii_corpora, level=st.integers(min_value=2, max_value=10),
            selector=st.sampled_from(["first", "last"]))
@@ -227,6 +228,24 @@ class TestNarrowCodes:
         narrow, wide = encode_corpus(corpus, level, selector), encode_corpus(widened, level, selector)
         assert narrow.scores == wide.scores
         assert narrow.classes == wide.classes
+
+
+class TestSymbolMatrixShape:
+    """A SymbolMatrix is built from its codes alone; rows and width read their shape."""
+
+    @given(corpus=ascii_corpora)
+    def test_rows_and_width_are_the_shape_of_the_codes(self, corpus):
+        for codes in (utf32_codes(corpus), utf32_codes(corpus).T):
+            matrix = SymbolMatrix(codes)
+            assert (matrix.rows, matrix.width) == codes.shape
+
+    def test_the_constructor_takes_only_the_codes(self):
+        codes = utf32_codes(["ab", "cd", "ef"])
+        assert [field.name for field in dataclasses.fields(SymbolMatrix)] == ["codes"]
+        for shape in ((3, 5), (9, 2), (3, 2)):  # a shape no longer restated, so never contradicted
+            with pytest.raises(TypeError):
+                SymbolMatrix(*shape, codes)
+        assert len(swap_match(SymbolMatrix(codes))) == 3
 
 
 class TestResolveReference:

@@ -761,6 +761,8 @@ class TestReaderOracle:
     @settings(max_examples=200)
     @given(case=two_fault_traces())
     @example(case=(TRACE_HEADER + "\nx,test,1,1.000000,1,1,0,y,0.000000\n", 2))
+    @example(case=(TRACE_HEADER + "\n1,train,1,1.000000,1,1,0,,0.000000\n"  # two bad rows
+                   "x,test,1,1.000000,1,1,0,y,0.000000\nz,test,1,1.000000,1,1,0,w,0.000000\n", 3))
     def test_a_row_with_two_bad_fields_is_named_by_its_first(self, case):
         # each row converted its cumulative_mape before its other fields
         text, line_number = case
@@ -962,9 +964,14 @@ class TestBlockwiseTraceIO:
         for line_number in edge_lines(length):
             lines = list(block_trace_lines(length))
             lines[line_number - 1] = "x" + lines[line_number - 1]
-            blockwise, whole = read_both("\n".join(lines))
-            assert blockwise == whole == (line_number, f"line {line_number}: invalid literal "
-                                          f"for int() with base 10: 'x{line_number - 1}'")
+            if (line_number - 1) % BLOCK_ROWS and line_number <= length:
+                lines[line_number] += ","  # the next row, in the same block, fails a check run first
+            text = "\n".join(lines)
+            problem = f"invalid literal for int() with base 10: 'x{line_number - 1}'"
+            with pytest.raises(ValueError) as reference:
+                read_trace_reference(io.StringIO(text))
+            assert reference.value.args[0] == (line_number, problem)
+            assert read_both(text) == [(line_number, f"line {line_number}: {problem}")] * 2
 
     @pytest.mark.parametrize("length", BLOCK_LENGTHS)
     def test_a_whole_trace_reads_back_as_one_block_does(self, length):
