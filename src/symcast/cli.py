@@ -8,8 +8,8 @@ decimal separator, reals at fixed precision.
 Exit codes: 0 success, 1 input/data error (or, with nothing printed,
 standard output closed by its reader), 2 configuration error.
 
-Each command imports the encoder, the learner and the walk, which import
-numpy, where it runs them, so `report` and `--version` start without numpy.
+No command imports numpy. Each imports the encoder, the learner and the
+walk where it runs them, so `report` and `--version` start without them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,10 @@ import argparse
 import os
 import re
 import sys
+from collections import Counter
 from contextlib import contextmanager
+from itertools import compress
+from operator import and_, eq
 from typing import Iterator, NamedTuple, Sequence, TextIO
 
 from . import __version__
@@ -183,24 +186,22 @@ def _csv_fields(texts: Sequence[str]) -> Sequence[str]:
 
 def _write_encode_report(encoded, corpus: Corpus, stream: TextIO) -> None:
     """The encode CSV of an EncodedCorpus, written a block at a time (see _write_blocks)."""
-    import numpy as np
     slots = ["[]" if symbol is None else symbol for symbol in encoded.memory.slots]
     distinct, index = encoded.distinct, encoded.score_index
-    classes = np.zeros(len(distinct), dtype=np.intp)
-    classes[index] = encoded.classes.classes  # the rows of one score share its class
+    classes = dict(zip(index, encoded.classes.classes))  # the rows of one score share its class
     limit = sys.get_int_max_str_digits()
     # A match value has as many bits as its row has cells, and CPython refuses to
     # print an int of more than 4,300 digits; lift that limit here only.
     sys.set_int_max_str_digits(0)
     try:
-        texts = np.array([f"{value},{scale:.6f},{cls}\n"
-                          for (value, scale), cls in zip(distinct, classes.tolist())], dtype=object)
+        texts = [f"{value},{scale:.6f},{classes.get(rank, 0)}\n"
+                 for rank, (value, scale) in enumerate(distinct)]
     finally:
         sys.set_int_max_str_digits(limit)
     _write_blocks(stream, "row_index,symbol,match_value,scale,class", len(index),
                   lambda start, stop: map(",".join, zip(map(str, range(start + 1, stop + 1)),
                                                         _csv_fields(corpus.items[start:stop]),
-                                                        texts[index[start:stop]].tolist())))
+                                                        map(texts.__getitem__, index[start:stop]))))
     stream.write("\nclass,symbol\n")
     stream.writelines(map("{},{}\n".format, range(1, len(slots) + 1), _csv_fields(slots)))
 
@@ -236,22 +237,21 @@ def _write_decoded(decoded, stream: TextIO) -> None:
 
 
 def _summary_lines(trace, baseline=None) -> list[str]:
-    import numpy as np
     from .pipeline import mape
-    test_steps = np.count_nonzero(trace.is_test)
-    exact = trace.is_test & (trace.predicted_class == trace.expected_class)
-    counts = np.bincount(trace.expected_class[exact]).tolist()  # walk classes are >= 1
+    test_steps = len(trace) - trace.is_test.tolist().count(0)
+    exact = map(and_, trace.is_test, map(eq, trace.predicted_class, trace.expected_class))
+    counts = sorted(Counter(compress(trace.expected_class, exact)).items())
     lines = [
         f"train_elements: {len(trace) - test_steps + 1}",
         f"test_steps: {test_steps}",
-        f"exact_test_matches: {sum(counts)}",
+        f"exact_test_matches: {sum(count for _, count in counts)}",
     ]
-    if any(counts):
-        breakdown = " ".join(f"{cls}={count}" for cls, count in enumerate(counts) if count)
+    if counts:
+        breakdown = " ".join(f"{cls}={count}" for cls, count in counts)
         lines.append(f"exact_test_matches_by_class: {breakdown}")
     final_mape, _ = mape(trace)
     lines.append(f"final_mape_percent: {final_mape:{MAPE_FORMAT}}")
-    lines.append(f"final_deviant_mean: {format_real(float(trace.deviant_mean_after[-1]))}")
+    lines.append(f"final_deviant_mean: {format_real(trace.deviant_mean_after[-1])}")
     if baseline is not None:
         baseline_mape, _ = mape(baseline)
         lines.append(f"baseline_final_mape_percent: {baseline_mape:{MAPE_FORMAT}}")

@@ -1,13 +1,16 @@
-"""Symbol-to-integer-class encoding.
+"""Symbol-to-integer-class encoding, without numpy.
 
-A corpus becomes a zero-padded matrix of character codes, one fixed-width
-numpy string per row: ``uint8`` cells for an ASCII corpus, else ``uint32``.
-A row's agreement bits with a reference row, packed into big-endian 64-bit
-words, are its exact integer match value. One ``np.lexsort`` over the word
-columns finds the distinct values, ascending, and each row's index into
-them; only a distinct value becomes Python objects: its ``MatchScore``
-(scale = value / maximum) and class ``floor(class_level ** scale)``. The
-last row to land on a class owns its decoding slot. All functions are pure.
+Each distinct row is scored once, from Python ints. The distinct rows and
+as many copies of the reference row, padded with NUL to the widest row,
+are read BLOCK_BYTES at a time as big-endian ints of one lane per
+character (8 bits for ASCII, else 32 bits of UTF-32). In their XOR, the
+SWAR zero-lane test sets the top bit of each lane where the two agree;
+the top bits, read as "0" and "1", are a row's key and order as its match
+value does. Only a distinct key becomes a value, a ``MatchScore`` (scale =
+value / maximum) and a class ``floor(class_level ** scale)``. The last
+row to land on a class owns its decoding slot. All functions are pure.
+``symbol_integer_transform`` and ``swap_match`` are the numpy reference
+the tests compare against; each imports numpy where it runs.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ __all__ = [
 ]
 
 import math
+from array import array
 from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .config import Reference, check_class_level
 from .errors import (
@@ -31,39 +33,49 @@ from .errors import (
     LengthMismatchError, NulCharacterError,
 )
 
+BLOCK_BYTES = 1 << 18  # padded distinct rows read as one int at a time, at least one row
+_BIT_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
+
+# ArrayRecord column annotations: the buffer formats each keeps, the array typecode of others
+Ints = Reals = memoryview
+_FORMATS = {"Ints": ("bBhHiIlLqQ?", "q"), "Reals": ("d", "d")}
+
+
 @dataclass(frozen=True, eq=False)
 class ArrayRecord:
-    """A record whose np.ndarray fields are read-only views, however it is built or copied."""
+    """A record whose Ints and Reals fields are read-only memoryviews, however it is made."""
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            if field.type == "np.ndarray":  # annotations are text under the __future__ import
-                array = np.asarray(getattr(self, field.name)).view()
-                array.flags.writeable = False
-                object.__setattr__(self, field.name, array)
+            if field.type in _FORMATS:  # annotations are text under the __future__ import
+                (formats, typecode), value = _FORMATS[field.type], getattr(self, field.name)
+                try:  # a memoryview, perhaps of part of an array, is copied: a view spans its object
+                    view = None if isinstance(value, memoryview) else memoryview(value)
+                except TypeError:  # a sequence of numbers
+                    view = None
+                if view is None or view.format not in formats:
+                    view = memoryview(array(typecode, value))
+                object.__setattr__(self, field.name, view.toreadonly())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return all(np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
-                   for mine, theirs in zip(vars(self).values(), vars(other).values()))
+        return vars(self) == vars(other)  # memoryviews compare shape and values, across formats
 
-    def __reduce__(self):
-        return type(self), tuple(vars(self).values())  # copy and pickle call __init__
+    def __reduce__(self):  # copy and pickle call __init__, with the object each view holds
+        return type(self), tuple(value.obj if isinstance(value, memoryview) else value
+                                 for value in vars(self).values())
 
 
 @dataclass(frozen=True, eq=False)
 class SymbolMatrix(ArrayRecord):
-    """Padded matrix of character codes, one row per corpus item.
+    """Padded character codes, swap_match's input: ``codes`` has shape (rows, width).
 
-    ``codes`` is a read-only array of shape (rows, width), ``uint8`` for an
-    ASCII corpus and ``uint32`` otherwise: cell [r, k] is the code point of
-    row r's k-th character, or 0 past the row's end. NUL is refused, so a
-    row's length is its count of nonzero codes. rows and width read the
-    shape, and equality compares the codes by value, whatever their dtype.
+    Cell [r, k] is the code point of row r's k-th character, or 0 past its end; the
+    format is ``B`` (uint8) for an ASCII corpus and ``I`` (uint32) otherwise.
     """
 
-    codes: np.ndarray
+    codes: Ints
 
     @property
     def rows(self) -> int:
@@ -123,26 +135,25 @@ class SensorMemory(NamedTuple):
 class EncodedCorpus(ArrayRecord):
     """Everything the encoder derives from one corpus: row r's score is distinct[score_index[r]]."""
 
-    matrix: SymbolMatrix
+    corpus: tuple[str, ...]
     distinct: tuple[MatchScore, ...]  # ascending
-    score_index: np.ndarray  # read-only, one entry per row
+    score_index: Ints  # one entry per row
     classes: ClassSequence
     memory: SensorMemory
 
     @property
+    def matrix(self) -> SymbolMatrix:
+        """The corpus's code matrix, built anew with numpy on each access."""
+        return symbol_integer_transform(self.corpus)
+
+    @property
     def scores(self) -> tuple[MatchScore, ...]:
-        """Each row's score, built anew on each access from an object array: no per-row int."""
-        return tuple(np.fromiter(self.distinct, object, len(self.distinct))[self.score_index])
+        """Each row's score, built anew on each access."""
+        return tuple(map(self.distinct.__getitem__, self.score_index))
 
 
-def symbol_integer_transform(corpus: Sequence[str]) -> SymbolMatrix:
-    """Turn symbol strings into a zero-padded matrix of character codes.
-
-    Raises EmptyCorpusError for an empty corpus, and for the first bad row
-    EmptyRowError for an empty string or NulCharacterError for a NUL
-    character (code 0 is reserved for padding), each with the 0-based row
-    index. Lone surrogates keep their code points, as ord() gives them.
-    """
+def _checked_text(corpus: Sequence[str]) -> str:
+    """The corpus's rows joined, once none is refused (see symbol_integer_transform)."""
     if len(corpus) == 0:
         raise EmptyCorpusError("corpus is empty")
     text = "".join(corpus)
@@ -152,8 +163,19 @@ def symbol_integer_transform(corpus: Sequence[str]) -> SymbolMatrix:
                 raise EmptyRowError(index)
             if "\x00" in word:
                 raise NulCharacterError(index)
+    return text
 
-    narrow = text.isascii()  # a flag the string already holds, not a scan
+
+def symbol_integer_transform(corpus: Sequence[str]) -> SymbolMatrix:
+    """Turn symbol strings into a zero-padded matrix of character codes, with numpy.
+
+    Raises EmptyCorpusError for an empty corpus, and for the first bad row
+    EmptyRowError for an empty string or NulCharacterError for a NUL
+    character (code 0 is reserved for padding), each with the 0-based row
+    index. Lone surrogates keep their code points, as ord() gives them.
+    """
+    import numpy as np
+    narrow = _checked_text(corpus).isascii()
     # numpy sizes the strings to the longest row and pads with NUL, the code refused above
     strings = np.array(corpus, dtype="S" if narrow else "U")
     codes = strings.view(np.uint8 if narrow else np.uint32).reshape(len(corpus), -1)
@@ -173,33 +195,34 @@ def resolve_reference(reference: Reference, rows: int) -> int:
     raise BadReferenceError(f"unknown reference selector: {reference!r}")
 
 
-def _distinct_scores(matrix: SymbolMatrix,
-                     reference: Reference) -> tuple[tuple[MatchScore, ...], np.ndarray]:
-    """The distinct match scores in ascending order, and each row's index into them.
+def swap_match(matrix: SymbolMatrix, reference: Reference = "last") -> list[MatchScore]:
+    """Each row's positional agreement with the reference row; equal values share one score.
 
-    Agreement compares the integer codes: no shared scaling changes which cells are equal.
+    The numpy reference for encode_corpus. Agreement compares the integer
+    codes: no shared scaling changes which cells are equal.
     """
+    import numpy as np
     # Padded on the left to whole 64-bit words, a packed row reads big-endian as its
     # value; a stable pass per word, the first word last, sorts the rows by value.
     pad = -matrix.width % 64
     agree = np.zeros((matrix.rows, pad + matrix.width), dtype=bool)
-    np.equal(matrix.codes, matrix.codes[resolve_reference(reference, matrix.rows)], out=agree[:, pad:])
+    codes = np.asarray(matrix.codes)
+    np.equal(codes, codes[resolve_reference(reference, matrix.rows)], out=agree[:, pad:])
     words = np.packbits(agree, axis=1).view(">u8")
     order = np.lexsort(words.T[::-1])
     starts = np.r_[True, np.diff(words[order], axis=0).any(axis=1)]  # a new value begins
     index = np.empty_like(order)
     index[order] = np.cumsum(starts) - 1
     distinct = words[order[starts]].view(f"V{8 * words.shape[1]}")[:, 0].tolist()
-    values = list(map(int.from_bytes, distinct, repeat("big")))
+    scores = _scores(list(map(int.from_bytes, distinct, repeat("big"))))
+    return list(map(scores.__getitem__, index.tolist()))
+
+
+def _scores(values: list[int]) -> tuple[MatchScore, ...]:
+    """The scores of ascending distinct match values, each scaled by the last."""
     max_value = values[-1]
     # positional: a NamedTuple binds keywords several times slower
-    return tuple([MatchScore(value, value / max_value) for value in values]), index
-
-
-def swap_match(matrix: SymbolMatrix, reference: Reference = "last") -> list[MatchScore]:
-    """Each row's positional agreement with the reference row; equal values share one score."""
-    distinct, index = _distinct_scores(matrix, reference)
-    return list(map(distinct.__getitem__, index.tolist()))
+    return tuple([MatchScore(value, value / max_value) for value in values])
 
 
 def class_encode(scores: Sequence[MatchScore], class_level: int) -> ClassSequence:
@@ -217,10 +240,8 @@ def build_sensor_memory(corpus: Sequence[str], classes: ClassSequence) -> Sensor
         raise LengthMismatchError(
             f"corpus has {len(corpus)} rows but class sequence has {len(classes)}"
         )
-    slots: list[str | None] = [None] * classes.class_level
-    for word, cls in zip(corpus, classes.classes):
-        slots[cls - 1] = word
-    return SensorMemory(slots=tuple(slots))
+    slots = dict(zip(classes.classes, corpus))  # a later row overwrites an earlier one
+    return SensorMemory(tuple(map(slots.get, range(1, classes.class_level + 1))))
 
 
 def decode_class(cls: int, memory: SensorMemory) -> tuple[str, bool]:
@@ -249,9 +270,36 @@ def decode_class(cls: int, memory: SensorMemory) -> tuple[str, bool]:
 
 def encode_corpus(corpus: Sequence[str], class_level: int,
                   reference: Reference = "last") -> EncodedCorpus:
-    """Run the full encoding chain over a corpus, scoring each distinct match value once."""
-    matrix = symbol_integer_transform(corpus)
-    distinct, index = _distinct_scores(matrix, reference)
-    distinct_classes = np.array(class_encode(distinct, class_level).classes)
-    classes = ClassSequence(tuple(distinct_classes[index].tolist()), class_level)
-    return EncodedCorpus(matrix, distinct, index, classes, build_sensor_memory(corpus, classes))
+    """Run the full encoding chain over a corpus, scoring each distinct row once.
+
+    Raises what symbol_integer_transform raises for a bad corpus, then
+    what resolve_reference raises for a bad reference.
+    """
+    lane = 1 if _checked_text(corpus).isascii() else 4  # bytes a character takes
+    target = corpus[resolve_reference(reference, len(corpus))]
+    rows = dict.fromkeys(corpus)  # each distinct row, first seen first; later its score's rank
+    cells = max(map(len, rows))
+    size, count = lane * cells, max(1, BLOCK_BYTES // (lane * cells))  # bytes a row, rows a block
+    codec = "ascii" if lane == 1 else "utf-32-be"
+    references = int.from_bytes((target.ljust(cells, "\0") * count).encode(codec, "surrogatepass"),
+                                "big")
+    low = int.from_bytes((b"\x7f" + b"\xff" * (lane - 1)) * (cells * count), "big")  # tops clear
+    high = low ^ ((1 << 8 * size * count) - 1)  # each lane's top bit
+    distinct_rows, keys = list(rows), []
+    for start in range(0, len(distinct_rows), count):
+        block = distinct_rows[start:start + count]
+        shift = 8 * size * (count - len(block))  # a short last block drops the last rows
+        padded = "".join([row.ljust(cells, "\0") for row in block]).encode(codec, "surrogatepass")
+        x = int.from_bytes(padded, "big") ^ references >> shift
+        # high & ~(x | ((x & low) + low)), as no code point reaches a lane's top bit
+        agree = (high >> shift & ~(x + (low >> shift))).to_bytes(size * len(block), "big")
+        bits = agree[::lane].translate(_BIT_DIGITS)  # a lane's first byte: 0x80 or 0
+        keys += [bits[cell:cell + cells] for cell in range(0, len(bits), cells)]
+    ordered = sorted(set(keys))  # digit strings of one length sort as their values
+    distinct = _scores([int(key, 2) for key in ordered])
+    rows.update(zip(distinct_rows, map(dict(zip(ordered, range(len(ordered)))).__getitem__, keys)))
+    index = array("q", map(rows.__getitem__, corpus))
+    distinct_classes = class_encode(distinct, class_level).classes
+    classes = ClassSequence(tuple(map(distinct_classes.__getitem__, index)), class_level)
+    return EncodedCorpus(tuple(corpus), distinct, index, classes,
+                         build_sensor_memory(corpus, classes))

@@ -16,10 +16,10 @@ weakening). The divisive form is undefined at a zero mean; that step
 falls back to the additive-subtractive rule and is flagged.
 
 Learner.learn_step finds the winners without building the population;
-adjust_candidates and select_winners build and sort all of it, and are
-the reference its tests compare against. Each Learner keeps the outcomes
-of the steps it computed and returns one again when its inputs repeat, as
-they do on most steps of a real stream.
+adjust_candidates and select_winners build and sort all of it with numpy,
+imported where they run, and are the reference its tests compare against.
+Each Learner keeps the outcomes of the steps it computed and returns one
+again when its inputs repeat, as they do on most steps of a real stream.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ __all__ = ["Learner", "StepOutcome"]
 
 import bisect
 import math
+from operator import add
 from typing import Callable, Iterable, NamedTuple
-
-import numpy as np
 
 from .config import ADDITIVE_SUBTRACTIVE, MULTIPLICATIVE_DIVISIVE, RULE_MODES, LearnerConfig
 from .errors import BadConfigError, DegenerateDivisiveError, NonFiniteStateError
@@ -53,6 +52,7 @@ def make_adjustment_grid(population_size: int, max_deviant_adjust: float) -> np.
 
     The last entry is exactly max_deviant_adjust (k/n is 1.0 at the endpoint).
     """
+    import numpy as np
     steps = np.arange(1, population_size + 1, dtype=np.float64) / population_size
     grid = max_deviant_adjust * steps
     grid.setflags(write=False)
@@ -72,6 +72,7 @@ def adjust_candidates(
     multiplicative-divisive mode when any product with the grid is zero,
     since the mean could then never move again.
     """
+    import numpy as np
     if signed_diff == 0:
         raise ValueError("signed_diff must be nonzero; a zero mismatch only applies the bias")
     if rule_mode == ADDITIVE_SUBTRACTIVE:
@@ -101,6 +102,7 @@ def select_winners(
     Ranked ascending by residual |previous + candidate - expected|; ties go
     to the smaller absolute candidate, then to grid order.
     """
+    import numpy as np
     candidates = np.asarray(candidates, dtype=np.float64)
     if candidates.size == 0:
         raise ValueError("candidates is empty")
@@ -304,14 +306,27 @@ class Learner:
 
 
 def _mean(winners: tuple[float, ...]) -> float:
-    """np.mean of two or more winners, bit for bit; an overflow gives inf."""
-    if len(winners) < 8:  # numpy adds these in order from 0.0
-        total = 0.0  # not sum(), which compensates from Python 3.12
-        for winner in winners:
-            total += winner
-        return total / len(winners)
-    with np.errstate(over="ignore"):
-        return float(np.add.reduce(np.array(winners))) / len(winners)
+    """np.mean of one or more winners, bit for bit; an overflow gives inf."""
+    # numpy's add.reduce starts from its identity, 0.0, so -0.0 winners average to 0.0
+    return (0.0 + _pairwise_sum(winners)) / len(winners)
+
+
+def _pairwise_sum(values: tuple[float, ...]) -> float:
+    """The sum of values as numpy's pairwise float64 sum adds it."""
+    count = len(values)
+    if count > 128:  # two halves, split at a multiple of 8
+        half = count // 2 - count // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    total, rest = -0.0, values  # -0.0: the identity of float addition
+    if count >= 8:  # eight running sums, combined as a tree; then the rest in order
+        sums, whole = values[:8], count - count % 8
+        for block in range(8, whole, 8):
+            sums = tuple(map(add, sums, values[block:block + 8]))
+        total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + ((sums[4] + sums[5]) + (sums[6] + sums[7]))
+        rest = values[whole:]
+    for value in rest:  # not sum(), which compensates from Python 3.12
+        total += value
+    return total
 
 
 def _ranked(

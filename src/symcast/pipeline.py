@@ -4,12 +4,11 @@ A class sequence is walked one step at a time: each element is predicted
 from its predecessor, then observed, and (unless frozen) the learner
 updates immediately. Learning never stops at the train/test split; the
 split only marks where test-error accounting begins. A run is kept as
-typed columns, one entry per step. Steps that hold the deviant mean fixed
-(the persistence baseline, whose mean stays 0.0, and the test phase of a
-frozen run) are one array operation on the class array. Errors are
-tracked as a running mean absolute percentage error over the test steps,
-computed on the integer classes once the walk is done and stored in the
-trace.
+typed stdlib columns, one entry per step. Errors are tracked as a running
+mean absolute percentage error over the test steps, computed on the
+integer classes once the walk is done and stored in the trace. The walk
+and the writers form each value or text once per distinct key, not once
+per step: a stream of a few classes and means repeats them.
 """
 
 from __future__ import annotations
@@ -20,15 +19,15 @@ __all__ = [
 ]
 
 import math
+from array import array
 from dataclasses import dataclass, fields
-from itertools import repeat
-from typing import Iterable, NamedTuple, TextIO
-
-import numpy as np
+from itertools import accumulate, chain, repeat
+from operator import add, and_, sub, truediv
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .config import RunConfig
-from .encoder import ArrayRecord, ClassSequence, SensorMemory, decode_class
-from .errors import TooShortError
+from .encoder import ArrayRecord, ClassSequence, Ints, Reals, SensorMemory, decode_class
+from .errors import LengthMismatchError, TooShortError
 from .learner import Learner
 from .tracetext import (
     MAPE_FORMAT, TEST, TRACE_HEADER, TRAIN, _test_mapes, _write_blocks, format_real, read_columns,
@@ -53,20 +52,29 @@ class PredictionTrace(ArrayRecord):
     """All steps of one run as read-only columns, plus the running test MAPE (percent).
 
     Every column but cumulative_mape holds one entry per step, in step
-    order, as the StepRecord field of the same name does; is_test marks
-    the test steps. Classes and errors are integers, raw predictions and
-    means float64. cumulative_mape holds one float64 per test step.
+    order, as the StepRecord field of the same name does; is_test is
+    nonzero on the test steps. Classes and errors are integers, raw
+    predictions and means float64. cumulative_mape holds one float64 per
+    test step. A trace whose columns break that rule is refused when built.
     """
 
-    index: np.ndarray
-    is_test: np.ndarray
-    previous_class: np.ndarray
-    raw_prediction: np.ndarray
-    predicted_class: np.ndarray
-    expected_class: np.ndarray
-    abs_error: np.ndarray
-    deviant_mean_after: np.ndarray
-    cumulative_mape: np.ndarray
+    index: Ints
+    is_test: Ints
+    previous_class: Ints
+    raw_prediction: Reals
+    predicted_class: Ints
+    expected_class: Ints
+    abs_error: Ints
+    deviant_mean_after: Reals
+    cumulative_mape: Reals
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        steps, tests = len(self.index), len(self.is_test) - self.is_test.tolist().count(0)
+        for name, column in vars(self).items():
+            count, what = (tests, "test steps") if name == "cumulative_mape" else (steps, "steps")
+            if len(column) != count:
+                raise LengthMismatchError(f"{name} has {len(column)} entries for {count} {what}")
 
     def __len__(self) -> int:
         return len(self.index)
@@ -74,7 +82,7 @@ class PredictionTrace(ArrayRecord):
     @property
     def steps(self) -> tuple[StepRecord, ...]:
         """The steps as records, built anew on each access."""
-        phases = map((TRAIN, TEST).__getitem__, self.is_test.tolist())
+        phases = [(TRAIN, TEST)[bool(test)] for test in self.is_test]
         # previous_class through deviant_mean_after, in StepRecord's order
         columns = [getattr(self, column.name).tolist() for column in fields(self)[2:-1]]
         return tuple(map(StepRecord, self.index.tolist(), phases, *columns))
@@ -98,49 +106,41 @@ def split_index(sequence_length: int, train_fraction: float) -> int:
     return max(1, math.floor(train_fraction * sequence_length))
 
 
-def round_half_away_from_zero_array(values: np.ndarray) -> np.ndarray:
-    """Each element rounded to the nearest whole number, halves away from zero, as float64."""
-    whole = np.trunc(values)
-    fraction = values - whole
+def round_half_away_from_zero(value: float) -> int:
+    """value rounded to the nearest whole number, halves away from zero."""
+    whole = math.trunc(value)
+    fraction = value - whole
     return whole + (fraction >= 0.5) - (fraction <= -0.5)
 
 
 def _walk(classes: ClassSequence, config: RunConfig, learning: bool) -> PredictionTrace:
     """Predict each element from its predecessor; update the learner while learning.
 
-    Only the steps that learn run in a loop, Learner.learn_steps, whose
-    means fill a preallocated column; the rest keep the mean the learner
-    then holds. Each raw prediction is the previous class plus the mean held
-    before its step, in one array expression, and one array pass rounds
-    it half away from zero and clamps it to [1, class_level]. The running
-    test MAPE is computed from the columns: np.cumsum adds 1-D float64 in
-    order, as a running sum would.
+    Each raw prediction is the previous class plus the mean held before its
+    step; each distinct one is rounded half away from zero and clamped to
+    [1, class_level] once. The running test MAPE adds the steps' ratios in
+    order, as numpy's cumsum of a 1-D float64 array does, and divides by the count.
     """
     config.validate()
-    level = classes.class_level
-    length = len(classes)
+    level, values, length = classes.class_level, classes.classes, len(classes)
     split = split_index(length, config.train_fraction)
     learner = Learner(config.learner)
 
-    values = np.array(classes.classes, dtype=np.int8)  # in [1, level]: ClassSequence holds no other
-    previous, expected = values[:-1], values[1:]
-    means = np.full(length, learner.deviant_mean)  # means[s] before step s, means[s + 1] after
-    # the leading steps the learner updates on; the rest keep the mean it then holds
     learned = (split - 1 if config.freeze_after_train else length - 1) if learning else 0
-    means[1:learned + 1] = learner.learn_steps(classes.classes, classes.classes[1:learned + 1])
-    means[learned + 1:] = learner.deviant_mean
-    raw = previous + means[:-1]
-    predicted = np.clip(round_half_away_from_zero_array(raw), 1, level).astype(np.int8)
+    # means[s] is the mean before step s; the steps past `learned` keep the one it then holds
+    means = array("d", [learner.deviant_mean, *learner.learn_steps(values, values[1:learned + 1])])
+    means.extend(repeat(learner.deviant_mean, length - 1 - learned))
+    previous, expected = array("b", bytes(values[:-1])), array("b", bytes(values[1:]))  # a class fits a byte
+    raw = array("d", map(add, previous, means))
+    predicted_of = {real: min(max(round_half_away_from_zero(real), 1), level) for real in set(raw)}
+    predicted = array("b", map(predicted_of.__getitem__, raw))
+    abs_error = array("b", map(abs, map(sub, predicted, expected)))
 
-    abs_error = np.abs(predicted - expected)
-    series = np.divide(abs_error[split - 1:], expected[split - 1:])
-    np.cumsum(series, out=series)
-    series *= 100.0
-    series /= np.arange(1, len(series) + 1)
-    index = np.arange(1, length, dtype=np.int32)
-    return PredictionTrace(
-        index, index >= split, previous, raw, predicted, expected, abs_error, means[1:], series
-    )
+    ratios = accumulate(map(truediv, abs_error[split - 1:], expected[split - 1:]))
+    series = array("d", map(truediv, map((100.0).__mul__, ratios), range(1, length - split + 1)))
+    is_test = array("b", [0]) * (split - 1) + array("b", [1]) * (length - split)
+    return PredictionTrace(array("q", range(1, length)), is_test, previous, raw, predicted,
+                           expected, abs_error, means[1:], series)
 
 
 def run_continual(classes: ClassSequence, config: RunConfig) -> PredictionTrace:
@@ -162,10 +162,10 @@ def baseline_persistence(classes: ClassSequence, config: RunConfig) -> Predictio
     return _walk(classes, config, learning=False)
 
 
-def mape(trace: PredictionTrace) -> tuple[float, np.ndarray]:
+def mape(trace: PredictionTrace) -> tuple[float, Sequence[float]]:
     """Final and per-step running test MAPE, in percent, as stored in the trace."""
     series = _test_mapes(trace.cumulative_mape)
-    return float(series[-1]), series
+    return series[-1], series
 
 
 def decode_trace(trace: PredictionTrace, memory: SensorMemory) -> DecodedTrace:
@@ -176,53 +176,51 @@ def decode_trace(trace: PredictionTrace, memory: SensorMemory) -> DecodedTrace:
     predicted before the expected, so a class out of range or an empty
     memory raises what decode_class raises for the first such class.
     """
-    level = memory.class_level
-    classes = np.column_stack((trace.predicted_class, trace.expected_class)).ravel()
-    symbols = np.empty(level + 1, dtype=object)
-    own_slot = np.zeros(level + 1, dtype=bool)
-    for cls in classes[np.sort(np.unique(classes, return_index=True)[1])].tolist():
-        symbols[cls], own_slot[cls] = decode_class(cls, memory)
     predicted, expected = trace.predicted_class, trace.expected_class
-    return DecodedTrace(symbols[predicted].tolist(), symbols[expected].tolist(),
-                        (own_slot[predicted] & own_slot[expected]).tolist())
+    decoded = {cls: decode_class(cls, memory)
+               for cls in dict.fromkeys(chain.from_iterable(zip(predicted, expected)))}
+    symbols, own_slot = ({cls: pair[part] for cls, pair in decoded.items()} for part in (0, 1))
+    return DecodedTrace(list(map(symbols.__getitem__, predicted)),
+                        list(map(symbols.__getitem__, expected)),
+                        list(map(and_, map(own_slot.__getitem__, predicted),
+                                 map(own_slot.__getitem__, expected))))
 
 
-def _texts(column: np.ndarray, end: str = "") -> list[str]:
-    """Each value of column as a trace field followed by end, formed once per distinct value.
+class _RowHeads(dict):
+    """A trace row's text from its phase to its abs_error field, formed once per distinct key."""
 
-    Integers print as they are and reals as format_real prints them.
-    """
-    form, keys = str, column
-    if column.dtype == np.float64:  # keyed by bit pattern, so that -0.0 keeps its sign
-        form, keys = format_real, column.view(np.int64)
-    _, first, positions = np.unique(keys, return_index=True, return_inverse=True)
-    texts = [form(value) + end for value in column[first].tolist()]
-    return np.array(texts, dtype=object)[positions].tolist()
+    def __missing__(self, key: tuple) -> str:
+        test, previous, raw, _, *integers = key  # the raw prediction's bits tell -0.0 from 0.0
+        fields = [(TRAIN, TEST)[bool(test)], str(previous), format_real(raw), *map(str, integers)]
+        self[key] = text = ",".join(fields) + ","
+        return text
 
 
 def write_trace(trace: PredictionTrace, stream: TextIO) -> None:
     """Emit the delimited trace; reals carry 6 decimal places (see format_real).
 
-    cumulative_mape is empty on train steps. Each block's columns are formatted on their own.
+    cumulative_mape is empty on train steps. The fields from phase to abs_error, and the mean,
+    are formed into text once per distinct value, a real keyed by its bits: -0.0 keeps its sign.
     """
+    heads = _RowHeads()
+    mape_at = 0  # the cumulative_mape entry of the block's first test step
+
     def block_rows(start: int, stop: int) -> Iterable[str]:
+        nonlocal mape_at
         block = slice(start, stop)
-        is_test = trace.is_test[block]
-        first_test = np.count_nonzero(trace.is_test[:start])
-        mape = trace.cumulative_mape[first_test:first_test + np.count_nonzero(is_test)]
-        mape_texts = np.full(len(is_test), "", dtype=object)
-        mape_texts[is_test] = list(map(float.__format__, mape.tolist(), repeat(MAPE_FORMAT)))
-        return map(",".join, zip(
-            map(str, trace.index[block].tolist()),
-            map((TRAIN, TEST).__getitem__, is_test.tolist()),
-            _texts(trace.previous_class[block]),
-            _texts(trace.raw_prediction[block]),
-            _texts(trace.predicted_class[block]),
-            _texts(trace.expected_class[block]),
-            _texts(trace.abs_error[block]),
-            mape_texts.tolist(),
-            _texts(trace.deviant_mean_after[block], end="\n"),
-        ))
+        is_test = trace.is_test[block].tolist()
+        tests = len(is_test) - is_test.count(0)
+        mape = map(format, trace.cumulative_mape[mape_at:mape_at + tests], repeat(MAPE_FORMAT))
+        mape_at += tests
+        raw, means = trace.raw_prediction[block], trace.deviant_mean_after[block]
+        mean_bits = memoryview(means.tobytes()).cast("q")
+        tails = {bits: f",{format_real(mean)}\n" for bits, mean in dict(zip(mean_bits, means)).items()}
+        keys = zip(is_test, trace.previous_class[block], raw, memoryview(raw.tobytes()).cast("q"),
+                   trace.predicted_class[block], trace.expected_class[block], trace.abs_error[block])
+        return chain.from_iterable(zip(
+            map(str, trace.index[block]), repeat(","), map(heads.__getitem__, keys),
+            mape if tests == len(is_test) else [next(mape) if test else "" for test in is_test],
+            map(tails.__getitem__, mean_bits)))
 
     _write_blocks(stream, TRACE_HEADER, len(trace), block_rows)
 

@@ -82,6 +82,15 @@ PAST_THE_END = "tests/test_cli.py::TestPredict::test_a_reference_row_past_the_en
 LAZY_NAMESPACE = "tests/test_api.py::TestLazyNamespace"
 CONFIG_UTF8 = ("tests/test_cli.py::TestConfigFile::"
                "test_a_config_file_not_in_utf8_names_the_file_and_line")
+PIPELINE = "src/symcast/pipeline.py"
+LEARNER = "src/symcast/learner.py"
+STDLIB_ENCODER = "tests/test_encoder.py::TestStdlibEncoder"
+WINNERS_MEAN = "tests/test_learner.py::TestWinnersMean"
+COLUMNS = "tests/test_api.py::TestColumns"
+LENGTH_RULE = "tests/test_pipeline.py::TestTraceLengthRule"
+WALK_ORACLE = "tests/test_pipeline.py::TestColumnarWalkOracle"
+NEGATIVE_ZERO = ("tests/test_pipeline.py::TestTraceSerialization::"
+                 "test_a_negative_zero_keeps_its_sign_beside_a_positive_one")
 
 # _parse_rows's conversions as they are, and with cumulative_mape's moved after the others
 MAPE_CONVERTED_FIRST = (
@@ -114,23 +123,27 @@ MUTANTS = [
     # Scoring each distinct match value once.
     Mutant(ENCODER, "max_value = values[-1]", "max_value = values[0]",
            "the maximum is the last distinct value, not the first", "killed", (DISTINCT,)),
-    Mutant(ENCODER, "distinct_classes[index]", "distinct_classes[index[::-1]]",
+    Mutant(ENCODER, "map(distinct_classes.__getitem__, index)",
+           "map(distinct_classes.__getitem__, index[::-1])",
            "rows take their classes through the score index in row order", "killed",
            (DISTINCT,)),
-    Mutant(ENCODER, "[self.score_index])", "[np.sort(self.score_index)])",
+    Mutant(ENCODER, "self.distinct.__getitem__, self.score_index)",
+           "self.distinct.__getitem__, sorted(self.score_index))",
            "dropping the score index leaves rows in value order", "killed", (DISTINCT,)),
     Mutant(ENCODER, 'f"V{8 * words.shape[1]}"', '"V8"',
            "the void spans the packed row, whatever its width", "killed", (DISTINCT,)),
+    # swap_match, the numpy reference, returns per-row scores, so the order of its distinct
+    # values shows only in their scales; the reference row, the maximum, sorts last either way.
     Mutant(ENCODER, "np.lexsort(words.T[::-1])", "np.lexsort(words.T)",
            "the first word is the most significant: past 64 cells the distinct scores "
            "would not ascend, though the reference row, the maximum, still sorts last",
-           "killed", (DISTINCT,)),
+           "equivalent", ()),
     Mutant(ENCODER, "-matrix.width % 64", "-matrix.width % 8",
            "a packed row reads as 64-bit words only when padded to whole words", "killed",
            (DISTINCT,)),
     Mutant(ENCODER, '.view(">u8")', '.view("<u8")',
            "a word's first byte is its most significant, so the words sort by value",
-           "killed", (DISTINCT,)),
+           "equivalent", ()),
     Mutant(ENCODER, "np.r_[True,", "np.r_[False,",
            "the first row in value order starts the first distinct value", "killed", (DISTINCT,)),
     Mutant(ENCODER, ".any(axis=1)]", ".all(axis=1)]",
@@ -151,32 +164,37 @@ MUTANTS = [
            "an ASCII corpus is held as bytes, any other as 32-bit code points", "killed",
            (FIXED_WIDTH,)),
     # The one __eq__ of the records that hold arrays.
-    Mutant(ENCODER, "np.array_equal(mine, theirs) if isinstance", "True if isinstance",
+    Mutant(ENCODER, "return vars(self) == vars(other)",
+           "return vars(self).keys() == vars(other).keys()",
            "two encodings whose rows index different scores differ, and so do two matrices "
            "of one shape with different codes", "killed",
            ("tests/test_api.py::TestEncodedCorpusEquality",
             "tests/test_api.py::TestSymbolMatrixEquality")),
     # The one base of the records that hold arrays: read-only arrays, however made.
-    Mutant(ENCODER, "                array.flags.writeable = False\n", "",
+    Mutant(ENCODER, "object.__setattr__(self, field.name, view.toreadonly())",
+           "object.__setattr__(self, field.name, view)",
            "a record's arrays are read-only, so a frozen record cannot change under its owner",
            "killed", (READ_ONLY,)),
-    Mutant(ENCODER, 'if field.type == "np.ndarray":', "if field.type == np.ndarray:",
+    Mutant(ENCODER, "if field.type in _FORMATS:", "if field.type in (Ints, Reals):",
            "under the __future__ import a field's type is its annotation's text, so the class "
            "would match no field", "killed", (READ_ONLY,)),
     Mutant(ENCODER, "    def __reduce__(self):", "    def _reduce(self):",
            "copy and pickle skip __post_init__ unless they rebuild through the constructor",
            "killed", (READ_ONLY,)),
     # The byte-wide code matrix of an ASCII corpus.
-    Mutant(ENCODER, "narrow = text.isascii()", "narrow = True",
+    Mutant(ENCODER, "narrow = _checked_text(corpus).isascii()",
+           "narrow = _checked_text(corpus).isascii() or True",
            "only an ASCII corpus fits one byte per cell", "killed", (NARROW,)),
-    Mutant(ENCODER, "narrow = text.isascii()", "narrow = False",
+    Mutant(ENCODER, "narrow = _checked_text(corpus).isascii()",
+           "narrow = _checked_text(corpus).isascii() and False",
            "an ASCII corpus is held one byte per cell", "killed", (NARROW,)),
     Mutant(ENCODER, 'repeat("big")', 'repeat("little")',
            "a packed row reads MSB-first, its first cell the highest bit", "killed",
            ("tests/test_encoder.py::TestSwapMatch",)),
-    Mutant(ENCODER, "np.array_equal(mine, theirs)", "bool((mine == theirs).all())",
-           "np.array_equal compares shapes, where == would broadcast one row against many",
-           "killed", ("tests/test_api.py::TestPredictionTraceEquality",)),
+    Mutant(PIPELINE, "if len(column) != count:", "if len(column) > count:",
+           "a trace whose columns differ in length never passes for a whole one: equality "
+           "compares lengths, and a shorter column is refused where the trace is built",
+           "killed", (LENGTH_RULE, "tests/test_api.py::TestPredictionTraceEquality")),
     # The encode CSV.
     Mutant("src/symcast/cli.py", "    sys.set_int_max_str_digits(0)\n", "",
            "a row of more than about 14,300 cells has a match value past 4,300 digits",
@@ -204,11 +222,12 @@ MUTANTS = [
     Mutant("src/symcast/cli.py", "series[start:stop]", "series[:stop - start]",
            "each series block writes its own values", "killed", (REPORT_BLOCKS,)),
     # The encode CSV's texts, one per distinct score, written a block at a time.
-    Mutant("src/symcast/cli.py", "texts[index[start:stop]]", "texts[index[:stop - start]]",
+    Mutant("src/symcast/cli.py", "map(texts.__getitem__, index[start:stop])",
+           "map(texts.__getitem__, index[:stop - start])",
            "each block takes its own rows' texts through the score index", "killed",
            (ENCODE_BLOCKS,)),
-    Mutant("src/symcast/cli.py", "classes[index] = encoded.classes.classes",
-           "classes[index] = 1",
+    Mutant("src/symcast/cli.py", "dict(zip(index, encoded.classes.classes))",
+           "dict.fromkeys(index, 1)",
            "each score's text carries the class of its rows", "killed", (ENCODE_BLOCKS,)),
     Mutant("src/symcast/cli.py", "_csv_fields(corpus.items[start:stop])",
            "(corpus.items[start:stop] if start else _csv_fields(corpus.items[start:stop]))",
@@ -247,12 +266,11 @@ MUTANTS = [
            "self.steps_seen = seen + len(means)\n                outcome =",
            "a new step starts from the mean the kept steps before it left", "killed",
            (LEARN_STEPS,)),
-    Mutant("src/symcast/learner.py", "if len(winners) < 8:", "if len(winners) < 9:",
-           "numpy adds 8 or more values pairwise, not in order", "killed",
-           ("tests/test_learner.py",)),
-    Mutant("src/symcast/learner.py", "total = 0.0", "total = -0.0",
-           "numpy's sum starts from 0.0, so two -0.0 winners average to 0.0", "killed",
-           ("tests/test_learner.py",)),
+    Mutant(LEARNER, "if count >= 8:", "if count >= 9:",
+           "numpy adds 8 or more values pairwise, not in order", "killed", (WINNERS_MEAN,)),
+    Mutant(LEARNER, "(0.0 + _pairwise_sum(winners))", "(_pairwise_sum(winners))",
+           "numpy's sum starts from 0.0, so -0.0 winners average to 0.0", "killed",
+           (WINNERS_MEAN,)),
     Mutant("src/symcast/learner.py", "abs(x) <= population_size", "abs(x) < population_size",
            "moves only where the search starts, not what it finds", "equivalent", ()),
     # The learner's winner search.
@@ -275,19 +293,19 @@ MUTANTS = [
            "indices that tie on |residual| are ranked by |candidate| before their index",
            "killed", (RANKED,)),
     # The walk's raw predictions, each from the mean held before its step.
-    Mutant("src/symcast/pipeline.py", "previous + means[:-1]", "previous + means[1:]",
+    Mutant(PIPELINE, "map(add, previous, means)", "map(add, previous, means[1:])",
            "a step predicts with the mean it starts from, not the one it learns", "killed",
            ("tests/test_pipeline.py::TestColumnarWalkOracle",)),
     # Decoding each class once, in first-occurrence order.
-    Mutant("src/symcast/pipeline.py", "classes[np.sort(np.unique(classes, return_index=True)[1])]",
-           "np.unique(classes)",
+    Mutant(PIPELINE, "dict.fromkeys(chain.from_iterable(zip(predicted, expected)))",
+           "sorted(set(chain.from_iterable(zip(predicted, expected))))",
            "the first bad class in step order names the error, not the first in value order",
            "killed", ("tests/test_pipeline.py::TestDecoderOracle",)),
     # The trace's text columns and the corpus reader.
     Mutant(TRACE_TEXT, "abs(value) < 1e15", "abs(value) <= 1e15",
            "a real of exactly 1e15 prints in exponent form", "killed",
            ("tests/test_pipeline.py::TestTraceSerialization",)),
-    Mutant("src/symcast/pipeline.py", "format_real, column.view(np.int64)", "format_real, column",
+    Mutant(PIPELINE, 'mean_bits = memoryview(means.tobytes()).cast("q")', "mean_bits = means",
            "keyed by value, -0.0 and 0.0 would share one text", "killed",
            ("tests/test_pipeline.py::TestTraceSerialization",)),
     # The order in which a trace row's fields convert.
@@ -303,8 +321,7 @@ MUTANTS = [
            "for offset, row in reversed(list(enumerate(rows))):",
            "of two bad rows in a block, the rescan names the first, not the last", "killed",
            (BLOCKWISE, TWO_FAULTS)),
-    Mutant("src/symcast/pipeline.py", "np.count_nonzero(trace.is_test[:start])",
-           "np.count_nonzero(trace.is_test[:start + 1])",
+    Mutant(PIPELINE, "        mape_at += tests\n", "",
            "a block's test steps take the cumulative_mape values after all earlier test steps",
            "killed", (BLOCKWISE,)),
     Mutant(TRACE_TEXT, "while block := list(islice(rows, BLOCK_ROWS)):",
@@ -398,6 +415,36 @@ MUTANTS = [
     Mutant("src/symcast/cli.py", "[i / (n - 1) for i in range(n)]", "[i / n for i in range(n)]",
            "the chart spreads its points over the whole axis", "killed",
            ("tests/test_cli.py::TestReport::test_chart_points_equal_the_per_point_reference",)),
+    # encode and predict without numpy: the stdlib encoder, walk, columns and mean.
+    Mutant(ENCODER, '(b"\\x7f" + b"\\xff" * (lane - 1))', '(b"\\xff" * lane)',
+           "low leaves each lane's top bit clear, so a lane's carry stops at its own top bit",
+           "killed", (STDLIB_ENCODER,)),
+    Mutant(ENCODER, "lane = 1 if _checked_text(corpus).isascii() else 4",
+           "lane = 1 if _checked_text(corpus).isascii() else 1",
+           "a character past ASCII takes a 32-bit UTF-32 lane", "killed", (STDLIB_ENCODER,)),
+    Mutant(ENCODER, "shift = 8 * size * (count - len(block))", "shift = 0",
+           "a short last block compares its rows with as many copies of the reference",
+           "killed", (STDLIB_ENCODER,)),
+    Mutant(ENCODER, "view = None if isinstance(value, memoryview) else memoryview(value)",
+           "view = memoryview(value)",
+           "a memoryview of part of an array is copied, so a copy or pickle holds that part",
+           "killed", (COLUMNS,)),
+    Mutant(ENCODER, "if view is None or view.format not in formats:", "if view is None:",
+           "a column of another format is copied into its kind's: reals given as ints are "
+           "float64", "killed", (COLUMNS,)),
+    Mutant(LEARNER, "half = count // 2 - count // 2 % 8", "half = count // 2",
+           "numpy splits a long sum at a multiple of 8", "killed", (WINNERS_MEAN,)),
+    Mutant(PIPELINE, "test, previous, raw, _, *integers = key", "test, previous, _, raw, *integers = key",
+           "a row's text formats the raw prediction, not its bits", "killed", (NEGATIVE_ZERO,)),
+    Mutant(PIPELINE, "raw, memoryview(raw.tobytes()).cast(\"q\")", "raw, raw",
+           "a raw prediction's text is keyed by its bits, so -0.0 keeps its sign", "killed",
+           (NEGATIVE_ZERO,)),
+    Mutant(PIPELINE, "return whole + (fraction >= 0.5) - (fraction <= -0.5)",
+           "return whole + (fraction > 0.5) - (fraction < -0.5)",
+           "halves round away from zero", "killed", (WALK_ORACLE,)),
+    Mutant(PIPELINE, "min(max(round_half_away_from_zero(real), 1), level)",
+           "min(max(round_half_away_from_zero(real), 0), level)",
+           "a prediction below class 1 is clamped to class 1", "killed", (WALK_ORACLE,)),
 ]
 
 

@@ -1,5 +1,6 @@
 """The package namespace and the contract every public record keeps."""
 
+import ast
 import copy
 import dataclasses
 import io
@@ -27,7 +28,7 @@ from symcast.encoder import (
 )
 from symcast.ingest import Corpus, read_text_corpus
 from symcast.learner import Learner, LearnerConfig
-from symcast.pipeline import PredictionTrace, RunConfig, decode_trace, run_continual
+from symcast.pipeline import PredictionTrace, RunConfig, decode_trace, run_continual, write_trace
 
 from conftest import CARBUS
 
@@ -62,6 +63,41 @@ def test_the_namespace_is_each_modules_own_public_names():
             assert getattr(symcast, name) is value
             if callable(value):  # defined there, not imported from elsewhere
                 assert value.__module__ == module.__name__, name
+
+
+# The numpy reference code the tests compare against: the only places numpy is imported.
+NUMPY_REFERENCE = [
+    ("encoder", "swap_match"), ("encoder", "symbol_integer_transform"),
+    ("learner", "adjust_candidates"), ("learner", "make_adjustment_grid"),
+    ("learner", "select_winners"),
+]
+
+
+def numpy_imports(tree):
+    """The function around each import of numpy in tree, or None for one at module level."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            else:
+                modules = [child.module or ""] if isinstance(child, ast.ImportFrom) else []
+            found.extend(function for module in modules if module.split(".")[0] == "numpy")
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else function)
+
+    visit(tree, None)
+    return found
+
+
+def test_numpy_is_imported_only_inside_the_reference_functions():
+    # a class body runs at import, so an import there counts as module level
+    found = []
+    for path in sorted(Path(symcast.__file__).parent.glob("*.py")):
+        found += [(path.stem, function)
+                  for function in numpy_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert sorted(found) == NUMPY_REFERENCE
 
 
 class TestLazyNamespace:
@@ -125,6 +161,11 @@ def field_names(record):
     return [field.name for field in dataclasses.fields(record)]
 
 
+def fresh_copy(value):
+    """A deep copy of a field; a column, a memoryview that copy cannot take, as a numpy array."""
+    return np.array(value) if isinstance(value, memoryview) else copy.deepcopy(value)
+
+
 RECORDS = public_records()
 RECORD_IDS = [type(record).__name__ for record in RECORDS]
 HASHABLE = [record for record in RECORDS
@@ -140,7 +181,7 @@ class TestRecordContract:
 
     @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
     def test_equals_a_fresh_copy_of_its_fields(self, record):
-        fields = {name: copy.deepcopy(getattr(record, name)) for name in field_names(record)}
+        fields = {name: fresh_copy(getattr(record, name)) for name in field_names(record)}
         assert record == type(record)(**fields)
 
     @pytest.mark.parametrize("record", HASHABLE, ids=lambda record: type(record).__name__)
@@ -158,7 +199,7 @@ ARRAY_RECORDS = [record for record in RECORDS
 
 @pytest.mark.parametrize("record", ARRAY_RECORDS, ids=lambda record: type(record).__name__)
 def test_array_fields_stay_read_only_however_the_record_is_made(record):
-    names = [name for name in field_names(record) if isinstance(getattr(record, name), np.ndarray)]
+    names = [name for name in field_names(record) if isinstance(getattr(record, name), memoryview)]
     assert names
     writable = {name: np.array(getattr(record, name)) for name in names}  # fresh, writable copies
     made = {
@@ -171,7 +212,32 @@ def test_array_fields_stay_read_only_however_the_record_is_made(record):
     for how, other in made.items():
         assert other == record, how
         for name in names:
-            assert not getattr(other, name).flags.writeable, (how, name)
+            assert getattr(other, name).readonly, (how, name)
+
+
+class TestColumns:
+    """A column is a read-only view of an array or buffer of its kind, whatever it was built from."""
+
+    def test_a_record_built_from_part_of_a_column_copies_and_pickles_as_built(self):
+        encoded = encode_corpus(CARBUS, class_level=5)
+        reversed_index = dataclasses.replace(encoded, score_index=encoded.score_index[::-1])
+        for made in (copy.copy(reversed_index), pickle.loads(pickle.dumps(reversed_index))):
+            assert made == reversed_index and made != encoded
+
+    def test_reals_given_as_integers_are_held_as_float64(self):
+        ones = PredictionTrace(*(np.ones(2, dtype=np.int64),) * 9)
+        assert [getattr(ones, name).format for name in field_names(ones)] == [
+            "l", "l", "l", "d", "l", "l", "l", "d", "d"]
+        buffer = io.StringIO()
+        write_trace(ones, buffer)
+        assert buffer.getvalue().splitlines()[1] == "1,test,1,1.000000,1,1,1,1.000000,1.000000"
+
+    def test_a_sequence_is_held_as_int64_or_float64(self):
+        trace = PredictionTrace([1], [True], (2,), [0.5], range(1, 2), [3], [2], [1.5], [200.0])
+        assert [getattr(trace, name).format for name in field_names(trace)] == [
+            "q", "q", "q", "d", "q", "q", "q", "d", "d"]
+        with pytest.raises(TypeError):
+            PredictionTrace([1.5], [True], [2], [0.5], [1], [3], [2], [1.5], [200.0])
 
 
 class TestSymbolMatrixEquality:
@@ -207,7 +273,7 @@ class TestEncodedCorpusEquality:
 
     def test_never_equals_another_type(self):
         encoded = encode_corpus(CARBUS, class_level=5)
-        assert encoded != dataclasses.astuple(encoded)
+        assert encoded != tuple(vars(encoded).values())
 
 
 class TestPredictionTraceEquality:

@@ -1057,7 +1057,7 @@ finally:
 
 
 class TestStartWithoutNumpy:
-    """report and --version import no numpy, on success or failure; predict does."""
+    """No command and not --version imports numpy, on success or failure."""
 
     def spawn(self, *args):
         env = dict(os.environ, PYTHONPATH=str(Path(symcast.__file__).resolve().parent.parent))
@@ -1069,11 +1069,25 @@ class TestStartWithoutNumpy:
     def test_report_and_version_run_without_numpy(self, carbus_file, tmp_path):
         trace, chart = tmp_path / "trace.csv", tmp_path / "chart.svg"
         assert self.spawn("predict", "--input", str(carbus_file), "--out", str(trace)) == (
-            0, [], "numpy imported: True")
+            0, [], "numpy imported: False")
         assert self.spawn("report", "--input", str(trace), "--out", str(tmp_path / "series.csv"),
                           "--svg", str(chart)) == (0, [], "numpy imported: False")
         assert chart.read_text(encoding="utf-8").startswith("<svg")
         assert self.spawn("--version") == (0, [], "numpy imported: False")
+
+    @pytest.mark.parametrize("command, good, bad, error", [
+        (["encode"], "Car\nBus\n", "Car\nB\x00s\n",
+         "corpus row 1 contains NUL, which collides with padding"),
+        (["predict", "--numeric"], "1\n2.5\n20\n3\n", "7\n", "need at least 2 elements, got 1"),
+        (["predict", "--baseline", "--decode"], "Car\nBus\nBu\nCar\n", "Car\n",
+         "need at least 2 elements, got 1"),
+    ])
+    def test_encode_and_predict_run_without_numpy(self, command, good, bad, error, tmp_path):
+        for text, expected in ((good, (0, [], "numpy imported: False")),
+                               (bad, (1, [f"error: {error}"], "numpy imported: False"))):
+            (tmp_path / "input.txt").write_text(text, encoding="utf-8")
+            assert self.spawn(command[0], "--input", str(tmp_path / "input.txt"),
+                              "--out", str(tmp_path / "out.csv"), *command[1:]) == expected
 
     def test_a_refused_trace_is_reported_without_numpy(self, tmp_path):
         trace = tmp_path / "train_only.csv"

@@ -31,7 +31,8 @@ from symcast.learner import (
     make_adjustment_grid,
     select_winners,
 )
-from symcast.pipeline import RunConfig, round_half_away_from_zero_array, run_continual
+from symcast.pipeline import RunConfig, run_continual
+from symcast.pipeline import round_half_away_from_zero as walk_rounding
 
 nonzero_diffs = st.floats(min_value=-10, max_value=10, allow_nan=False).filter(
     lambda d: d != 0
@@ -91,9 +92,9 @@ class TestAdjustmentGrid:
     ],
 )
 def test_round_half_away_from_zero(value, expected):
-    # the scalar reference and the walk's array form
+    # the scalar reference and the walk's own
     assert round_half_away_from_zero(value) == expected
-    assert round_half_away_from_zero_array(np.array([value])).tolist() == [expected]
+    assert walk_rounding(value) == expected
 
 
 class TestConfigValidation:
@@ -681,17 +682,45 @@ class TestLearnSteps:
         assert learner.steps_seen == MARKOV_STEPS
 
 
+# Reals whose sums round, cancel, underflow and overflow.
+EDGE_REALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+              1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def winner_tuples(draw):
+    """1-10,000 reals of mixed signs: a drawn head, then a seeded tail at one drawn scale."""
+    head = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                         | st.sampled_from(EDGE_REALS), max_size=20))
+    count = draw(st.integers(min_value=max(1, len(head)), max_value=10_000))
+    rng = draw(st.randoms(use_true_random=False))
+    scale = draw(st.sampled_from([1.0, 1e-310, 1e16, 1e307]))
+    return tuple(head + [rng.uniform(-1.0, 1.0) * scale for _ in range(count - len(head))])
+
+
 class TestWinnersMean:
-    """Fewer than 8 winners are added in order in Python; numpy's mean is the reference."""
+    """_mean is numpy's pairwise float64 sum written out; numpy's mean is the reference."""
+
+    @given(winner_tuples())
+    @example((-0.0,) * 14)
+    @example((1.0,) + (1e-16,) * 7)  # eight: a tree of sums, where adding in order gives 1.0
+    @example((1e308,) * 9)
+    @example((-1e308,) * 129 + (1e308,))
+    @example(tuple(range(1, 1_000)))
+    def test_one_to_ten_thousand_winners_match_numpy_bit_for_bit(self, winners):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = float(np.mean(np.array(winners)))
+        assert learner_module._mean(winners).hex() == expected.hex()
+
+    def test_an_overflowing_sum_is_inf(self):
+        assert learner_module._mean((1e308,) * 9) == math.inf
+        assert learner_module._mean((-1.7e308,) * 200) == -math.inf
 
     @given(
         st.lists(
             st.one_of(
                 st.floats(allow_nan=False, allow_infinity=False),
-                st.sampled_from(
-                    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
-                     1.7976931348623157e308, -1.7976931348623157e308]
-                ),
+                st.sampled_from(EDGE_REALS),
             ),
             min_size=2,
             max_size=7,

@@ -26,6 +26,7 @@ from symcast.errors import (
     BadConfigError,
     SymcastError,
     EmptyMemoryError,
+    LengthMismatchError,
     NoTestStepsError,
     TooShortError,
     TraceFormatError,
@@ -48,11 +49,11 @@ from symcast.pipeline import (
     format_real,
     mape,
     read_trace,
-    round_half_away_from_zero_array,
     run_continual,
     split_index,
     write_trace,
 )
+from symcast.pipeline import round_half_away_from_zero as walk_rounding
 from symcast.tracetext import BLOCK_ROWS
 
 from oracle import (
@@ -383,6 +384,29 @@ class TestDecodeTrace:
         assert list(zip(*decode_trace(trace, memory))) == expected
 
 
+class TestTraceLengthRule:
+    """A trace's columns hold one entry per step, and cumulative_mape one per test step."""
+
+    def test_a_column_of_another_length_is_refused_where_the_trace_is_built(self, carbus_encoded):
+        trace = run_continual(carbus_encoded.classes, RunConfig())
+        columns = {name: getattr(trace, name) for name in PredictionTrace.__dataclass_fields__}
+        assert PredictionTrace(**columns) == trace
+        for name in list(columns)[1:-1]:
+            for short in (columns[name][:-1], columns[name][1:2]):
+                with pytest.raises(LengthMismatchError,
+                                   match=f"^{name} has {len(short)} entries for 8 steps$"):
+                    PredictionTrace(**{**columns, name: short})
+        with pytest.raises(LengthMismatchError, match="^is_test has 8 entries for 9 steps$"):
+            PredictionTrace(**{**columns, "index": range(9)})
+        with pytest.raises(LengthMismatchError,
+                           match="^cumulative_mape has 5 entries for 6 test steps$"):
+            PredictionTrace(**{**columns, "cumulative_mape": columns["cumulative_mape"][1:]})
+
+    def test_the_error_is_a_symcast_error(self):
+        with pytest.raises(SymcastError):
+            PredictionTrace(*([1],) * 8, [])
+
+
 class TestTraceSerialization:
     def test_header_and_field_formats(self, carbus_encoded):
         trace = run_continual(carbus_encoded.classes, RunConfig())
@@ -402,6 +426,20 @@ class TestTraceSerialization:
         second = io.StringIO()
         write_trace(parsed, second)
         assert first.getvalue() == second.getvalue()
+
+    @pytest.mark.parametrize("column", ["raw_prediction", "deviant_mean_after"])
+    def test_a_negative_zero_keeps_its_sign_beside_a_positive_one(self, column):
+        # a dict of texts keyed by the reals themselves would give both zeros one text
+        zeros = {"raw_prediction": [1.0, 1.0, 1.0], "deviant_mean_after": [2.0, 2.0, 2.0],
+                 column: [0.0, -0.0, 0.0]}
+        trace = PredictionTrace([1, 2, 3], [0, 1, 1], [1, 1, 1], zeros["raw_prediction"],
+                                [1, 1, 1], [1, 1, 1], [0, 0, 0], zeros["deviant_mean_after"],
+                                [0.0, 0.0])
+        buffer = io.StringIO()
+        write_trace(trace, buffer)
+        fields = [line.split(",") for line in buffer.getvalue().splitlines()[1:]]
+        position = {"raw_prediction": 3, "deviant_mean_after": 8}[column]
+        assert [row[position] for row in fields] == ["0.000000", "-0.000000", "0.000000"]
 
     @pytest.mark.parametrize(
         "means",
@@ -578,15 +616,14 @@ class TestColumnarWalkOracle:
          1e308, -1e308, 0.0, -0.0],
     )
     def test_vectorised_rounding_equals_the_scalar(self, value):
-        rounded = round_half_away_from_zero_array(np.array([value, -value]))
-        assert [int(whole) for whole in rounded] == [
+        rounded = [walk_rounding(value), walk_rounding(-value)]
+        assert rounded == [
             round_half_away_from_zero(value), round_half_away_from_zero(-value)
         ]
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
     def test_vectorised_rounding_equals_the_scalar_anywhere(self, values):
-        rounded = round_half_away_from_zero_array(np.array(values, dtype=np.float64))
-        assert [int(whole) for whole in rounded] == list(map(round_half_away_from_zero, values))
+        assert list(map(walk_rounding, values)) == list(map(round_half_away_from_zero, values))
 
     @given(st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=200))
     def test_cumsum_adds_in_order(self, values):
@@ -939,8 +976,8 @@ def read_both(text):
     return outcomes
 
 
-def dtypes(trace):
-    return [getattr(trace, name).dtype for name in PredictionTrace.__dataclass_fields__]
+def formats(trace):
+    return [getattr(trace, name).format for name in PredictionTrace.__dataclass_fields__]
 
 
 class TestBlockwiseTraceIO:
@@ -957,7 +994,7 @@ class TestBlockwiseTraceIO:
         blockwise, whole = read_both(mutate_line(data.draw, block_trace_lines(length), line_number)[0])
         assert blockwise == whole
         if isinstance(whole, PredictionTrace):
-            assert dtypes(blockwise) == dtypes(whole)
+            assert formats(blockwise) == formats(whole)
 
     @pytest.mark.parametrize("length", BLOCK_LENGTHS)
     def test_a_bad_row_at_a_block_edge_is_named_with_its_line(self, length):
@@ -978,16 +1015,14 @@ class TestBlockwiseTraceIO:
         text = "\n".join(block_trace_lines(length))
         blockwise, whole = read_both(text)
         assert blockwise == whole
-        assert dtypes(blockwise) == [np.int64, bool, np.int64, np.float64, np.int64, np.int64,
-                                     np.int64, np.float64, np.float64]
-        assert not any(getattr(blockwise, name).flags.writeable
-                       for name in PredictionTrace.__dataclass_fields__)
+        assert formats(blockwise) == ["q", "q", "q", "d", "q", "q", "q", "d", "d"]
+        assert all(getattr(blockwise, name).readonly for name in PredictionTrace.__dataclass_fields__)
         written = block_trace(length)
         for name in ("index", "is_test", "previous_class", "predicted_class", "expected_class",
                      "abs_error"):
             assert np.array_equal(getattr(blockwise, name), getattr(written, name))
         for name in ("raw_prediction", "deviant_mean_after", "cumulative_mape"):
-            assert np.abs(getattr(blockwise, name) - getattr(written, name)).max() <= 5e-7
+            assert np.abs(np.subtract(getattr(blockwise, name), getattr(written, name))).max() <= 5e-7
 
     @pytest.mark.parametrize("length", BLOCK_LENGTHS)
     @pytest.mark.parametrize("make", [block_trace, mixed_phase_trace])
