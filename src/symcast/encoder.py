@@ -23,7 +23,7 @@ __all__ = [
 
 import math
 from array import array
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
@@ -36,39 +36,60 @@ from .errors import (
 BLOCK_BYTES = 1 << 18  # padded distinct rows read as one int at a time, at least one row
 _BIT_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
 
-# ArrayRecord column annotations: the buffer formats each keeps, the array typecode of others
+# Record column annotations: the buffer formats each keeps, the array typecode of others
 Ints = Reals = memoryview
 _FORMATS = {"Ints": ("bBhHiIlLqQ?", "q"), "Reals": ("d", "d")}
 
 
-@dataclass(frozen=True, eq=False)
-class ArrayRecord:
-    """A record whose Ints and Reals fields are read-only memoryviews, however it is made."""
+class Record:
+    """A frozen record of its class's annotated fields; Ints and Reals ones are read-only views."""
 
-    def __post_init__(self) -> None:
-        for field in fields(self):
-            if field.type in _FORMATS:  # annotations are text under the __future__ import
-                (formats, typecode), value = _FORMATS[field.type], getattr(self, field.name)
+    def __init_subclass__(cls) -> None:
+        annotations = cls.__dict__.get("__annotations__", {})  # text under the __future__ import
+        cls._arguments = namedtuple(cls.__name__, annotations)  # binds, or raises, as a call does
+        cls._fields = cls._arguments._fields
+        cls._columns = {name: _FORMATS[kind] for name, kind in annotations.items() if kind in _FORMATS}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        for name, value in zip(self._fields, self._arguments(*args, **kwargs)):
+            if name in self._columns:
+                formats, typecode = self._columns[name]
                 try:  # a memoryview, perhaps of part of an array, is copied: a view spans its object
                     view = None if isinstance(value, memoryview) else memoryview(value)
                 except TypeError:  # a sequence of numbers
                     view = None
                 if view is None or view.format not in formats:
                     view = memoryview(array(typecode, value))
-                object.__setattr__(self, field.name, view.toreadonly())
+                value = view.toreadonly()
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Refuse fields that break the record's rule; a subclass's hook."""
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: {name!r} cannot change")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
         return vars(self) == vars(other)  # memoryviews compare shape and values, across formats
 
-    def __reduce__(self):  # copy and pickle call __init__, with the object each view holds
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copy, pickle and _replace call __init__ with the object each view holds
         return type(self), tuple(value.obj if isinstance(value, memoryview) else value
                                  for value in vars(self).values())
 
+    def _replace(self, **changes: object) -> Record:
+        return type(self)(**{**dict(zip(self._fields, self.__reduce__()[1])), **changes})
 
-@dataclass(frozen=True, eq=False)
-class SymbolMatrix(ArrayRecord):
+
+class SymbolMatrix(Record):
     """Padded character codes, swap_match's input: ``codes`` has shape (rows, width).
 
     Cell [r, k] is the code point of row r's k-th character, or 0 past its end; the
@@ -99,8 +120,7 @@ class MatchScore(NamedTuple):
     scale: float
 
 
-@dataclass(frozen=True)
-class ClassSequence:
+class ClassSequence(Record):
     """Integer classes for a corpus, each in [1, class_level]; any other is refused when built."""
 
     classes: tuple[int, ...]
@@ -115,6 +135,9 @@ class ClassSequence:
 
     def __len__(self) -> int:
         return len(self.classes)
+
+    def __hash__(self) -> int:
+        return hash((self.classes, self.class_level))
 
 
 class SensorMemory(NamedTuple):
@@ -131,8 +154,7 @@ class SensorMemory(NamedTuple):
         return len(self.slots)
 
 
-@dataclass(frozen=True, eq=False)
-class EncodedCorpus(ArrayRecord):
+class EncodedCorpus(Record):
     """Everything the encoder derives from one corpus: row r's score is distinct[score_index[r]]."""
 
     corpus: tuple[str, ...]
@@ -221,8 +243,9 @@ def swap_match(matrix: SymbolMatrix, reference: Reference = "last") -> list[Matc
 def _scores(values: list[int]) -> tuple[MatchScore, ...]:
     """The scores of ascending distinct match values, each scaled by the last."""
     max_value = values[-1]
-    # positional: a NamedTuple binds keywords several times slower
-    return tuple([MatchScore(value, value / max_value) for value in values])
+    scales = [value / max_value for value in values]
+    # tuple.__new__ skips the NamedTuple's Python-level __new__ and its argument binding
+    return tuple(map(tuple.__new__, repeat(MatchScore), zip(values, scales)))
 
 
 def class_encode(scores: Sequence[MatchScore], class_level: int) -> ClassSequence:

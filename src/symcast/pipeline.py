@@ -20,13 +20,12 @@ __all__ = [
 
 import math
 from array import array
-from dataclasses import dataclass, fields
 from itertools import accumulate, chain, repeat
 from operator import add, and_, sub, truediv
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .config import RunConfig
-from .encoder import ArrayRecord, ClassSequence, Ints, Reals, SensorMemory, decode_class
+from .encoder import ClassSequence, Ints, Reals, Record, SensorMemory, decode_class
 from .errors import LengthMismatchError, TooShortError
 from .learner import Learner
 from .tracetext import (
@@ -47,8 +46,7 @@ class StepRecord(NamedTuple):
     deviant_mean_after: float
 
 
-@dataclass(frozen=True, eq=False)
-class PredictionTrace(ArrayRecord):
+class PredictionTrace(Record):
     """All steps of one run as read-only columns, plus the running test MAPE (percent).
 
     Every column but cumulative_mape holds one entry per step, in step
@@ -69,7 +67,6 @@ class PredictionTrace(ArrayRecord):
     cumulative_mape: Reals
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         steps, tests = len(self.index), len(self.is_test) - self.is_test.tolist().count(0)
         for name, column in vars(self).items():
             count, what = (tests, "test steps") if name == "cumulative_mape" else (steps, "steps")
@@ -84,7 +81,7 @@ class PredictionTrace(ArrayRecord):
         """The steps as records, built anew on each access."""
         phases = [(TRAIN, TEST)[bool(test)] for test in self.is_test]
         # previous_class through deviant_mean_after, in StepRecord's order
-        columns = [getattr(self, column.name).tolist() for column in fields(self)[2:-1]]
+        columns = [getattr(self, name).tolist() for name in self._fields[2:-1]]
         return tuple(map(StepRecord, self.index.tolist(), phases, *columns))
 
 

@@ -2,7 +2,7 @@
 
 Run from the root of the repository (it is not part of the pytest suite):
 
-    python3 tests/mutants.py    # 115-145 s on a 2-vCPU VM, two rows at a time
+    python3 tests/mutants.py    # 100-145 s on a 2-vCPU VM, two rows at a time
 
 Each row names a file under src/, a text that must occur in it exactly
 once, the text that replaces it, why the change matters, whether the tests
@@ -78,6 +78,7 @@ CHART = "tests/test_pipeline.py::TestReportChart"
 CLASS_SEQUENCE = "tests/test_encoder.py::TestClassSequence"
 CONFIG_FILE = "tests/test_cli.py::TestConfigFile"
 READ_ONLY = "tests/test_api.py::test_array_fields_stay_read_only_however_the_record_is_made"
+FROZEN = "tests/test_api.py::TestRecordContract::test_fields_cannot_be_assigned"
 PAST_THE_END = "tests/test_cli.py::TestPredict::test_a_reference_row_past_the_end_is_named_as_given"
 LAZY_NAMESPACE = "tests/test_api.py::TestLazyNamespace"
 CONFIG_UTF8 = ("tests/test_cli.py::TestConfigFile::"
@@ -163,24 +164,32 @@ MUTANTS = [
     Mutant(ENCODER, '"S" if narrow else "U"', '"U" if narrow else "S"',
            "an ASCII corpus is held as bytes, any other as 32-bit code points", "killed",
            (FIXED_WIDTH,)),
-    # The one __eq__ of the records that hold arrays.
+    # The one frozen base of the records: equality by value, frozen fields, read-only arrays
+    # however the record is made.
     Mutant(ENCODER, "return vars(self) == vars(other)",
            "return vars(self).keys() == vars(other).keys()",
            "two encodings whose rows index different scores differ, and so do two matrices "
            "of one shape with different codes", "killed",
            ("tests/test_api.py::TestEncodedCorpusEquality",
             "tests/test_api.py::TestSymbolMatrixEquality")),
-    # The one base of the records that hold arrays: read-only arrays, however made.
-    Mutant(ENCODER, "object.__setattr__(self, field.name, view.toreadonly())",
-           "object.__setattr__(self, field.name, view)",
+    Mutant(ENCODER, "value = view.toreadonly()", "value = view",
            "a record's arrays are read-only, so a frozen record cannot change under its owner",
            "killed", (READ_ONLY,)),
-    Mutant(ENCODER, "if field.type in _FORMATS:", "if field.type in (Ints, Reals):",
-           "under the __future__ import a field's type is its annotation's text, so the class "
-           "would match no field", "killed", (READ_ONLY,)),
+    Mutant(ENCODER, "if kind in _FORMATS}", "if kind in (Ints, Reals)}",
+           "under the __future__ import an annotation is text, so the class would match no "
+           "field", "killed", (READ_ONLY,)),
     Mutant(ENCODER, "    def __reduce__(self):", "    def _reduce(self):",
-           "copy and pickle skip __post_init__ unless they rebuild through the constructor",
-           "killed", (READ_ONLY,)),
+           "copy and pickle skip the column conversion unless they rebuild through the "
+           "constructor", "killed", (READ_ONLY,)),
+    Mutant(ENCODER, 'raise AttributeError(f"{type(self).__name__} is frozen: {name!r} cannot '
+           'change")', "object.__setattr__(self, name, *value)",
+           "a frozen record's fields cannot be assigned or deleted", "killed", (FROZEN,)),
+    Mutant(ENCODER, "return type(self)(**{**dict(zip(self._fields, self.__reduce__()[1])), "
+           "**changes})",
+           "return (lambda made: vars(made).update(vars(self), **changes) or made)"
+           "(object.__new__(type(self)))",
+           "_replace builds through the constructor, so the arrays it is given become read-only "
+           "views too", "killed", (READ_ONLY,)),
     # The byte-wide code matrix of an ASCII corpus.
     Mutant(ENCODER, "narrow = _checked_text(corpus).isascii()",
            "narrow = _checked_text(corpus).isascii() or True",

@@ -2,7 +2,6 @@
 
 import ast
 import copy
-import dataclasses
 import io
 import os
 import pickle
@@ -20,7 +19,9 @@ import symcast
 from symcast import config, encoder, errors, ingest, learner, pipeline, tracetext
 from symcast.cli import Settings
 from symcast.encoder import (
+    ClassSequence,
     EncodedCorpus,
+    Record,
     SensorMemory,
     SymbolMatrix,
     encode_corpus,
@@ -156,9 +157,7 @@ def public_records():
 
 
 def field_names(record):
-    if isinstance(record, tuple):
-        return record._fields
-    return [field.name for field in dataclasses.fields(record)]
+    return record._fields
 
 
 def fresh_copy(value):
@@ -169,7 +168,8 @@ def fresh_copy(value):
 RECORDS = public_records()
 RECORD_IDS = [type(record).__name__ for record in RECORDS]
 HASHABLE = [record for record in RECORDS
-            if isinstance(record, (Corpus, SensorMemory, LearnerConfig, RunConfig, Settings))]
+            if isinstance(record, (Corpus, ClassSequence, SensorMemory, LearnerConfig, RunConfig,
+                                   Settings))]
 
 
 class TestRecordContract:
@@ -178,6 +178,8 @@ class TestRecordContract:
         for name in field_names(record):
             with pytest.raises(AttributeError):
                 setattr(record, name, getattr(record, name))
+            with pytest.raises(AttributeError):
+                delattr(record, name)
 
     @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
     def test_equals_a_fresh_copy_of_its_fields(self, record):
@@ -189,12 +191,52 @@ class TestRecordContract:
         fields = {name: copy.deepcopy(getattr(record, name)) for name in field_names(record)}
         assert {record: 1}[type(record)(**fields)] == 1
 
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_copies_pickles_and_an_empty_replace_are_equal(self, record):
+        made = [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record)),
+                record._replace()]
+        assert all(other == record for other in made)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    def test_repr_names_the_type_and_each_field(self, record):
+        text = repr(record)
+        assert text.startswith(f"{type(record).__name__}(")
+        assert all(f"{name}=" in text for name in field_names(record))
+
     def test_run_config_defaults_to_the_default_learner(self):
         assert RunConfig().learner == LearnerConfig()
 
 
 ARRAY_RECORDS = [record for record in RECORDS
                  if isinstance(record, (SymbolMatrix, EncodedCorpus, PredictionTrace))]
+
+
+class TestFrozenBase:
+    """The records on encoder.Record take their fields as a function takes its arguments."""
+
+    @pytest.mark.parametrize("record", [record for record in RECORDS if isinstance(record, Record)],
+                             ids=lambda record: type(record).__name__)
+    def test_a_wrong_count_a_missing_field_or_an_unknown_one_is_a_type_error(self, record):
+        kind, names = type(record), field_names(record)
+        values = [getattr(record, name) for name in names]
+        # counted as a call counts them, with self
+        with pytest.raises(TypeError, match=f"takes {len(names) + 1} positional arguments "
+                                            f"but {len(names) + 2} were given$"):
+            kind(*values, values[0])
+        missing = f"missing 1 required positional argument: '{names[-1]}'$"
+        with pytest.raises(TypeError, match=missing):
+            kind(*values[:-1])
+        with pytest.raises(TypeError, match="got an unexpected keyword argument 'nonesuch'$"):
+            kind(*values, nonesuch=1)
+        with pytest.raises(TypeError, match="got an unexpected keyword argument 'nonesuch'$"):
+            record._replace(nonesuch=1)
+        with pytest.raises(TypeError, match=f"got multiple values for argument '{names[0]}'$"):
+            kind(*values, **{names[0]: values[0]})
+
+    @pytest.mark.parametrize("record", ARRAY_RECORDS, ids=lambda record: type(record).__name__)
+    def test_an_array_record_is_unhashable(self, record):
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(record)
 
 
 @pytest.mark.parametrize("record", ARRAY_RECORDS, ids=lambda record: type(record).__name__)
@@ -204,7 +246,7 @@ def test_array_fields_stay_read_only_however_the_record_is_made(record):
     writable = {name: np.array(getattr(record, name)) for name in names}  # fresh, writable copies
     made = {
         "constructor": type(record)(**{**vars(record), **writable}),
-        "replace": dataclasses.replace(record, **writable),
+        "replace": record._replace(**writable),
         "copy": copy.copy(record),
         "deepcopy": copy.deepcopy(record),
         "pickle": pickle.loads(pickle.dumps(record)),
@@ -220,7 +262,7 @@ class TestColumns:
 
     def test_a_record_built_from_part_of_a_column_copies_and_pickles_as_built(self):
         encoded = encode_corpus(CARBUS, class_level=5)
-        reversed_index = dataclasses.replace(encoded, score_index=encoded.score_index[::-1])
+        reversed_index = encoded._replace(score_index=encoded.score_index[::-1])
         for made in (copy.copy(reversed_index), pickle.loads(pickle.dumps(reversed_index))):
             assert made == reversed_index and made != encoded
 
@@ -268,7 +310,7 @@ class TestEncodedCorpusEquality:
         encoded = encode_corpus(CARBUS, class_level=5)
         assert encoded == encode_corpus(CARBUS, class_level=5)
         assert not encoded != encode_corpus(CARBUS, class_level=5)
-        moved = dataclasses.replace(encoded, score_index=encoded.score_index[::-1])
+        moved = encoded._replace(score_index=encoded.score_index[::-1])
         assert encoded != moved and not encoded == moved
 
     def test_never_equals_another_type(self):

@@ -2,7 +2,7 @@
 
 import contextlib
 import csv
-import dataclasses
+import functools
 import io
 import math
 import os
@@ -290,8 +290,8 @@ class TestEncodeReportAcrossBlocks:
         encoded = encode_corpus(items, 5)
         count = len(encoded.distinct)
         index = encoded.score_index + count * (np.arange(len(items)) % 2)
-        apart = dataclasses.replace(
-            encoded, distinct=encoded.distinct + tuple(MatchScore(*s) for s in encoded.distinct),
+        apart = encoded._replace(
+            distinct=encoded.distinct + tuple(MatchScore(*s) for s in encoded.distinct),
             score_index=index)
         assert apart.scores == encoded.scores
         assert len(set(index.tolist())) > count
@@ -1046,34 +1046,46 @@ class TestReport:
         assert result.stdout.decode("utf-8") == from_file
 
 
-# runs `python -m symcast.cli ARGS`, then says on its last stderr line whether numpy was imported
-RUN_THEN_LIST_NUMPY = """\
+# modules no command may import: each costs start-up, and Python's own start-up may load none
+HEAVY = ("dataclasses", "inspect", "numpy")
+
+# runs `python -m symcast.cli ARGS`, then names on its last stderr line each HEAVY module it loaded
+RUN_THEN_LIST_HEAVY = f"""\
 import runpy, sys
 try:
     runpy.run_module("symcast.cli", run_name="__main__", alter_sys=True)
 finally:
-    print("numpy imported:", "numpy" in sys.modules, file=sys.stderr)
+    print("loaded:", *sorted(set({HEAVY!r}) & set(sys.modules)), file=sys.stderr)
 """
 
 
+@functools.cache
+def heavy_at_start():
+    """The HEAVY modules that a bare `python -c pass` loads here: not the program's."""
+    listed = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+                            capture_output=True, text=True, check=True)
+    return set(HEAVY) & set(listed.stdout.split())
+
+
 class TestStartWithoutNumpy:
-    """No command and not --version imports numpy, on success or failure."""
+    """No command and not --version imports numpy, dataclasses or inspect, on success or failure."""
 
     def spawn(self, *args):
         env = dict(os.environ, PYTHONPATH=str(Path(symcast.__file__).resolve().parent.parent))
-        result = subprocess.run([sys.executable, "-c", RUN_THEN_LIST_NUMPY, *args],
+        result = subprocess.run([sys.executable, "-c", RUN_THEN_LIST_HEAVY, *args],
                                 capture_output=True, text=True, env=env, check=False)
-        *errors, numpy_line = result.stderr.splitlines()
-        return result.returncode, errors, numpy_line
+        *errors, loaded = result.stderr.splitlines()
+        assert loaded.startswith("loaded:")
+        return result.returncode, errors, set(loaded.split()[1:]) - heavy_at_start()
 
     def test_report_and_version_run_without_numpy(self, carbus_file, tmp_path):
         trace, chart = tmp_path / "trace.csv", tmp_path / "chart.svg"
         assert self.spawn("predict", "--input", str(carbus_file), "--out", str(trace)) == (
-            0, [], "numpy imported: False")
+            0, [], set())
         assert self.spawn("report", "--input", str(trace), "--out", str(tmp_path / "series.csv"),
-                          "--svg", str(chart)) == (0, [], "numpy imported: False")
+                          "--svg", str(chart)) == (0, [], set())
         assert chart.read_text(encoding="utf-8").startswith("<svg")
-        assert self.spawn("--version") == (0, [], "numpy imported: False")
+        assert self.spawn("--version") == (0, [], set())
 
     @pytest.mark.parametrize("command, good, bad, error", [
         (["encode"], "Car\nBus\n", "Car\nB\x00s\n",
@@ -1083,8 +1095,7 @@ class TestStartWithoutNumpy:
          "need at least 2 elements, got 1"),
     ])
     def test_encode_and_predict_run_without_numpy(self, command, good, bad, error, tmp_path):
-        for text, expected in ((good, (0, [], "numpy imported: False")),
-                               (bad, (1, [f"error: {error}"], "numpy imported: False"))):
+        for text, expected in ((good, (0, [], set())), (bad, (1, [f"error: {error}"], set()))):
             (tmp_path / "input.txt").write_text(text, encoding="utf-8")
             assert self.spawn(command[0], "--input", str(tmp_path / "input.txt"),
                               "--out", str(tmp_path / "out.csv"), *command[1:]) == expected
@@ -1093,7 +1104,7 @@ class TestStartWithoutNumpy:
         trace = tmp_path / "train_only.csv"
         trace.write_text(TRACE_HEADER + "\n1,train,1,1.000000,1,5,4,,2.000000\n")
         assert self.spawn("report", "--input", str(trace)) == (
-            1, ["error: trace has no test steps"], "numpy imported: False")
+            1, ["error: trace has no test steps"], set())
 
 
 class TestParser:

@@ -1,6 +1,5 @@
 """Tests for the train/predict/evaluate pipeline."""
 
-import dataclasses
 import io
 import math
 import os
@@ -389,7 +388,7 @@ class TestTraceLengthRule:
 
     def test_a_column_of_another_length_is_refused_where_the_trace_is_built(self, carbus_encoded):
         trace = run_continual(carbus_encoded.classes, RunConfig())
-        columns = {name: getattr(trace, name) for name in PredictionTrace.__dataclass_fields__}
+        columns = {name: getattr(trace, name) for name in PredictionTrace._fields}
         assert PredictionTrace(**columns) == trace
         for name in list(columns)[1:-1]:
             for short in (columns[name][:-1], columns[name][1:2]):
@@ -977,7 +976,7 @@ def read_both(text):
 
 
 def formats(trace):
-    return [getattr(trace, name).format for name in PredictionTrace.__dataclass_fields__]
+    return [getattr(trace, name).format for name in PredictionTrace._fields]
 
 
 class TestBlockwiseTraceIO:
@@ -1016,7 +1015,7 @@ class TestBlockwiseTraceIO:
         blockwise, whole = read_both(text)
         assert blockwise == whole
         assert formats(blockwise) == ["q", "q", "q", "d", "q", "q", "q", "d", "d"]
-        assert all(getattr(blockwise, name).readonly for name in PredictionTrace.__dataclass_fields__)
+        assert all(getattr(blockwise, name).readonly for name in PredictionTrace._fields)
         written = block_trace(length)
         for name in ("index", "is_test", "previous_class", "predicted_class", "expected_class",
                      "abs_error"):
@@ -1086,8 +1085,8 @@ class TestBlockwiseTraceIO:
 def all_test_trace(length):
     """mixed_phase_trace(length) with every step a test step, so report's series has length values."""
     mape = np.random.default_rng(length).random(length) * 300.0
-    return dataclasses.replace(mixed_phase_trace(length), is_test=np.ones(length, dtype=bool),
-                               cumulative_mape=mape)
+    return mixed_phase_trace(length)._replace(is_test=np.ones(length, dtype=bool),
+                                              cumulative_mape=mape)
 
 
 def written(write, *args):
