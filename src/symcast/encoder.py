@@ -54,6 +54,10 @@ class Record:
         for name, value in zip(self._fields, self._arguments(*args, **kwargs)):
             if name in self._columns:
                 formats, typecode = self._columns[name]
+                if isinstance(value, memoryview) and value.ndim > 1:  # array() copies one dimension
+                    if memoryview(value.obj) != value:
+                        raise TypeError(f"{name}: a view of more than one dimension must be whole")
+                    value = value.obj  # its own view has the shape and format, copied or pickled
                 try:  # a memoryview, perhaps of part of an array, is copied: a view spans its object
                     view = None if isinstance(value, memoryview) else memoryview(value)
                 except TypeError:  # a sequence of numbers
@@ -302,7 +306,8 @@ def encode_corpus(corpus: Sequence[str], class_level: int,
     target = corpus[resolve_reference(reference, len(corpus))]
     rows = dict.fromkeys(corpus)  # each distinct row, first seen first; later its score's rank
     cells = max(map(len, rows))
-    size, count = lane * cells, max(1, BLOCK_BYTES // (lane * cells))  # bytes a row, rows a block
+    # bytes a row, rows a block: no more than there are, so that few rows make small ints
+    size, count = lane * cells, min(len(rows), max(1, BLOCK_BYTES // (lane * cells)))
     codec = "ascii" if lane == 1 else "utf-32-be"
     references = int.from_bytes((target.ljust(cells, "\0") * count).encode(codec, "surrogatepass"),
                                 "big")

@@ -18,8 +18,8 @@ class Corpus(NamedTuple):
 
 
 def _lines(text: str) -> list[str]:
-    """text split at each line end: \n, \r\n or a lone \r."""
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    """text split at each line end: \n, \r\n or a lone \r (a search costs less than a replace)."""
+    return (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
 
 
 def _decode_lines(stream: BinaryIO) -> list[str]:

@@ -126,6 +126,7 @@ class Learner:
         self.deviant_mean = 0.0
         self.steps_seen = 0
         self._outcomes: dict[tuple, StepOutcome] = {}
+        self._first_point = config.max_deviant_adjust * (1 / config.population_size)  # grid[0]
 
     def learn_step(self, previous_value: int, expected: int) -> StepOutcome:
         """Predict from previous_value, observe expected, update the mean.
@@ -151,7 +152,7 @@ class Learner:
         config = self.config
         raw = previous_value + mean
         signed_diff = raw - expected
-        used_fallback = False
+        fallback = False
 
         if signed_diff == 0:
             self.deviant_mean += config.bias
@@ -159,19 +160,17 @@ class Learner:
         else:
             rule_mode = config.rule_mode
             # |grid[i]| >= grid[0], so a product is zero only if the first one is
-            if rule_mode == MULTIPLICATIVE_DIVISIVE and (
-                mean * (config.max_deviant_adjust * (1 / config.population_size)) == 0.0
-            ):
+            if rule_mode == MULTIPLICATIVE_DIVISIVE and mean * self._first_point == 0.0:
                 rule_mode = ADDITIVE_SUBTRACTIVE
-                used_fallback = True
+                fallback = True
             winners = self._nearest_candidates(previous_value, expected, signed_diff, rule_mode)
             self.deviant_mean = winners[0] if len(winners) == 1 else _mean(winners)
 
         self.steps_seen += 1
         if not math.isfinite(self.deviant_mean):
             raise NonFiniteStateError(self.steps_seen, self.deviant_mean)
-        # positional: a NamedTuple binds keywords several times slower
-        outcome = StepOutcome(raw, signed_diff, winners, self.deviant_mean, used_fallback)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__ and its argument binding
+        outcome = tuple.__new__(StepOutcome, (raw, signed_diff, winners, self.deviant_mean, fallback))
         if len(self._outcomes) < MEMO_ENTRIES:
             self._outcomes[key] = outcome
         return outcome
@@ -198,83 +197,43 @@ class Learner:
         """select_winners(adjust_candidates(...)) without building either array.
 
         Needs a finite mean and, under MULTIPLICATIVE_DIVISIVE, no zero
-        product. Grid point i is computed as make_adjustment_grid computes
-        it, and candidate i moves one way along the grid, so the signed
+        product. Candidate i moves one way along the grid, so the signed
         residual (previous + candidate - expected) and the candidate itself
         are monotone in i. |residual| thus falls and then rises along the
         grid (a weak "V"): a strict local minimum, strictly below both
         neighbours, is the unique global one, and from it |residual| never
         falls going outwards.
 
-        The walk evaluates |residual| at the index ``_crossing_index``
-        computes and at its two neighbours, and steps at most three times
-        towards a smaller value. A strict minimum there is the first
-        winner; the next ones come from merging the two fronts outwards by
-        the full key (|residual|, |candidate|, index). That is 3 candidate
-        evaluations for k = 1 when the computed index is the bottom, plus
-        one per step and one per further winner. ``_ranked``, the one place
-        that orders tied runs, takes the whole step, at O(log P + k) to
-        O(k log P) evaluations, when the walk ends on no strict minimum or
-        a front's next index ties its |residual| (a plateau, where
-        |candidate| orders the run); its ranges need P <= sys.maxsize.
+        One ``_window`` pass evaluates the k indices each side of the one
+        ``_crossing_index`` computes (for k = 1, 3 candidates). While its
+        middle is no strict minimum but a smaller |residual| lies in it,
+        the window moves, at most three times, to centre the smallest. From a
+        strict minimum, the first winner, ``_merged`` takes the rest in the
+        same window. ``_ranked``, the one place that orders tied runs, takes
+        the step, at O(log P + k) to O(k log P) evaluations, when the walk
+        ends on no strict minimum or ``_merged`` meets a plateau (its
+        ranges need P <= sys.maxsize).
         """
-        deviant_mean = self.deviant_mean
         config = self.config
         population_size = config.population_size
-        max_deviant_adjust = config.max_deviant_adjust
+        reach = config.k_winners  # indices each side of the window's middle
         weakening = signed_diff > 0
-        if rule_mode == ADDITIVE_SUBTRACTIVE:
-            rising = not weakening  # whether candidates grow with the index
-
-            def candidate(index: int) -> float:
-                step = max_deviant_adjust * ((index + 1) / population_size)
-                return deviant_mean - step if weakening else deviant_mean + step
-        else:
-            rising = weakening == (deviant_mean < 0)
-
-            def candidate(index: int) -> float:
-                product = deviant_mean * (max_deviant_adjust * ((index + 1) / population_size))
-                return 1.0 / product if weakening else product
-
-        def size(index: int) -> float:  # |residual|, inf off the grid
-            if 0 <= index < population_size:
-                return abs((previous_value + candidate(index)) - expected)
-            return math.inf
-
+        step = (self.deviant_mean, weakening, rule_mode == MULTIPLICATIVE_DIVISIVE,
+                population_size, config.max_deviant_adjust, previous_value, expected)
         start = self._crossing_index(expected - previous_value, weakening, rule_mode,
-                                     population_size, max_deviant_adjust)
-        bottom = min(max(start, 0), population_size - 1)
-        below, at, above = size(bottom - 1), size(bottom), size(bottom + 1)
-        for _ in range(3):
-            if below < at:
-                bottom, below, at, above = bottom - 1, size(bottom - 2), below, at
-            elif above < at:
-                bottom, below, at, above = bottom + 1, at, above, size(bottom + 2)
-            else:
-                break
-        if at < below and at < above:
-            order = [bottom]
-            left, right = bottom - 1, bottom + 1  # the fronts: the next index on each side
-            while len(order) < config.k_winners:
-                tie = below == above
-                if tie and (size(left - 1) == below or size(right + 1) == above):
-                    break  # the fronts tie with a plateau behind one, or at inf
-                if below < above or tie and abs(candidate(left)) <= abs(candidate(right)):
-                    order.append(left)
-                    left, below, taken = left - 1, size(left - 1), below
-                else:
-                    order.append(right)
-                    right, above, taken = right + 1, size(right + 1), above
-                if not tie and min(below, above) == taken:
-                    break  # the taken front's next index ties it
-            else:
-                return (candidate(bottom),) if len(order) == 1 else tuple(map(candidate, order))
-
-        def residual(index: int) -> float:
-            return (previous_value + candidate(index)) - expected
-
-        winners = _ranked(0, population_size, config.k_winners, (residual, candidate), rising)
-        return tuple(map(candidate, winners))
+                                     population_size, config.max_deviant_adjust)
+        bottom = start if 0 <= start < population_size else 0 if start < 0 else population_size - 1
+        candidates, sizes = _window(bottom - reach, bottom + reach + 1, step)
+        moves = 0
+        while not sizes[reach - 1] > sizes[reach] < sizes[reach + 1]:  # no strict minimum yet
+            lowest = min(sizes)
+            if lowest == sizes[reach] or moves == 3:
+                return _ranked_winners(step, reach)
+            bottom += sizes.index(lowest) - reach
+            candidates, sizes = _window(bottom - reach, bottom + reach + 1, step)
+            moves += 1
+        winners = (candidates[reach],) if reach == 1 else _merged(candidates, sizes, reach)
+        return winners or _ranked_winners(step, reach)
 
     def _crossing_index(self, target: float, weakening: bool, rule_mode: str,
                         population_size: int, max_deviant_adjust: float) -> int:
@@ -285,7 +244,7 @@ class Learner:
         ceil(x) - 1 up to the candidates' rounding. A weakening
         MULTIPLICATIVE_DIVISIVE candidate, 1 / (mean * grid point), never
         reaches a target of the other sign or zero, and the bottom of its
-        V is the far end (x = inf). The result only tells the search
+        V is the far end (x = inf, index P). The result only tells the search
         where to start and may lie outside [0, P]. Needs what
         ``_nearest_candidates`` needs; then no division is by zero and no
         infinity or NaN reaches ceil.
@@ -299,10 +258,66 @@ class Learner:
         elif target * mean > 0:
             x = population_size / (target * mean) / max_deviant_adjust
         else:
-            x = math.inf
-        if abs(x) <= population_size:
+            return population_size  # the far end
+        if -population_size <= x <= population_size:
             return math.ceil(x) - 1
         return population_size if x > 0 else 0
+
+
+def _window(first: int, stop: int, step: tuple) -> tuple[list[float], list[float]]:
+    """adjust_candidates's candidates and their |residual|s over [first, stop), inf off the grid."""
+    mean, weakening, divisive, population_size, max_deviant_adjust, previous_value, expected = step
+    candidates, sizes = [], []
+    for index in range(first, stop):
+        if 0 <= index < population_size:
+            point = max_deviant_adjust * ((index + 1) / population_size)
+            if divisive:
+                candidate = 1.0 / (mean * point) if weakening else mean * point
+            else:
+                candidate = mean - point if weakening else mean + point
+            candidates.append(candidate)
+            sizes.append(abs((previous_value + candidate) - expected))
+        else:
+            candidates.append(math.inf)
+            sizes.append(math.inf)
+    return candidates, sizes
+
+
+def _merged(candidates: list[float], sizes: list[float], count: int) -> tuple[float, ...] | None:
+    """The count winners around a window's strict middle, or None where a plateau needs _ranked."""
+    # the two fronts, the next position each side, merge outwards by (|residual|, |candidate|, i)
+    order, left, right = [count], count - 1, count + 1
+    below, above = sizes[left], sizes[right]
+    for _ in range(count - 1):
+        if below == above:
+            if sizes[left - 1] == below or sizes[right + 1] == above:
+                return None  # the fronts tie with a plateau behind one, or at inf
+            from_left = abs(candidates[left]) <= abs(candidates[right])
+        else:
+            from_left = below < above
+        if from_left:
+            order.append(left)
+            left, taken, below = left - 1, below, sizes[left - 1]
+        else:
+            order.append(right)
+            right, taken, above = right + 1, above, sizes[right + 1]
+        if taken == (below if from_left else above):
+            return None  # the taken front's next index ties it
+    return tuple(map(candidates.__getitem__, order))
+
+
+def _ranked_winners(step: tuple, count: int) -> tuple[float, ...]:
+    """The first count candidates of the whole grid by ``_ranked``; step as ``_window`` takes it."""
+    mean, weakening, divisive, population_size, _, previous_value, expected = step
+
+    def candidate(index: int) -> float:
+        return _window(index, index + 1, step)[0][0]
+
+    def residual(index: int) -> float:
+        return (previous_value + candidate(index)) - expected
+
+    rising = weakening == (mean < 0) if divisive else not weakening  # candidates grow with i
+    return tuple(map(candidate, _ranked(0, population_size, count, (residual, candidate), rising)))
 
 
 def _mean(winners: tuple[float, ...]) -> float:

@@ -2,7 +2,7 @@
 
 Run from the root of the repository (it is not part of the pytest suite):
 
-    python3 tests/mutants.py    # 100-145 s on a 2-vCPU VM, two rows at a time
+    python3 tests/mutants.py    # 100-145 s on a 2-vCPU VM, two rows at a time (111 rows)
 
 Each row names a file under src/, a text that must occur in it exactly
 once, the text that replaces it, why the change matters, whether the tests
@@ -86,6 +86,8 @@ CONFIG_UTF8 = ("tests/test_cli.py::TestConfigFile::"
 PIPELINE = "src/symcast/pipeline.py"
 LEARNER = "src/symcast/learner.py"
 STDLIB_ENCODER = "tests/test_encoder.py::TestStdlibEncoder"
+GRID_EDGE = "tests/test_learner.py::TestGridEdgeWindows"
+MATRIX_FROM_VIEW = "tests/test_encoder.py::TestSymbolMatrixFromAView"
 WINNERS_MEAN = "tests/test_learner.py::TestWinnersMean"
 COLUMNS = "tests/test_api.py::TestColumns"
 LENGTH_RULE = "tests/test_pipeline.py::TestTraceLengthRule"
@@ -280,7 +282,8 @@ MUTANTS = [
     Mutant(LEARNER, "(0.0 + _pairwise_sum(winners))", "(_pairwise_sum(winners))",
            "numpy's sum starts from 0.0, so -0.0 winners average to 0.0", "killed",
            (WINNERS_MEAN,)),
-    Mutant("src/symcast/learner.py", "abs(x) <= population_size", "abs(x) < population_size",
+    Mutant("src/symcast/learner.py", "-population_size <= x <= population_size",
+           "-population_size < x < population_size",
            "moves only where the search starts, not what it finds", "equivalent", ()),
     # The learner's winner search.
     Mutant("src/symcast/learner.py", "if left_size == lowest:  # a longer run of ties", "if False:",
@@ -288,11 +291,11 @@ MUTANTS = [
            (STEP_ORACLE,)),
     Mutant("src/symcast/learner.py", "return math.ceil(x) - 1", "return math.ceil(x) + 4",
            "the walk steps at most three times from the computed start", "killed", (SEARCH,)),
-    Mutant("src/symcast/learner.py", "x = math.inf", "x = -math.inf",
+    Mutant("src/symcast/learner.py", "return population_size  # the far end", "return 0",
            "a reciprocal never reaches a target of the other sign: the bottom is the far end",
            "killed", (SEARCH,)),
-    Mutant("src/symcast/learner.py", "if at < below and at < above:",
-           "if at <= below and at <= above:",
+    Mutant("src/symcast/learner.py", "while not sizes[reach - 1] > sizes[reach] < sizes[reach + 1]:",
+           "while not sizes[reach - 1] >= sizes[reach] <= sizes[reach + 1]:",
            "only a strict local minimum of a weak V is the global one", "killed", (STEP_ORACLE,)),
     Mutant("src/symcast/learner.py", "elif target * mean > 0:", "elif True:",
            "a weakening reciprocal crosses only a target of the mean's sign", "killed",
@@ -301,6 +304,50 @@ MUTANTS = [
            "(abs(signed_parts[0](index)),)",
            "indices that tie on |residual| are ranked by |candidate| before their index",
            "killed", (RANKED,)),
+    # The window around the computed bottom, evaluated in one pass, and the outcome it makes.
+    Mutant(LEARNER, "        if 0 <= index < population_size:\n            point",
+           "        if 0 <= index <= population_size:\n            point",
+           "the index past the last grid point is off the grid, as at the far end", "killed",
+           (GRID_EDGE,)),
+    Mutant(LEARNER, "candidates, sizes = _window(bottom - reach, bottom + reach + 1, step)\n        moves",
+           "candidates, sizes = _window(bottom - 1, bottom + 2, step)\n        moves",
+           "the window spans k indices each side, where the merge takes its winners", "killed",
+           (STEP_ORACLE,)),
+    Mutant(LEARNER, "or moves == 3:", "or moves == 0:",
+           "the window moves towards a lower index before ranking the whole grid", "killed",
+           (SEARCH,)),
+    Mutant(LEARNER, "bottom += sizes.index(lowest) - reach", "bottom += 1",
+           "the window moves to centre its lowest index, on either side", "killed", (SEARCH,)),
+    Mutant(LEARNER, "return tuple(map(candidates.__getitem__, order))",
+           "return tuple(map(candidates.__getitem__, sorted(order)))",
+           "the winners come in merge order, not grid order", "killed", (STEP_ORACLE,)),
+    Mutant(LEARNER, "if taken == (below if from_left else above):", "if False:",
+           "a front that runs into a plateau leaves the order of its run to _ranked", "killed",
+           (STEP_ORACLE,)),
+    Mutant(LEARNER, "from_left = abs(candidates[left]) <= abs(candidates[right])",
+           "from_left = True",
+           "fronts that tie on |residual| are ordered by |candidate|", "killed", (STEP_ORACLE,)),
+    Mutant(LEARNER, "(1 / config.population_size)  # grid[0]", "(2 / config.population_size)  # grid[0]",
+           "the divisive rule falls back where the product with the first grid point is zero",
+           "killed", (STEP_ORACLE,)),
+    Mutant(LEARNER, "(raw, signed_diff, winners, self.deviant_mean, fallback))",
+           "(raw, signed_diff, winners, self.deviant_mean))",
+           "tuple.__new__ checks no arity, so the outcome must be given every field", "killed",
+           ("tests/test_learner.py::TestLearnStep",)),
+    # A record rebuilt from a whole view of more than one dimension; lines split only at a \r.
+    Mutant(ENCODER, "if memoryview(value.obj) != value:", "if False:",
+           "a view of part of a matrix is refused, or a copy would hold the whole", "killed",
+           (MATRIX_FROM_VIEW,)),
+    Mutant(ENCODER, "value = value.obj  # its own view", "value = value  # its own view",
+           "array() copies one dimension: the whole object's view keeps the shape", "killed",
+           (MATRIX_FROM_VIEW,)),
+    Mutant("src/symcast/ingest.py", 'if "\\r" in text else text', 'if "\\r\\n" in text else text',
+           "a lone CR ends a line in text that holds no CRLF", "killed",
+           ("tests/test_ingest.py::TestLineEnds",)),
+    Mutant(ENCODER, "min(len(rows), max(1, BLOCK_BYTES // (lane * cells)))",
+           "max(1, BLOCK_BYTES // (lane * cells))",
+           "a block holds no more rows than there are, so few rows build small ints", "killed",
+           (STDLIB_ENCODER,)),
     # The walk's raw predictions, each from the mean held before its step.
     Mutant(PIPELINE, "map(add, previous, means)", "map(add, previous, means[1:])",
            "a step predicts with the mean it starts from, not the one it learns", "killed",

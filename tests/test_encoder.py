@@ -1,15 +1,19 @@
 """Tests for the symbol-to-integer-class encoder."""
 
+import copy
 import io
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from symcast import encoder
 from symcast.cli import _write_encode_report
 from symcast.encoder import (
     ClassSequence,
@@ -245,6 +249,33 @@ class TestSymbolMatrixShape:
             with pytest.raises(TypeError):
                 SymbolMatrix(*shape, codes)
         assert len(swap_match(SymbolMatrix(codes))) == 3
+
+
+class TestSymbolMatrixFromAView:
+    """A matrix built from a whole view of more than one dimension equals the view, copied or not."""
+
+    @pytest.mark.parametrize("corpus, kind", [(["ab", "c"], "B"), (["a\u00e9b", "c"], "I")])
+    def test_a_matrix_rebuilt_from_its_codes_equals_it(self, corpus, kind):
+        matrix = symbol_integer_transform(corpus)
+        rebuilt = SymbolMatrix(matrix.codes)
+        assert rebuilt == matrix
+        assert (rebuilt.codes.format, rebuilt.codes.shape) == (kind, matrix.codes.shape)
+        assert rebuilt.codes.readonly
+        for made in (copy.deepcopy(rebuilt), pickle.loads(pickle.dumps(rebuilt)), rebuilt._replace()):
+            assert made == matrix and made.codes.format == kind
+
+    @pytest.mark.parametrize("corpus, kind", [(["ab", "c", "d"], "B"), (["a\u00e9b", "c", "d"], "I")])
+    def test_a_transposed_view_keeps_its_shape_and_format(self, corpus, kind):
+        codes = np.asarray(symbol_integer_transform(corpus).codes).T
+        matrix = SymbolMatrix(memoryview(codes))
+        assert (matrix.rows, matrix.width, matrix.codes.format) == (*codes.shape, kind)
+        assert np.array_equal(np.asarray(matrix.codes), codes)
+        assert pickle.loads(pickle.dumps(matrix)) == matrix
+
+    def test_part_of_a_matrix_is_refused(self):
+        matrix = symbol_integer_transform(["ab", "cd", "ef"])
+        with pytest.raises(TypeError, match="codes: a view of more than one dimension must be whole"):
+            SymbolMatrix(matrix.codes[1:])
 
 
 class TestResolveReference:
@@ -625,6 +656,29 @@ class TestStdlibEncoder:
         # the full-width row by number, so that other rows are shorter, or the first or the last
         selector = data.draw(st.sampled_from([len(rows), "first", "last"]), label="selector")
         check_against_the_references(corpus, data.draw(st.integers(2, 10)), selector)
+
+    def test_a_few_distinct_rows_build_ints_of_their_own_size(self):
+        # a block holds 32,768 rows of 8 ASCII cells; three distinct rows need 24 bytes each int
+        rng = random.Random(4)
+        for words in (["abcdefgh", "abcdxxxx", "zzzzzzzz"], ["a\u00e9", "\u00e9a", "ab"]):
+            corpus = rng.choices(words, k=1000) + [words[0]]
+            check_against_the_references(corpus, 5, "last")
+            tracemalloc.start()
+            try:
+                encode_corpus(corpus, class_level=5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < encoder.BLOCK_BYTES // 4
+
+    @pytest.mark.parametrize("block_bytes", [1, 9, 64, 100])
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_blocks_of_a_few_rows_match_the_references(self, block_bytes, data):
+        # more distinct rows than a block holds: the last block may be short
+        rows = data.draw(st.lists(st.text("ab\u00e9", min_size=1, max_size=12), min_size=1, max_size=30))
+        with mock.patch.object(encoder, "BLOCK_BYTES", block_bytes):
+            check_against_the_references(rows, 4, data.draw(st.sampled_from(["first", "last"])))
 
 
 class TestDistinctValues:

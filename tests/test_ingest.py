@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symcast.errors import BadEncodingError, BadNumberError, EmptyCorpusError
-from symcast.ingest import read_numeric_series, read_text_corpus
+from symcast.ingest import _lines, read_numeric_series, read_text_corpus
 
 
 def stream(data: bytes) -> io.BytesIO:
@@ -65,6 +65,17 @@ class TestReadTextCorpus:
     def test_source_is_recorded(self):
         corpus = read_text_corpus(stream(b"x\n"), source="sample.txt")
         assert corpus.source == "sample.txt"
+
+
+class TestLineEnds:
+    """_lines replaces line ends only in text that holds a \r, and splits as it always did."""
+
+    @given(st.lists(st.sampled_from(["\r", "\n", "\r\n", "a", "b", "é"])).map("".join))
+    def test_lines_match_the_replacing_split(self, text):
+        assert _lines(text) == text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+    def test_text_without_a_carriage_return_is_split_at_each_newline(self):
+        assert _lines("a\n\nb\n") == ["a", "", "b", ""]
 
 
 class TestReadNumericSeries:

@@ -453,6 +453,53 @@ class TestLearnStepAgainstTheOracle:
             assert_step_matches_oracle(*case)
 
 
+# (rule, max_deviant_adjust, mean, previous, expected, where the bottom lies) for any P:
+# each moves the candidates one way along the grid, so |residual| is lowest at one end
+GRID_EDGE_STEPS = [
+    # weakening muldiv, a target of the other sign: the far end, as on most computed steps
+    (MULTIPLICATIVE_DIVISIVE, 2.0, 0.37, 4, 2, "last"),
+    (MULTIPLICATIVE_DIVISIVE, 2.0, -0.5, 10, 5, "first"),  # weakening, -P / (i + 1)
+    (MULTIPLICATIVE_DIVISIVE, 50.0, 0.5, 1, 2, "first"),  # reinforcing, 25 (i + 1) / P
+    (MULTIPLICATIVE_DIVISIVE, 2.0, 0.5, 1, 9, "last"),  # reinforcing, (i + 1) / P
+    (ADDITIVE_SUBTRACTIVE, 50.0, 0.0, 1, 2, "first"),
+    (ADDITIVE_SUBTRACTIVE, 2.0, 0.0, 1, 9, "last"),
+    (ADDITIVE_SUBTRACTIVE, 50.0, 0.0, 5, 4, "first"),
+    (ADDITIVE_SUBTRACTIVE, 2.0, 0.0, 5, 1, "last"),
+]
+
+
+def oracle_bottom(config, mean, previous, expected):
+    """The grid index of the oracle's first winner."""
+    grid = make_adjustment_grid(config.population_size, config.max_deviant_adjust)
+    candidates = adjust_candidates(mean, grid, (previous + mean) - expected, config.rule_mode)
+    residuals = np.abs((previous + candidates) - expected)
+    return int(np.lexsort((np.arange(grid.size), np.abs(candidates), residuals))[0])
+
+
+class TestGridEdgeWindows:
+    """The window around a bottom at either end of the grid, clipped to it, on small grids."""
+
+    @pytest.mark.parametrize("rule, maximum, mean, previous, expected, end", GRID_EDGE_STEPS)
+    @pytest.mark.parametrize("population", [1, 2, 3])
+    @pytest.mark.parametrize("winners", ["one", "two", "all"])
+    def test_a_bottom_at_either_end_matches_the_oracle(
+        self, rule, maximum, mean, previous, expected, end, population, winners
+    ):
+        k_winners = {"one": 1, "two": min(2, population), "all": population}[winners]
+        config = LearnerConfig(population_size=population, max_deviant_adjust=maximum,
+                               rule_mode=rule, k_winners=k_winners)
+        bottom = oracle_bottom(config, mean, previous, expected)
+        assert bottom == (0 if end == "first" else population - 1)
+        assert_step_matches_oracle(config, mean, previous, expected)
+
+    @pytest.mark.parametrize("k_winners", [1, 2, 64])
+    def test_the_far_end_of_the_benchmark_grid_matches_the_oracle(self, k_winners):
+        config = LearnerConfig(population_size=100_000, rule_mode=MULTIPLICATIVE_DIVISIVE,
+                               k_winners=k_winners)
+        assert oracle_bottom(config, 0.37, 4, 2) == 99_999
+        assert_step_matches_oracle(config, 0.37, 4, 2)
+
+
 def step_result(config, mean, previous, expected):
     """learn_step's winners and new mean, or the error it raised."""
     learner = Learner(config)
@@ -509,6 +556,28 @@ class TestSearchStart:
             assert abs(clamped - bottom) <= 1, (config, mean.hex(), previous, expected, start)
             checked += 1
         assert checked > 5_000
+
+    @pytest.mark.parametrize("offset", [-2, 2])
+    def test_a_start_two_from_the_computed_one_is_walked_without_ranking(self, offset):
+        # the computed start is within one of the bottom, so the walk moves at most three times
+        classes = stream_classes("learn-pop100k", 200)
+        computed = [step_outcomes(NUMERIC, classes)]
+        crossing = Learner._crossing_index
+        with (
+            mock.patch.object(Learner, "_crossing_index",
+                              lambda self, *args: crossing(self, *args) + offset),
+            mock.patch.object(learner_module, "_ranked", wraps=learner_module._ranked) as ranked,
+        ):
+            computed.append(step_outcomes(NUMERIC, classes))
+        assert computed[0] == computed[1]
+        assert ranked.call_count == 0
+
+
+def step_outcomes(config, classes):
+    """A fresh learner's outcome at each step of classes, with every real as its bit pattern."""
+    learner = Learner(config)
+    return [kept_fields(learner.learn_step(previous, expected))
+            for previous, expected in zip(classes, classes[1:])]
 
 
 def stream_classes(name, steps):
