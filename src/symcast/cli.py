@@ -20,7 +20,7 @@ import re
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from itertools import compress
+from itertools import chain, compress
 from operator import and_, eq
 from typing import Iterator, NamedTuple, Sequence, TextIO
 
@@ -31,7 +31,7 @@ from .config import (
 )
 from .errors import BadConfigError, BadEncodingError, BadReferenceError, SymcastError
 from .ingest import Corpus, _decode_lines, read_numeric_series, read_text_corpus
-from .tracetext import MAPE_FORMAT, _test_mapes, _write_blocks, format_real, read_columns
+from .tracetext import MAPE_FORMAT, _test_mapes, _write_blocks, format_real, read_cumulative_mape
 
 _SPECIALS = ',"\r\n'  # a CSV field holding any of these is quoted
 _NEEDS_QUOTES = re.compile(f"[{_SPECIALS}]").search
@@ -288,7 +288,7 @@ def _render_error_series_svg(series: Sequence[float]) -> str:
     spread = [i / (n - 1) for i in range(n)] if n > 1 else [0.5]
     x = [margin + (width - 2 * margin) * at for at in spread]
     y = [height - margin - (height - 2 * margin) * (value / top) for value in series]
-    points = " ".join(map("{:.2f},{:.2f}".format, x, y))
+    points = " ".join(["%.2f,%.2f"] * n) % tuple(chain.from_iterable(zip(x, y)))
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">\n'
         f'<rect width="{width}" height="{height}" fill="white"/>\n'
@@ -308,15 +308,18 @@ def _render_error_series_svg(series: Sequence[float]) -> str:
 def cmd_report(args: argparse.Namespace) -> int:
     stdin = args.input == "-"  # read as a file is: UTF-8, with universal newlines
     source = sys.stdin.fileno() if stdin else args.input
-    # a byte that is not UTF-8 decodes to a lone surrogate, which read_columns
+    # a byte that is not UTF-8 decodes to a lone surrogate, which the reader
     # refuses as not ASCII with its line, so the first bad line is named
     with open(source, encoding="utf-8", errors="surrogateescape", closefd=not stdin) as handle:
-        series = _test_mapes(read_columns(handle)[-1])
+        series = _test_mapes(read_cumulative_mape(handle))
+
+    def block_rows(start: int, stop: int) -> tuple[str]:
+        values = series[start:stop]
+        rows = ("%d,%" + MAPE_FORMAT + "\n") * len(values)
+        return (rows % tuple(chain.from_iterable(zip(range(start + 1, stop + 1), values))),)
 
     with _output(args.out) as stream:
-        row = ("{},{:" + MAPE_FORMAT + "}\n").format
-        _write_blocks(stream, "test_step,cumulative_mape", len(series),
-                      lambda start, stop: map(row, range(start + 1, stop + 1), series[start:stop]))
+        _write_blocks(stream, "test_step,cumulative_mape", len(series), block_rows)
 
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as handle:

@@ -38,7 +38,7 @@ _BIT_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
 
 # Record column annotations: the buffer formats each keeps, the array typecode of others
 Ints = Reals = memoryview
-_FORMATS = {"Ints": ("bBhHiIlLqQ?", "q"), "Reals": ("d", "d")}
+_FORMATS = {"Ints": ("bBhHiIlLqQ", "q"), "Reals": ("d", "d")}  # a bool is copied as 0 or 1
 
 
 class Record:
@@ -62,8 +62,9 @@ class Record:
                     view = None if isinstance(value, memoryview) else memoryview(value)
                 except TypeError:  # a sequence of numbers
                     view = None
-                if view is None or view.format not in formats:
-                    view = memoryview(array(typecode, value))
+                if view is None or view.format not in formats:  # numpy's bools: tolist() gives ints
+                    view = memoryview(array(typecode, value.tolist() if hasattr(value, "tolist")
+                                            else value))
                 value = view.toreadonly()
             object.__setattr__(self, name, value)
         self.__post_init__()

@@ -21,7 +21,7 @@ __all__ = [
 import math
 from array import array
 from itertools import accumulate, chain, repeat
-from operator import add, and_, sub, truediv
+from operator import add, and_, mul, truediv
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .config import RunConfig
@@ -31,6 +31,12 @@ from .learner import Learner
 from .tracetext import (
     MAPE_FORMAT, TEST, TRACE_HEADER, TRAIN, _test_mapes, _write_blocks, format_real, read_columns,
 )
+
+# a step's |predicted - expected| and its ratio to expected, by its byte 16 * predicted + expected
+_ABS_ERRORS = bytes(abs((pair >> 4) - (pair & 15)) for pair in range(256))
+_RATIOS = [error / (pair & 15 or 1) for pair, error in enumerate(_ABS_ERRORS)]
+# a train and a test row's % template: step, the fields from phase to abs_error, MAPE, mean
+_TRAIN_ROW, _TEST_ROW = "%d,%s%s%s", "%d,%s%" + MAPE_FORMAT + "%s"
 
 
 class StepRecord(NamedTuple):
@@ -126,18 +132,20 @@ def _walk(classes: ClassSequence, config: RunConfig, learning: bool) -> Predicti
     learned = (split - 1 if config.freeze_after_train else length - 1) if learning else 0
     # means[s] is the mean before step s; the steps past `learned` keep the one it then holds
     means = array("d", [learner.deviant_mean, *learner.learn_steps(values, values[1:learned + 1])])
-    means.extend(repeat(learner.deviant_mean, length - 1 - learned))
+    means += array("d", [learner.deviant_mean]) * (length - 1 - learned)
     previous, expected = array("b", bytes(values[:-1])), array("b", bytes(values[1:]))  # a class fits a byte
     raw = array("d", map(add, previous, means))
     predicted_of = {real: min(max(round_half_away_from_zero(real), 1), level) for real in set(raw)}
     predicted = array("b", map(predicted_of.__getitem__, raw))
-    abs_error = array("b", map(abs, map(sub, predicted, expected)))
+    # one byte a step, 16 * predicted + expected: each class below 16 shifts within its byte
+    pairs = (int.from_bytes(predicted, "big") << 4 | int.from_bytes(expected, "big")).to_bytes(
+        length - 1, "big")
 
-    ratios = accumulate(map(truediv, abs_error[split - 1:], expected[split - 1:]))
-    series = array("d", map(truediv, map((100.0).__mul__, ratios), range(1, length - split + 1)))
+    ratios = accumulate(map(_RATIOS.__getitem__, pairs[split - 1:]))
+    series = array("d", map(truediv, map(mul, repeat(100.0), ratios), range(1, length - split + 1)))
     is_test = array("b", [0]) * (split - 1) + array("b", [1]) * (length - split)
-    return PredictionTrace(array("q", range(1, length)), is_test, previous, raw, predicted,
-                           expected, abs_error, means[1:], series)
+    return PredictionTrace(array("q", range(1, length)), is_test, previous, raw, predicted, expected,
+                           array("b", pairs.translate(_ABS_ERRORS)), means[1:], series)
 
 
 def run_continual(classes: ClassSequence, config: RunConfig) -> PredictionTrace:
@@ -207,17 +215,20 @@ def write_trace(trace: PredictionTrace, stream: TextIO) -> None:
         block = slice(start, stop)
         is_test = trace.is_test[block].tolist()
         tests = len(is_test) - is_test.count(0)
-        mape = map(format, trace.cumulative_mape[mape_at:mape_at + tests], repeat(MAPE_FORMAT))
+        mape = iter(trace.cumulative_mape[mape_at:mape_at + tests].tolist())
         mape_at += tests
+        template = _TEST_ROW * tests
+        if tests < len(is_test):  # a train row's MAPE is ""
+            template = "".join([_TEST_ROW if test else _TRAIN_ROW for test in is_test])
+            mape = [next(mape) if test else "" for test in is_test]
         raw, means = trace.raw_prediction[block], trace.deviant_mean_after[block]
         mean_bits = memoryview(means.tobytes()).cast("q")
         tails = {bits: f",{format_real(mean)}\n" for bits, mean in dict(zip(mean_bits, means)).items()}
         keys = zip(is_test, trace.previous_class[block], raw, memoryview(raw.tobytes()).cast("q"),
                    trace.predicted_class[block], trace.expected_class[block], trace.abs_error[block])
-        return chain.from_iterable(zip(
-            map(str, trace.index[block]), repeat(","), map(heads.__getitem__, keys),
-            mape if tests == len(is_test) else [next(mape) if test else "" for test in is_test],
-            map(tails.__getitem__, mean_bits)))
+        rows = zip(trace.index[block], map(heads.__getitem__, keys), mape,
+                   map(tails.__getitem__, mean_bits))
+        return (template % tuple(chain.from_iterable(rows)),)
 
     _write_blocks(stream, TRACE_HEADER, len(trace), block_rows)
 

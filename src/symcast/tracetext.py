@@ -11,7 +11,7 @@ __all__: list[str] = []
 import math
 from array import array
 from itertools import islice, repeat, takewhile
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import NoTestStepsError, TraceFormatError
 
@@ -63,17 +63,21 @@ def _integers(texts: list[str]) -> array:
         raise ValueError(f"integer {text!r} outside the 64-bit range") from None
 
 
-def _distinct(convert: Callable[[list[str]], array], texts: list[str]) -> array:
-    """convert(texts), converting each distinct text once, first occurrence first."""
+def _distinct(convert: Callable[[list[str]], array], texts: list[str]) -> tuple[list[str], array]:
+    """The distinct texts of texts, first occurrence first, and convert's values of them."""
     distinct = list(dict.fromkeys(texts))
-    values = convert(distinct)
-    return array(values.typecode, list(map(dict(zip(distinct, values)).__getitem__, texts)))
+    return distinct, convert(distinct)
 
 
-def _parse_rows(rows: list[str]) -> tuple:
+_SMALL_COLUMNS = (_integers, _reals, _integers, _integers, _integers, _reals)  # see _parse_rows
+
+
+def _parse_rows(rows: list[str], expand: bool = True) -> tuple:
     """The rows as nine columns in PredictionTrace's field order, or ValueError naming a problem.
 
     Integers are array('q'), reals array('d') and is_test a list of bools.
+    The six _SMALL_COLUMNS (previous_class to abs_error, and deviant_mean_after)
+    are checked once per distinct text, and left as _distinct gives them unless expand.
     Each check runs over all rows before the next starts, in the order in
     which they ran on each row when rows were read one at a time, so for a
     single row the message names its first problem: cumulative_mape
@@ -86,9 +90,8 @@ def _parse_rows(rows: list[str]) -> tuple:
     if set(commas) != {8}:
         raise ValueError(f"expected 9 fields, got {next(c for c in commas if c != 8) + 1}")
     table = text.split(",")
-    index, phase, previous, raw, predicted, expected, abs_error, mape_fields, mean = (
-        table[position::9] for position in range(9)
-    )
+    index, phase, *small, mape_fields, mean = (table[position::9] for position in range(9))
+    small.append(mean)  # the six columns of _SMALL_COLUMNS
     if not set(phase) <= {TRAIN, TEST}:
         raise ValueError(f"bad phase {next(p for p in phase if p not in (TRAIN, TEST))!r}")
     is_test = list(map(TEST.__eq__, phase))
@@ -97,34 +100,48 @@ def _parse_rows(rows: list[str]) -> tuple:
             raise ValueError("test step missing cumulative_mape")
         raise ValueError("train step carries cumulative_mape")
     mape_texts = list(filter(None, mape_fields))
-    mape = _reals(mape_texts)
-    columns = (_integers(index), is_test, _distinct(_integers, previous),
-               _distinct(_reals, raw), _distinct(_integers, predicted),
-               _distinct(_integers, expected), _distinct(_integers, abs_error),
-               _distinct(_reals, mean), mape)
+    mape, steps = _reals(mape_texts), _integers(index)
+    converted = list(map(_distinct, _SMALL_COLUMNS, small))
     if "_" in text:
         raise ValueError(f"digit separator '_' in {next(f for f in table if '_' in f)!r}")
-    for texts, column in ((mape_texts, mape), (raw, columns[3]), (mean, columns[7])):
+    for texts, column in ((mape_texts, mape), converted[1], converted[5]):
         if not all(map(math.isfinite, column)):
             bad = next(text for text, value in zip(texts, column) if not math.isfinite(value))
             raise ValueError(f"non-finite real {bad!r}")
     if min(mape, default=0.0) < 0:  # a mean of |error| / expected; -0.0 passes
         bad = next(text for text, value in zip(mape_texts, mape) if value < 0)
         raise ValueError(f"negative cumulative_mape {bad!r}")
-    return columns
+    if expand:  # each row's value, through its text
+        converted = [array(values.typecode,
+                           list(map(dict(zip(distinct, values)).__getitem__, texts)))
+                     for texts, (distinct, values) in zip(small, converted)]
+    return steps, is_test, *converted, mape
 
 
-def _parse_block(rows: list[str], first_line: int) -> tuple:
-    """_parse_rows on rows from line first_line on; a failure names the first row to fail alone."""
-    try:
-        return _parse_rows(rows)
-    except ValueError:
-        for offset, row in enumerate(rows):
-            try:
-                _parse_rows([row])
-            except ValueError as exc:
-                raise TraceFormatError(first_line + offset, str(exc)) from exc
-        raise
+def _parsed_blocks(lines: Iterable[str], expand: bool) -> Iterator[tuple]:
+    """_parse_rows(rows, expand) of each block of the first trace block's rows; see read_columns."""
+    lines = iter(lines)
+    header = next(lines, None)
+    if header is None:
+        raise TraceFormatError(1, "empty trace file")
+    if header.rstrip("\r\n") != TRACE_HEADER:
+        raise TraceFormatError(1, "missing or wrong trace header")
+    rows = takewhile(bool, map(str.rstrip, lines, repeat("\r\n")))
+    first_line = 2  # the line of the block's first row
+    while block := list(islice(rows, BLOCK_ROWS)):
+        try:
+            columns = _parse_rows(block, expand)
+        except ValueError:  # name the block's first row to fail alone
+            for offset, row in enumerate(block):
+                try:
+                    _parse_rows([row], False)
+                except ValueError as exc:
+                    raise TraceFormatError(first_line + offset, str(exc)) from exc
+            raise
+        yield columns
+        first_line += BLOCK_ROWS
+    if first_line == 2:
+        raise TraceFormatError(2, "trace has no step rows")
 
 
 def read_columns(lines: Iterable[str]) -> tuple:
@@ -141,19 +158,17 @@ def read_columns(lines: Iterable[str]) -> tuple:
     block of the first bad row is read; a block that fails is parsed again
     row by row, in order, and its first row to fail alone is the one named.
     """
-    lines = iter(lines)
-    header = next(lines, None)
-    if header is None:
-        raise TraceFormatError(1, "empty trace file")
-    if header.rstrip("\r\n") != TRACE_HEADER:
-        raise TraceFormatError(1, "missing or wrong trace header")
-    rows = takewhile(bool, map(str.rstrip, lines, repeat("\r\n")))
-    blocks = []
-    while block := list(islice(rows, BLOCK_ROWS)):
-        blocks.append(_parse_block(block, 2 + BLOCK_ROWS * len(blocks)))
-    if not blocks:
-        raise TraceFormatError(2, "trace has no step rows")
-    for block in blocks[1:]:
-        for column, more in zip(blocks[0], block):
+    blocks = _parsed_blocks(lines, True)
+    columns = next(blocks)
+    for block in blocks:
+        for column, more in zip(columns, block):
             column.extend(more)
-    return blocks[0]
+    return columns
+
+
+def read_cumulative_mape(lines: Iterable[str]) -> array:
+    """read_columns(lines)[-1], every row checked alike, holding no other column past its block."""
+    column = array("d")
+    for *_, mape in _parsed_blocks(lines, False):
+        column.extend(mape)
+    return column

@@ -2,7 +2,7 @@
 
 Run from the root of the repository (it is not part of the pytest suite):
 
-    python3 tests/mutants.py    # 100-145 s on a 2-vCPU VM, two rows at a time (111 rows)
+    python3 tests/mutants.py    # 140-170 s on a 2-vCPU VM, two rows at a time (119 rows)
 
 Each row names a file under src/, a text that must occur in it exactly
 once, the text that replaces it, why the change matters, whether the tests
@@ -92,24 +92,24 @@ WINNERS_MEAN = "tests/test_learner.py::TestWinnersMean"
 COLUMNS = "tests/test_api.py::TestColumns"
 LENGTH_RULE = "tests/test_pipeline.py::TestTraceLengthRule"
 WALK_ORACLE = "tests/test_pipeline.py::TestColumnarWalkOracle"
+WALK_BITS = "tests/test_pipeline.py::TestWalkColumnsBitForBit"
+NONZERO_TESTS = ("tests/test_pipeline.py::TestBlockwiseTraceIO::"
+                 "test_any_nonzero_is_test_writes_a_test_row")
+REPORT_REFUSES = ("tests/test_pipeline.py::TestReportReader::"
+                  "test_report_refuses_what_read_trace_refuses")
+REPORT_PEAK = "tests/test_pipeline.py::TestReportReader::test_the_peak_grows_by_under_16_bytes_a_row"
 NEGATIVE_ZERO = ("tests/test_pipeline.py::TestTraceSerialization::"
                  "test_a_negative_zero_keeps_its_sign_beside_a_positive_one")
 
 # _parse_rows's conversions as they are, and with cumulative_mape's moved after the others
 MAPE_CONVERTED_FIRST = (
-    "    mape = _reals(mape_texts)\n"
-    "    columns = (_integers(index), is_test, _distinct(_integers, previous),\n"
-    "               _distinct(_reals, raw), _distinct(_integers, predicted),\n"
-    "               _distinct(_integers, expected), _distinct(_integers, abs_error),\n"
-    "               _distinct(_reals, mean), mape)\n"
+    "    mape, steps = _reals(mape_texts), _integers(index)\n"
+    "    converted = list(map(_distinct, _SMALL_COLUMNS, small))\n"
 )
 MAPE_CONVERTED_LAST = (
-    "    columns = (_integers(index), is_test, _distinct(_integers, previous),\n"
-    "               _distinct(_reals, raw), _distinct(_integers, predicted),\n"
-    "               _distinct(_integers, expected), _distinct(_integers, abs_error),\n"
-    "               _distinct(_reals, mean))\n"
+    "    steps = _integers(index)\n"
+    "    converted = list(map(_distinct, _SMALL_COLUMNS, small))\n"
     "    mape = _reals(mape_texts)\n"
-    "    columns += (mape,)\n"
 )
 
 MUTANTS = [
@@ -369,27 +369,27 @@ MUTANTS = [
            "each row converted its cumulative_mape before its other fields, so that error is "
            "named first", "killed", (TWO_FAULTS,)),
     # Trace rows written and read in blocks.
-    Mutant(TRACE_TEXT, "2 + BLOCK_ROWS * len(blocks)", "2",
+    Mutant(TRACE_TEXT, "TraceFormatError(first_line + offset, str(exc))",
+           "TraceFormatError(2 + offset, str(exc))",
            "a bad row in a later block is named by its line in the file", "killed", (BLOCKWISE,)),
     Mutant(TRACE_TEXT, "first_line + offset", "first_line + offset + 1",
            "the rescan names a bad row by its own line, not the next", "killed", (BLOCKWISE,)),
-    Mutant(TRACE_TEXT, "for offset, row in enumerate(rows):",
-           "for offset, row in reversed(list(enumerate(rows))):",
+    Mutant(TRACE_TEXT, "for offset, row in enumerate(block):",
+           "for offset, row in reversed(list(enumerate(block))):",
            "of two bad rows in a block, the rescan names the first, not the last", "killed",
            (BLOCKWISE, TWO_FAULTS)),
     Mutant(PIPELINE, "        mape_at += tests\n", "",
            "a block's test steps take the cumulative_mape values after all earlier test steps",
            "killed", (BLOCKWISE,)),
     Mutant(TRACE_TEXT, "while block := list(islice(rows, BLOCK_ROWS)):",
-           "while block := list(islice(rows, 1 if blocks else BLOCK_ROWS)):",
+           "while block := list(islice(rows, 1 if first_line > 2 else BLOCK_ROWS)):",
            "rows past the first block keep their line numbers whatever the blocks hold",
            "killed", (BLOCKWISE,)),
     # Six columns read once per distinct text; each block of output text in one write.
     Mutant(TRACE_TEXT, "dict(zip(distinct, values))", "dict(zip(sorted(distinct), values))",
            "a distinct text's value goes to the rows that hold that text", "killed",
            (DISTINCT_TEXTS,)),
-    Mutant(TRACE_TEXT, "    columns = (_integers(index),",
-           "    columns = (_distinct(_integers, index),",
+    Mutant(TRACE_TEXT, " _integers(index)\n", " _distinct(_integers, index)[1]\n",
            "step texts are all distinct, where the map costs 2.4 times more", "killed",
            (DISTINCT_TEXTS,)),
     Mutant("src/symcast/ingest.py", "filter(None,", "filter(str.strip,",
@@ -466,7 +466,7 @@ MUTANTS = [
            "every value of a real column is checked, not only its first", "killed",
            ("tests/test_pipeline.py::TestReaderOracle::"
             "test_non_finite_reals_are_refused_with_their_line",)),
-    Mutant(TRACE_TEXT, "for block in blocks[1:]:", "for block in blocks[2:]:",
+    Mutant(TRACE_TEXT, "    for block in blocks:\n", "    for block in islice(blocks, 1, None):\n",
            "every later block's rows join the first block's columns", "killed", (BLOCKWISE,)),
     Mutant("src/symcast/cli.py", "[i / (n - 1) for i in range(n)]", "[i / n for i in range(n)]",
            "the chart spreads its points over the whole axis", "killed",
@@ -501,6 +501,36 @@ MUTANTS = [
     Mutant(PIPELINE, "min(max(round_half_away_from_zero(real), 1), level)",
            "min(max(round_half_away_from_zero(real), 0), level)",
            "a prediction below class 1 is clamped to class 1", "killed", (WALK_ORACLE,)),
+    # The walk's columns from one byte a step, 16 * predicted + expected.
+    Mutant(PIPELINE, "error / (pair & 15 or 1)", "error / (pair >> 4 or 1)",
+           "a step's ratio divides by the expected class, the byte's low four bits", "killed",
+           (WALK_BITS,)),
+    Mutant(PIPELINE, "abs((pair >> 4) - (pair & 15))", "abs((pair & 15) - (pair >> 4))",
+           "|predicted - expected| is |expected - predicted|", "equivalent", ()),
+    Mutant(PIPELINE, '"big") << 4 |', '"big") << 3 |',
+           "the predicted class takes the byte's high four bits, clear of the expected class",
+           "killed", (WALK_BITS,)),
+    # One % a block; report keeps only cumulative_mape, checked as read_trace checks every column.
+    Mutant(PIPELINE, "[_TEST_ROW if test else _TRAIN_ROW for test in is_test]",
+           "[(_TRAIN_ROW, _TEST_ROW)[test] for test in is_test]",
+           "any nonzero is_test is a test step: a row's template goes by truth, not by value",
+           "killed", (NONZERO_TESTS,)),
+    Mutant(TRACE_TEXT, "((mape_texts, mape), converted[1], converted[5])",
+           "((mape_texts, mape), converted[5])",
+           "a raw prediction's distinct values are checked to be finite too", "killed",
+           ("tests/test_pipeline.py::TestReaderOracle::"
+            "test_non_finite_reals_are_refused_with_their_line",)),
+    Mutant(TRACE_TEXT, '    if "_" in text:', '    if expand and "_" in text:',
+           "report refuses every row read_trace refuses: only the spreading waits on expand",
+           "killed", (REPORT_REFUSES,)),
+    Mutant(TRACE_TEXT, "    column = array(\"d\")\n    for *_, mape in _parsed_blocks(lines, False):\n"
+           "        column.extend(mape)\n    return column\n",
+           "    return read_columns(lines)[-1]\n",
+           "report's reader holds one float a test step, not every column of every block",
+           "killed", (REPORT_PEAK,)),
+    Mutant(ENCODER, '"bBhHiIlLqQ"', '"bBhHiIlLqQ?"',
+           "a bool column kept as bools is written as True and False, which the reader refuses",
+           "killed", ("tests/test_api.py::TestColumns",)),
 ]
 
 

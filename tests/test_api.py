@@ -29,7 +29,9 @@ from symcast.encoder import (
 )
 from symcast.ingest import Corpus, read_text_corpus
 from symcast.learner import Learner, LearnerConfig
-from symcast.pipeline import PredictionTrace, RunConfig, decode_trace, run_continual, write_trace
+from symcast.pipeline import (
+    PredictionTrace, RunConfig, decode_trace, read_trace, run_continual, write_trace,
+)
 
 from conftest import CARBUS
 
@@ -280,6 +282,19 @@ class TestColumns:
             "q", "q", "q", "d", "q", "q", "q", "d", "d"]
         with pytest.raises(TypeError):
             PredictionTrace([1.5], [True], [2], [0.5], [1], [3], [2], [1.5], [200.0])
+
+    def test_bool_columns_are_held_as_int64_and_read_back_as_written(self):
+        # a bool view kept as bools was written as True and False, which int() refuses
+        flags = np.array([True, False, True])
+        trace = PredictionTrace(np.arange(1, 4), flags, flags, flags, flags, flags, flags,
+                                flags, np.ones(2))
+        assert [getattr(trace, name).format for name in field_names(trace)] == [
+            "l", "q", "q", "d", "q", "q", "q", "d", "d"]
+        buffer = io.StringIO()
+        write_trace(trace, buffer)
+        assert buffer.getvalue().splitlines()[1:3] == [
+            "1,test,1,1.000000,1,1,1,1.000000,1.000000", "2,train,0,0.000000,0,0,0,,0.000000"]
+        assert read_trace(io.StringIO(buffer.getvalue())) == trace
 
 
 class TestSymbolMatrixEquality:

@@ -8,6 +8,7 @@ import re
 import tempfile
 import tracemalloc
 import warnings
+from contextlib import redirect_stderr
 from functools import lru_cache
 from unittest import mock
 
@@ -53,7 +54,7 @@ from symcast.pipeline import (
     write_trace,
 )
 from symcast.pipeline import round_half_away_from_zero as walk_rounding
-from symcast.tracetext import BLOCK_ROWS
+from symcast.tracetext import BLOCK_ROWS, read_cumulative_mape
 
 from oracle import (
     decode_reference,
@@ -652,6 +653,48 @@ class TestColumnarWalkOracle:
         assert held <= 40 * 100_000
 
 
+def every_pair(level):
+    """Classes whose steps take every (previous, expected) pair in [1, level], twice over."""
+    pairs = [(previous, expected) for previous in range(1, level + 1)
+             for expected in range(1, level + 1)]
+    return [cls for pair in pairs * 2 for cls in pair]
+
+
+def hexes(values):
+    return [float(value).hex() for value in values]
+
+
+class TestWalkColumnsBitForBit:
+    """Each column of both walks, as the walk builds it, against the oracle's per-step loop."""
+
+    @pytest.mark.parametrize("level", [2, 10])  # at 10, 16 * predicted + expected reaches 0xAA
+    @pytest.mark.parametrize("rule", [ADDITIVE_SUBTRACTIVE, MULTIPLICATIVE_DIVISIVE])
+    @pytest.mark.parametrize("fraction", [0.05, 0.5])
+    def test_every_column_equals_the_oracle(self, level, rule, fraction):
+        values = every_pair(level)
+        config = RunConfig(train_fraction=fraction,
+                           learner=LearnerConfig(rule_mode=rule, bias=0.25, k_winners=3))
+        for walk, learning in ((run_continual, True), (baseline_persistence, False)):
+            rows, series = walk_reference(values, level, config.learner, config.train_fraction,
+                                          config.freeze_after_train, learning)
+            trace = walk(sequence(values, level), config)
+            columns = list(zip(*rows))
+            assert trace.index.tolist() == list(columns[0])
+            assert trace.is_test.tolist() == [int(phase == TEST) for phase in columns[1]]
+            for name, column in zip(("previous_class", "predicted_class", "expected_class",
+                                     "abs_error"), (columns[2], *columns[4:7])):
+                assert getattr(trace, name).tolist() == list(column), name
+            assert hexes(trace.raw_prediction) == hexes(columns[3])
+            assert hexes(trace.deviant_mean_after) == hexes(columns[7])
+            assert hexes(trace.cumulative_mape) == hexes(series)
+        # the baseline predicts the previous class, so its test steps take every pair
+        tests = trace.is_test.tolist().index(1)
+        assert {16 * predicted + expected for predicted, expected in zip(
+            trace.predicted_class[tests:], trace.expected_class[tests:])} == {
+            16 * predicted + expected for predicted in range(1, level + 1)
+            for expected in range(1, level + 1)}
+
+
 def valid_trace_text(draw):
     level = draw(st.integers(min_value=2, max_value=10))
     values = draw(st.lists(st.integers(min_value=1, max_value=level), min_size=3, max_size=12))
@@ -1031,6 +1074,18 @@ class TestBlockwiseTraceIO:
         write_trace(trace, buffer)
         assert buffer.getvalue() == write_trace_reference(trace.steps, trace.cumulative_mape.tolist())
 
+    @pytest.mark.parametrize("tests", [(1,), (2, 7, -1), (127, 1, 3)])
+    def test_any_nonzero_is_test_writes_a_test_row(self, tests):
+        # a train block, a block that mixes both kinds of row, then a block of test rows only
+        rng = random.Random(len(tests))
+        is_test = [0] * BLOCK_ROWS + rng.choices((0, *tests), k=BLOCK_ROWS) + rng.choices(
+            tests, k=BLOCK_ROWS // 2)
+        mape = np.random.default_rng(3).random(len(is_test) - is_test.count(0)) * 300.0
+        trace = mixed_phase_trace(len(is_test))._replace(is_test=is_test, cumulative_mape=mape)
+        buffer = io.StringIO()
+        write_trace(trace, buffer)
+        assert buffer.getvalue() == write_trace_reference(trace.steps, trace.cumulative_mape.tolist())
+
     def test_an_integer_past_64_bits_in_a_later_block_is_named_by_its_line(self):
         lines = list(block_trace_lines(BLOCK_ROWS + 1))
         fields = lines[-2].split(",")  # the one row of the second block
@@ -1116,6 +1171,66 @@ class TestBlockwiseReportWriters:
             _, series = read_trace_reference(stream)
         assert len(series) == length
         assert series_path.read_bytes().decode("utf-8") == written(series_report_reference, series)
+
+
+def report_and_read_trace(text):
+    """report's exit code, standard error and series file on a trace file holding text, and
+    mape(read_trace(...)) of that file opened as report opens it, or the error it raises."""
+    with tempfile.TemporaryDirectory() as work:
+        trace, series = os.path.join(work, "trace.csv"), os.path.join(work, "series.csv")
+        with open(trace, "w", encoding="utf-8", errors="surrogatepass", newline="") as stream:
+            stream.write(text)
+        with redirect_stderr(io.StringIO()) as errors:
+            code = main(["report", "--input", trace, "--out", series])
+        written_series = None
+        if os.path.exists(series):
+            with open(series, encoding="utf-8", newline="") as stream:
+                written_series = stream.read()
+        # universal newlines, as report reads: a lone CR ends a line there too
+        with open(trace, encoding="utf-8", errors="surrogateescape") as stream:
+            try:
+                read = mape(read_trace(stream))[1].tolist()
+            except (TraceFormatError, NoTestStepsError) as exc:
+                read = exc
+    return code, errors.getvalue(), written_series, read
+
+
+class TestReportReader:
+    """report reads only cumulative_mape, but checks every row as read_trace does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=mutated_traces())
+    @example(case=(TRACE_HEADER + "\n1,test,1,1_0.5,1,1,0,0.000000,0.000000\n", 2))
+    @example(case=(TRACE_HEADER + "\n\r,test,1,1.000000,1,1,0,0.000000,0.000000\n", 2))
+    def test_report_refuses_what_read_trace_refuses(self, case):
+        code, errors, series, read = report_and_read_trace(case[0])
+        if isinstance(read, SymcastError):
+            assert (code, errors, series) == (1, f"error: {read}\n", None)
+        else:
+            assert (code, errors) == (0, "")
+            assert series == written(series_report_reference, read)
+
+    def test_the_peak_grows_by_under_16_bytes_a_row(self, tmp_path):
+        # keeping every column, it grew by 114 bytes a row here, and 146 from 50k to 100k rows
+        rng = random.Random(5)
+        values = [3]
+        while len(values) < 50_001:
+            values.append(values[-1] if rng.random() < 0.3 else rng.randint(1, 7))
+        peaks = []
+        for length in (25_000, 50_000):
+            path = tmp_path / f"{length}.csv"
+            trace = baseline_persistence(sequence(values[:length + 1], 7),
+                                         RunConfig(train_fraction=0.01))
+            with open(path, "w", encoding="utf-8", newline="") as stream:
+                write_trace(trace, stream)
+            with open(path, encoding="utf-8") as stream:
+                tracemalloc.start()
+                try:
+                    assert len(read_cumulative_mape(stream)) == len(trace.cumulative_mape)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 25_000 < 16
 
 
 @st.composite

@@ -48,9 +48,9 @@ EXPECTED = [
     Unrun("src/symcast/cli.py", "    sys.exit(main())\n",
           "runs only as `python -m symcast.cli`, in a spawned process"),
     Unrun("src/symcast/tracetext.py",
-          "                raise TraceFormatError(first_line + offset, str(exc)) from exc\n"
-          "        raise\n",
-          "_parse_block's last raise is for a block that fails while none of its rows fails "
+          "                    raise TraceFormatError(first_line + offset, str(exc)) from exc\n"
+          "            raise\n",
+          "_parsed_blocks's last raise is for a block that fails while none of its rows fails "
           "alone; each check of _parse_rows is per row, so no input reaches it"),
 ]
 
