@@ -1,4 +1,4 @@
-"""The settings records and their range rules; no numpy, so that every command's parser is cheap."""
+"""The settings records and range rules, without numpy: each command and --version compile this."""
 
 from __future__ import annotations
 
@@ -37,9 +37,9 @@ class LearnerConfig(NamedTuple):
     k_winners: int = 1
 
     def validate(self) -> None:
-        if not 1 <= self.population_size <= sys.maxsize:
+        if not (isinstance(self.population_size, int) and 1 <= self.population_size <= sys.maxsize):
             raise BadConfigError(
-                "population_size", f"must be in [1, {sys.maxsize}], got {self.population_size}"
+                "population_size", f"must be in [1, {sys.maxsize}], got {self.population_size!r}"
             )
         if not (0 < self.max_deviant_adjust < math.inf):
             raise BadConfigError(
@@ -49,8 +49,8 @@ class LearnerConfig(NamedTuple):
             raise BadConfigError("rule_mode", f"must be one of {RULE_MODES}, got {self.rule_mode!r}")
         if not math.isfinite(self.bias):
             raise BadConfigError("bias", f"must be finite, got {self.bias}")
-        if self.k_winners < 1:
-            raise BadConfigError("k_winners", f"must be >= 1, got {self.k_winners}")
+        if not isinstance(self.k_winners, int) or self.k_winners < 1:
+            raise BadConfigError("k_winners", f"must be >= 1, got {self.k_winners!r}")
         if self.k_winners > self.population_size:
             raise BadConfigError(
                 "k_winners",

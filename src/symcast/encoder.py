@@ -49,9 +49,12 @@ class Record:
         cls._arguments = namedtuple(cls.__name__, annotations)  # binds, or raises, as a call does
         cls._fields = cls._arguments._fields
         cls._columns = {name: _FORMATS[kind] for name, kind in annotations.items() if kind in _FORMATS}
+        cls._tuples = {name for name, kind in annotations.items() if kind.startswith("tuple[")}
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         for name, value in zip(self._fields, self._arguments(*args, **kwargs)):
+            if name in self._tuples:  # a list given would stay open to change, and unhashable
+                value = tuple(value)
             if name in self._columns:
                 formats, typecode = self._columns[name]
                 if isinstance(value, memoryview) and value.ndim > 1:  # array() copies one dimension

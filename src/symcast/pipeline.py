@@ -7,36 +7,32 @@ split only marks where test-error accounting begins. A run is kept as
 typed stdlib columns, one entry per step. Errors are tracked as a running
 mean absolute percentage error over the test steps, computed on the
 integer classes once the walk is done and stored in the trace. The walk
-and the writers form each value or text once per distinct key, not once
-per step: a stream of a few classes and means repeats them.
+forms each value once per distinct key, not once per step: a stream of a
+few classes and means repeats them. tracetext writes and reads the trace.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "DecodedTrace", "PredictionTrace", "baseline_persistence", "decode_trace", "mape", "read_trace",
-    "run_continual", "split_index", "write_trace",
+    "run_continual", "split_index",
 ]
 
 import math
 from array import array
 from itertools import accumulate, chain, repeat
 from operator import add, and_, mul, truediv
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence
 
 from .config import RunConfig
 from .encoder import ClassSequence, Ints, Reals, Record, SensorMemory, decode_class
 from .errors import LengthMismatchError, TooShortError
 from .learner import Learner
-from .tracetext import (
-    MAPE_FORMAT, TEST, TRACE_HEADER, TRAIN, _test_mapes, _write_blocks, format_real, read_columns,
-)
+from .tracetext import TEST, TRAIN, _test_mapes, read_columns, write_trace
 
 # a step's |predicted - expected| and its ratio to expected, by its byte 16 * predicted + expected
 _ABS_ERRORS = bytes(abs((pair >> 4) - (pair & 15)) for pair in range(256))
 _RATIOS = [error / (pair & 15 or 1) for pair, error in enumerate(_ABS_ERRORS)]
-# a train and a test row's % template: step, the fields from phase to abs_error, MAPE, mean
-_TRAIN_ROW, _TEST_ROW = "%d,%s%s%s", "%d,%s%" + MAPE_FORMAT + "%s"
 
 
 class StepRecord(NamedTuple):
@@ -189,48 +185,6 @@ def decode_trace(trace: PredictionTrace, memory: SensorMemory) -> DecodedTrace:
                         list(map(symbols.__getitem__, expected)),
                         list(map(and_, map(own_slot.__getitem__, predicted),
                                  map(own_slot.__getitem__, expected))))
-
-
-class _RowHeads(dict):
-    """A trace row's text from its phase to its abs_error field, formed once per distinct key."""
-
-    def __missing__(self, key: tuple) -> str:
-        test, previous, raw, _, *integers = key  # the raw prediction's bits tell -0.0 from 0.0
-        fields = [(TRAIN, TEST)[bool(test)], str(previous), format_real(raw), *map(str, integers)]
-        self[key] = text = ",".join(fields) + ","
-        return text
-
-
-def write_trace(trace: PredictionTrace, stream: TextIO) -> None:
-    """Emit the delimited trace; reals carry 6 decimal places (see format_real).
-
-    cumulative_mape is empty on train steps. The fields from phase to abs_error, and the mean,
-    are formed into text once per distinct value, a real keyed by its bits: -0.0 keeps its sign.
-    """
-    heads = _RowHeads()
-    mape_at = 0  # the cumulative_mape entry of the block's first test step
-
-    def block_rows(start: int, stop: int) -> Iterable[str]:
-        nonlocal mape_at
-        block = slice(start, stop)
-        is_test = trace.is_test[block].tolist()
-        tests = len(is_test) - is_test.count(0)
-        mape = iter(trace.cumulative_mape[mape_at:mape_at + tests].tolist())
-        mape_at += tests
-        template = _TEST_ROW * tests
-        if tests < len(is_test):  # a train row's MAPE is ""
-            template = "".join([_TEST_ROW if test else _TRAIN_ROW for test in is_test])
-            mape = [next(mape) if test else "" for test in is_test]
-        raw, means = trace.raw_prediction[block], trace.deviant_mean_after[block]
-        mean_bits = memoryview(means.tobytes()).cast("q")
-        tails = {bits: f",{format_real(mean)}\n" for bits, mean in dict(zip(mean_bits, means)).items()}
-        keys = zip(is_test, trace.previous_class[block], raw, memoryview(raw.tobytes()).cast("q"),
-                   trace.predicted_class[block], trace.expected_class[block], trace.abs_error[block])
-        rows = zip(trace.index[block], map(heads.__getitem__, keys), mape,
-                   map(tails.__getitem__, mean_bits))
-        return (template % tuple(chain.from_iterable(rows)),)
-
-    _write_blocks(stream, TRACE_HEADER, len(trace), block_rows)
 
 
 def read_trace(lines: Iterable[str]) -> PredictionTrace:

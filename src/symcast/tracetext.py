@@ -1,16 +1,16 @@
-"""The trace's text and the block writer, without numpy: the rows are read into stdlib columns.
+"""The trace file and the block writer, without numpy: write_trace writes the rows the reader reads.
 
-`symcast report` writes its outputs from those columns, and
-pipeline.read_trace wraps them in a PredictionTrace.
+The reader gives stdlib columns: `symcast report` writes its outputs
+from them, and pipeline.read_trace wraps them in a PredictionTrace.
 """
 
 from __future__ import annotations
 
-__all__: list[str] = []
+__all__ = ["write_trace"]
 
 import math
 from array import array
-from itertools import islice, repeat, takewhile
+from itertools import chain, islice, repeat, takewhile
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import NoTestStepsError, TraceFormatError
@@ -25,6 +25,8 @@ TRACE_HEADER = (
     "step,phase,prev_class,raw_prediction,predicted_class,expected_class,"
     "abs_error,cumulative_mape,deviant_mean"
 )
+# a train and a test row's % template: step, the fields from phase to abs_error, MAPE, mean
+_TRAIN_ROW, _TEST_ROW = "%d,%s%s%s", "%d,%s%" + MAPE_FORMAT + "%s"
 
 
 def _test_mapes(cumulative_mape: Sequence[float]) -> Sequence[float]:
@@ -48,6 +50,48 @@ def format_real(value: float) -> str:
     Fixed point would spell out every integer digit of a huge value.
     """
     return f"{value:.6f}" if abs(value) < 1e15 else f"{value:.6e}"
+
+
+class _RowHeads(dict):
+    """A trace row's text from its phase to its abs_error field, formed once per distinct key."""
+
+    def __missing__(self, key: tuple) -> str:
+        test, previous, raw, _, *integers = key  # the raw prediction's bits tell -0.0 from 0.0
+        fields = [(TRAIN, TEST)[bool(test)], str(previous), format_real(raw), *map(str, integers)]
+        self[key] = text = ",".join(fields) + ","
+        return text
+
+
+def write_trace(trace: PredictionTrace, stream: TextIO) -> None:
+    """Emit the delimited trace; reals carry 6 decimal places (see format_real).
+
+    cumulative_mape is empty on train steps. The fields from phase to abs_error, and the mean,
+    are formed into text once per distinct value, a real keyed by its bits: -0.0 keeps its sign.
+    """
+    heads = _RowHeads()
+    mape_at = 0  # the cumulative_mape entry of the block's first test step
+
+    def block_rows(start: int, stop: int) -> Iterable[str]:
+        nonlocal mape_at
+        block = slice(start, stop)
+        is_test = trace.is_test[block].tolist()
+        tests = len(is_test) - is_test.count(0)
+        mape = iter(trace.cumulative_mape[mape_at:mape_at + tests].tolist())
+        mape_at += tests
+        template = _TEST_ROW * tests
+        if tests < len(is_test):  # a train row's MAPE is ""
+            template = "".join([_TEST_ROW if test else _TRAIN_ROW for test in is_test])
+            mape = [next(mape) if test else "" for test in is_test]
+        raw, means = trace.raw_prediction[block], trace.deviant_mean_after[block]
+        mean_bits = memoryview(means.tobytes()).cast("q")
+        tails = {bits: f",{format_real(mean)}\n" for bits, mean in dict(zip(mean_bits, means)).items()}
+        keys = zip(is_test, trace.previous_class[block], raw, memoryview(raw.tobytes()).cast("q"),
+                   trace.predicted_class[block], trace.expected_class[block], trace.abs_error[block])
+        rows = zip(trace.index[block], map(heads.__getitem__, keys), mape,
+                   map(tails.__getitem__, mean_bits))
+        return (template % tuple(chain.from_iterable(rows)),)
+
+    _write_blocks(stream, TRACE_HEADER, len(trace), block_rows)
 
 
 def _reals(texts: list[str]) -> array:

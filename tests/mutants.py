@@ -2,7 +2,7 @@
 
 Run from the root of the repository (it is not part of the pytest suite):
 
-    python3 tests/mutants.py    # 140-170 s on a 2-vCPU VM, two rows at a time (119 rows)
+    python3 tests/mutants.py    # 130-170 s on a 2-vCPU VM, two rows at a time (123 rows)
 
 Each row names a file under src/, a text that must occur in it exactly
 once, the text that replaces it, why the change matters, whether the tests
@@ -84,6 +84,7 @@ LAZY_NAMESPACE = "tests/test_api.py::TestLazyNamespace"
 CONFIG_UTF8 = ("tests/test_cli.py::TestConfigFile::"
                "test_a_config_file_not_in_utf8_names_the_file_and_line")
 PIPELINE = "src/symcast/pipeline.py"
+CONFIG = "src/symcast/config.py"
 LEARNER = "src/symcast/learner.py"
 STDLIB_ENCODER = "tests/test_encoder.py::TestStdlibEncoder"
 GRID_EDGE = "tests/test_learner.py::TestGridEdgeWindows"
@@ -98,6 +99,9 @@ NONZERO_TESTS = ("tests/test_pipeline.py::TestBlockwiseTraceIO::"
 REPORT_REFUSES = ("tests/test_pipeline.py::TestReportReader::"
                   "test_report_refuses_what_read_trace_refuses")
 REPORT_PEAK = "tests/test_pipeline.py::TestReportReader::test_the_peak_grows_by_under_16_bytes_a_row"
+TUPLE_FIELDS = ("tests/test_api.py::TestFrozenBase::"
+                "test_a_tuple_field_given_a_list_holds_a_tuple_of_it")
+INTEGER_COUNTS = "tests/test_learner.py::TestIntegerCounts"
 NEGATIVE_ZERO = ("tests/test_pipeline.py::TestTraceSerialization::"
                  "test_a_negative_zero_keeps_its_sign_beside_a_positive_one")
 
@@ -225,7 +229,7 @@ MUTANTS = [
     Mutant(TRACE_TEXT, 'stream.write("".join(block_rows(',
            "stream.writelines((block_rows(",
            "each block goes out in one write of its joined rows", "killed", (WRITES,)),
-    Mutant("src/symcast/pipeline.py", "block = slice(start, stop)",
+    Mutant(TRACE_TEXT, "block = slice(start, stop)",
            "block = slice(0, stop - start)",
            "each trace block formats its own steps", "killed", (BLOCKWISE,)),
     Mutant("src/symcast/cli.py", "rows[start:stop]", "rows[:stop - start]",
@@ -361,7 +365,7 @@ MUTANTS = [
     Mutant(TRACE_TEXT, "abs(value) < 1e15", "abs(value) <= 1e15",
            "a real of exactly 1e15 prints in exponent form", "killed",
            ("tests/test_pipeline.py::TestTraceSerialization",)),
-    Mutant(PIPELINE, 'mean_bits = memoryview(means.tobytes()).cast("q")', "mean_bits = means",
+    Mutant(TRACE_TEXT, 'mean_bits = memoryview(means.tobytes()).cast("q")', "mean_bits = means",
            "keyed by value, -0.0 and 0.0 would share one text", "killed",
            ("tests/test_pipeline.py::TestTraceSerialization",)),
     # The order in which a trace row's fields convert.
@@ -378,7 +382,7 @@ MUTANTS = [
            "for offset, row in reversed(list(enumerate(block))):",
            "of two bad rows in a block, the rescan names the first, not the last", "killed",
            (BLOCKWISE, TWO_FAULTS)),
-    Mutant(PIPELINE, "        mape_at += tests\n", "",
+    Mutant(TRACE_TEXT, "        mape_at += tests\n", "",
            "a block's test steps take the cumulative_mape values after all earlier test steps",
            "killed", (BLOCKWISE,)),
     Mutant(TRACE_TEXT, "while block := list(islice(rows, BLOCK_ROWS)):",
@@ -396,8 +400,11 @@ MUTANTS = [
            "whitespace-only rows are corpus items", "killed",
            ("tests/test_ingest.py::TestReadTextCorpus",)),
     # The package namespace, built from each module's __all__.
-    Mutant("src/symcast/pipeline.py", '"split_index", ', "",
+    Mutant(PIPELINE, '"run_continual", "split_index",\n', '"run_continual",\n',
            "a name that leaves a module's __all__ leaves the package namespace", "killed",
+           (NAMESPACE,)),
+    Mutant(TRACE_TEXT, '__all__ = ["write_trace"]', "__all__: list[str] = []",
+           "the trace writer is public from the module that holds the trace's text", "killed",
            (NAMESPACE,)),
     # Trace rows: ASCII only, integers in int64.
     Mutant(TRACE_TEXT, "if not text.isascii():", "if False:",
@@ -490,9 +497,10 @@ MUTANTS = [
            "float64", "killed", (COLUMNS,)),
     Mutant(LEARNER, "half = count // 2 - count // 2 % 8", "half = count // 2",
            "numpy splits a long sum at a multiple of 8", "killed", (WINNERS_MEAN,)),
-    Mutant(PIPELINE, "test, previous, raw, _, *integers = key", "test, previous, _, raw, *integers = key",
+    Mutant(TRACE_TEXT, "test, previous, raw, _, *integers = key",
+           "test, previous, _, raw, *integers = key",
            "a row's text formats the raw prediction, not its bits", "killed", (NEGATIVE_ZERO,)),
-    Mutant(PIPELINE, "raw, memoryview(raw.tobytes()).cast(\"q\")", "raw, raw",
+    Mutant(TRACE_TEXT, "raw, memoryview(raw.tobytes()).cast(\"q\")", "raw, raw",
            "a raw prediction's text is keyed by its bits, so -0.0 keeps its sign", "killed",
            (NEGATIVE_ZERO,)),
     Mutant(PIPELINE, "return whole + (fraction >= 0.5) - (fraction <= -0.5)",
@@ -511,7 +519,7 @@ MUTANTS = [
            "the predicted class takes the byte's high four bits, clear of the expected class",
            "killed", (WALK_BITS,)),
     # One % a block; report keeps only cumulative_mape, checked as read_trace checks every column.
-    Mutant(PIPELINE, "[_TEST_ROW if test else _TRAIN_ROW for test in is_test]",
+    Mutant(TRACE_TEXT, "[_TEST_ROW if test else _TRAIN_ROW for test in is_test]",
            "[(_TRAIN_ROW, _TEST_ROW)[test] for test in is_test]",
            "any nonzero is_test is a test step: a row's template goes by truth, not by value",
            "killed", (NONZERO_TESTS,)),
@@ -531,6 +539,16 @@ MUTANTS = [
     Mutant(ENCODER, '"bBhHiIlLqQ"', '"bBhHiIlLqQ?"',
            "a bool column kept as bools is written as True and False, which the reader refuses",
            "killed", ("tests/test_api.py::TestColumns",)),
+    # A tuple field holds a tuple; a count is an int.
+    Mutant(ENCODER, "            if name in self._tuples:  # a list given would stay open to change, "
+           "and unhashable\n                value = tuple(value)\n", "",
+           "a record built from a list would keep the list: unhashable, unequal to the tuple's, "
+           "and open to a class past the rule", "killed", (TUPLE_FIELDS,)),
+    Mutant(CONFIG, "isinstance(self.population_size, int) and ", "",
+           "a float population_size reaches range() as a bare TypeError", "killed",
+           (INTEGER_COUNTS,)),
+    Mutant(CONFIG, "not isinstance(self.k_winners, int) or ", "",
+           "a float k_winners reaches range() as a bare TypeError", "killed", (INTEGER_COUNTS,)),
 ]
 
 

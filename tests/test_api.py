@@ -21,6 +21,7 @@ from symcast.cli import Settings
 from symcast.encoder import (
     ClassSequence,
     EncodedCorpus,
+    MatchScore,
     Record,
     SensorMemory,
     SymbolMatrix,
@@ -28,9 +29,10 @@ from symcast.encoder import (
     symbol_integer_transform,
 )
 from symcast.ingest import Corpus, read_text_corpus
-from symcast.learner import Learner, LearnerConfig
+from symcast.learner import Learner, LearnerConfig, StepOutcome
 from symcast.pipeline import (
-    PredictionTrace, RunConfig, decode_trace, read_trace, run_continual, write_trace,
+    DecodedTrace, PredictionTrace, RunConfig, StepRecord, decode_trace, read_trace, run_continual,
+    write_trace,
 )
 
 from conftest import CARBUS
@@ -167,15 +169,36 @@ def fresh_copy(value):
     return np.array(value) if isinstance(value, memoryview) else copy.deepcopy(value)
 
 
-RECORDS = public_records()
-RECORD_IDS = [type(record).__name__ for record in RECORDS]
-HASHABLE = [record for record in RECORDS
-            if isinstance(record, (Corpus, ClassSequence, SensorMemory, LearnerConfig, RunConfig,
-                                   Settings))]
+# public_records()'s types, in its order; each test takes its records from one session fixture,
+# so a record the package cannot build or read fails those tests instead of their collection
+RECORD_TYPES = [Corpus, EncodedCorpus, SymbolMatrix, MatchScore, ClassSequence, SensorMemory,
+                LearnerConfig, RunConfig, Settings, StepOutcome, PredictionTrace, StepRecord,
+                DecodedTrace]
+HASHABLE = [Corpus, ClassSequence, SensorMemory, LearnerConfig, RunConfig, Settings]
+ARRAY_RECORDS = [EncodedCorpus, SymbolMatrix, PredictionTrace]
+
+
+def over(kinds):
+    """Parametrize a test's record fixture over one record of each of kinds."""
+    return pytest.mark.parametrize("record", kinds, ids=lambda kind: kind.__name__, indirect=True)
+
+
+@pytest.fixture(scope="session")
+def records():
+    return {type(record): record for record in public_records()}
+
+
+@pytest.fixture
+def record(request, records):
+    return records[request.param]
+
+
+def test_public_records_builds_one_record_of_each_type(records):
+    assert list(records) == RECORD_TYPES
 
 
 class TestRecordContract:
-    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    @over(RECORD_TYPES)
     def test_fields_cannot_be_assigned(self, record):
         for name in field_names(record):
             with pytest.raises(AttributeError):
@@ -183,23 +206,23 @@ class TestRecordContract:
             with pytest.raises(AttributeError):
                 delattr(record, name)
 
-    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    @over(RECORD_TYPES)
     def test_equals_a_fresh_copy_of_its_fields(self, record):
         fields = {name: fresh_copy(getattr(record, name)) for name in field_names(record)}
         assert record == type(record)(**fields)
 
-    @pytest.mark.parametrize("record", HASHABLE, ids=lambda record: type(record).__name__)
+    @over(HASHABLE)
     def test_configs_corpus_and_memory_hash_by_value(self, record):
         fields = {name: copy.deepcopy(getattr(record, name)) for name in field_names(record)}
         assert {record: 1}[type(record)(**fields)] == 1
 
-    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    @over(RECORD_TYPES)
     def test_copies_pickles_and_an_empty_replace_are_equal(self, record):
         made = [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record)),
                 record._replace()]
         assert all(other == record for other in made)
 
-    @pytest.mark.parametrize("record", RECORDS, ids=RECORD_IDS)
+    @over(RECORD_TYPES)
     def test_repr_names_the_type_and_each_field(self, record):
         text = repr(record)
         assert text.startswith(f"{type(record).__name__}(")
@@ -209,15 +232,10 @@ class TestRecordContract:
         assert RunConfig().learner == LearnerConfig()
 
 
-ARRAY_RECORDS = [record for record in RECORDS
-                 if isinstance(record, (SymbolMatrix, EncodedCorpus, PredictionTrace))]
-
-
 class TestFrozenBase:
     """The records on encoder.Record take their fields as a function takes its arguments."""
 
-    @pytest.mark.parametrize("record", [record for record in RECORDS if isinstance(record, Record)],
-                             ids=lambda record: type(record).__name__)
+    @over([kind for kind in RECORD_TYPES if issubclass(kind, Record)])
     def test_a_wrong_count_a_missing_field_or_an_unknown_one_is_a_type_error(self, record):
         kind, names = type(record), field_names(record)
         values = [getattr(record, name) for name in names]
@@ -235,13 +253,25 @@ class TestFrozenBase:
         with pytest.raises(TypeError, match=f"got multiple values for argument '{names[0]}'$"):
             kind(*values, **{names[0]: values[0]})
 
-    @pytest.mark.parametrize("record", ARRAY_RECORDS, ids=lambda record: type(record).__name__)
+    @over(ARRAY_RECORDS)
     def test_an_array_record_is_unhashable(self, record):
         with pytest.raises(TypeError, match="unhashable type"):
             hash(record)
 
+    def test_a_tuple_field_given_a_list_holds_a_tuple_of_it(self):
+        given = [1, 2, 3, 1, 2]
+        built, from_tuple = ClassSequence(given, 5), ClassSequence((1, 2, 3, 1, 2), 5)
+        assert built == from_tuple and hash(built) == hash(from_tuple)
+        walked = run_continual(built, RunConfig())
+        given[0] = 300  # the walk packs each class into 4 bits: neither may reach it
+        given.append(99)
+        assert built == from_tuple and run_continual(built, RunConfig()) == walked
+        encoded = encode_corpus(CARBUS, class_level=5)
+        lists = encoded._replace(corpus=list(encoded.corpus), distinct=list(encoded.distinct))
+        assert lists == encoded and type(lists.corpus) is type(lists.distinct) is tuple
 
-@pytest.mark.parametrize("record", ARRAY_RECORDS, ids=lambda record: type(record).__name__)
+
+@over(ARRAY_RECORDS)
 def test_array_fields_stay_read_only_however_the_record_is_made(record):
     names = [name for name in field_names(record) if isinstance(getattr(record, name), memoryview)]
     assert names

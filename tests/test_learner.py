@@ -126,6 +126,26 @@ class TestConfigValidation:
         LearnerConfig().validate()
 
 
+class TestIntegerCounts:
+    """A population size or winner count that is not an int is refused by name, never used."""
+
+    @pytest.mark.parametrize("kwargs,field", [
+        (dict(population_size=1000.5), "population_size"),
+        (dict(population_size=1000.0), "population_size"),
+        (dict(k_winners=2.0), "k_winners"),
+    ])
+    def test_a_learner_step_refuses_it(self, kwargs, field):
+        with pytest.raises(BadConfigError) as info:
+            Learner(LearnerConfig(**kwargs)).learn_step(1, 3)
+        assert info.value.field == field
+
+    def test_a_walk_refuses_it(self):
+        classes = ClassSequence((1, 2, 3, 1, 2), 5)
+        with pytest.raises(BadConfigError) as info:
+            run_continual(classes, RunConfig(learner=LearnerConfig(population_size=10.0)))
+        assert info.value.field == "population_size"
+
+
 def predicted_after_a_bias_step(bias, current, level=5):
     """The walk's raw prediction and class for current, once an exact step has set the mean to bias.
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from symcast import tracetext
 from symcast.cli import _write_decoded, main
+from symcast.config import MAX_CLASS_LEVEL, MIN_CLASS_LEVEL
 from symcast.encoder import ClassSequence, SensorMemory, decode_class
 from symcast.errors import (
     BadClassError,
@@ -38,7 +39,6 @@ from symcast.learner import (
 )
 from symcast.pipeline import (
     TEST,
-    TRACE_HEADER,
     TRAIN,
     DecodedTrace,
     PredictionTrace,
@@ -46,7 +46,6 @@ from symcast.pipeline import (
     StepRecord,
     baseline_persistence,
     decode_trace,
-    format_real,
     mape,
     read_trace,
     run_continual,
@@ -54,7 +53,7 @@ from symcast.pipeline import (
     write_trace,
 )
 from symcast.pipeline import round_half_away_from_zero as walk_rounding
-from symcast.tracetext import BLOCK_ROWS, read_cumulative_mape
+from symcast.tracetext import BLOCK_ROWS, TRACE_HEADER, format_real, read_cumulative_mape
 
 from oracle import (
     decode_reference,
@@ -667,7 +666,8 @@ def hexes(values):
 class TestWalkColumnsBitForBit:
     """Each column of both walks, as the walk builds it, against the oracle's per-step loop."""
 
-    @pytest.mark.parametrize("level", [2, 10])  # at 10, 16 * predicted + expected reaches 0xAA
+    # the walk packs 16 * predicted + expected into a byte: at 10 it reaches 0xAA, at 16 it overflows
+    @pytest.mark.parametrize("level", [MIN_CLASS_LEVEL, MAX_CLASS_LEVEL])
     @pytest.mark.parametrize("rule", [ADDITIVE_SUBTRACTIVE, MULTIPLICATIVE_DIVISIVE])
     @pytest.mark.parametrize("fraction", [0.05, 0.5])
     def test_every_column_equals_the_oracle(self, level, rule, fraction):
