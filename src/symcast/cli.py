@@ -238,7 +238,7 @@ def _write_decoded(decoded, stream: TextIO) -> None:
 
 def _summary_lines(trace, baseline=None) -> list[str]:
     from .pipeline import mape
-    test_steps = len(trace) - trace.is_test.tolist().count(0)
+    test_steps = len(trace.cumulative_mape)  # one entry a test step, as PredictionTrace holds
     exact = map(and_, trace.is_test, map(eq, trace.predicted_class, trace.expected_class))
     counts = sorted(Counter(compress(trace.expected_class, exact)).items())
     lines = [

@@ -22,10 +22,10 @@ RULE_MODES = (ADDITIVE_SUBTRACTIVE, MULTIPLICATIVE_DIVISIVE)
 
 
 def check_class_level(class_level: int) -> None:
-    """The one range rule for class_level; raises BadClassLevelError."""
-    if not (MIN_CLASS_LEVEL <= class_level <= MAX_CLASS_LEVEL):
+    """The one range rule for class_level, an int; raises BadClassLevelError."""
+    if not (isinstance(class_level, int) and MIN_CLASS_LEVEL <= class_level <= MAX_CLASS_LEVEL):
         raise BadClassLevelError(
-            f"class level must be in [{MIN_CLASS_LEVEL}, {MAX_CLASS_LEVEL}], got {class_level}"
+            f"class level must be in [{MIN_CLASS_LEVEL}, {MAX_CLASS_LEVEL}], got {class_level!r}"
         )
 
 

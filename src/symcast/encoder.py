@@ -42,7 +42,14 @@ _FORMATS = {"Ints": ("bBhHiIlLqQ", "q"), "Reals": ("d", "d")}  # a bool is copie
 
 
 class Record:
-    """A frozen record of its class's annotated fields; Ints and Reals ones are read-only views."""
+    """A frozen record of its class's annotated fields; Ints and Reals ones are read-only views.
+
+    It binds its arguments as a call does, compares field by field and copies
+    and pickles through its constructor, so each copy passes the class's checks
+    again. A ``tuple[...]`` field holds a tuple. An Ints or Reals field views
+    a buffer of one of its _FORMATS as it is; any other value, a bool buffer or
+    a one-dimensional memoryview included, is copied into an array('q' or 'd').
+    """
 
     def __init_subclass__(cls) -> None:
         annotations = cls.__dict__.get("__annotations__", {})  # text under the __future__ import

@@ -2,6 +2,9 @@
 
 The reader gives stdlib columns: `symcast report` writes its outputs
 from them, and pipeline.read_trace wraps them in a PredictionTrace.
+Every output written row by row (the trace, the decoded steps, report's
+series and the encode CSV's rows) goes through _write_blocks, and the
+reader parses BLOCK_ROWS rows at a time, so one block's text is held at once.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from array import array
 from itertools import chain, islice, repeat, takewhile
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
+import symcast  # write_trace's hint names symcast.pipeline, which imports this module
 from .errors import NoTestStepsError, TraceFormatError
 
 TRAIN = "train"
@@ -62,7 +66,7 @@ class _RowHeads(dict):
         return text
 
 
-def write_trace(trace: PredictionTrace, stream: TextIO) -> None:
+def write_trace(trace: symcast.pipeline.PredictionTrace, stream: TextIO) -> None:
     """Emit the delimited trace; reals carry 6 decimal places (see format_real).
 
     cumulative_mape is empty on train steps. The fields from phase to abs_error, and the mean,
@@ -121,7 +125,8 @@ def _parse_rows(rows: list[str], expand: bool = True) -> tuple:
 
     Integers are array('q'), reals array('d') and is_test a list of bools.
     The six _SMALL_COLUMNS (previous_class to abs_error, and deviant_mean_after)
-    are checked once per distinct text, and left as _distinct gives them unless expand.
+    are checked once per distinct text, and left as _distinct gives them unless expand;
+    step and cumulative_mape, whose texts seldom repeat, are converted field by field.
     Each check runs over all rows before the next starts, in the order in
     which they ran on each row when rows were read one at a time, so for a
     single row the message names its first problem: cumulative_mape

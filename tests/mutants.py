@@ -2,15 +2,15 @@
 
 Run from the root of the repository (it is not part of the pytest suite):
 
-    python3 tests/mutants.py    # 130-170 s on a 2-vCPU VM, two rows at a time (123 rows)
+    python3 tests/mutants.py
 
 Each row names a file under src/, a text that must occur in it exactly
 once, the text that replaces it, why the change matters, whether the tests
 are expected to kill it ("killed") or cannot, because it does not change
 behaviour ("equivalent"), and the pytest targets that kill it. The script
-copies src/, tests/, perfbench/ and pyproject.toml to WORKERS temporary
-directories, applies one mutant at a time in each, so that WORKERS rows
-run at once, and runs `pytest -x` on the row's targets, under
+copies src/, tests/, perfbench/, pyproject.toml and README.md to WORKERS
+temporary directories, applies one mutant at a time in each, so that
+WORKERS rows run at once, and runs `pytest -x` on the row's targets, under
 the `mutants` Hypothesis profile of tests/conftest.py, which does not
 shrink a failing example: a kill needs a failure, not its smallest form.
 The checkout is never written to. Equivalent rows are only checked for their
@@ -104,6 +104,11 @@ TUPLE_FIELDS = ("tests/test_api.py::TestFrozenBase::"
 INTEGER_COUNTS = "tests/test_learner.py::TestIntegerCounts"
 NEGATIVE_ZERO = ("tests/test_pipeline.py::TestTraceSerialization::"
                  "test_a_negative_zero_keeps_its_sign_beside_a_positive_one")
+FLAG_TABLE = "tests/test_readme.py::test_the_flag_table_matches_the_parser"
+HINTS = "tests/test_api.py::test_the_type_hints_of_every_public_callable_resolve"
+INTEGER_LEVEL = ("tests/test_encoder.py::TestClassSequence::"
+                 "test_a_level_that_is_not_an_int_is_refused")
+SUMMARY = "tests/test_cli.py::TestPredict::test_summary_on_stdout_when_trace_goes_to_a_file"
 
 # _parse_rows's conversions as they are, and with cumulative_mape's moved after the others
 MAPE_CONVERTED_FIRST = (
@@ -549,6 +554,20 @@ MUTANTS = [
            (INTEGER_COUNTS,)),
     Mutant(CONFIG, "not isinstance(self.k_winners, int) or ", "",
            "a float k_winners reaches range() as a bare TypeError", "killed", (INTEGER_COUNTS,)),
+    Mutant(CONFIG, "isinstance(class_level, int) and ", "",
+           "a float class level reaches range() in the walk as a bare TypeError", "killed",
+           (INTEGER_LEVEL,)),
+    # The README states the program's contract, and its tests hold the two together.
+    Mutant(CONFIG, "    population_size: int = 1000\n", "    population_size: int = 100\n",
+           "the README's flag table would give a default the program does not use", "killed",
+           (FLAG_TABLE,)),
+    Mutant(TRACE_TEXT, "def write_trace(trace: symcast.pipeline.PredictionTrace,",
+           "def write_trace(trace: PredictionTrace,",
+           "a hint naming a type tracetext does not import: typing.get_type_hints raises NameError",
+           "killed", (HINTS,)),
+    Mutant("src/symcast/cli.py", "test_steps = len(trace.cumulative_mape)",
+           "test_steps = len(trace.is_test)",
+           "the summary would count train steps as test steps", "killed", (SUMMARY,)),
 ]
 
 
@@ -597,7 +616,8 @@ def main() -> int:
             for name in ("src", "tests", "perfbench"):  # tests load perfbench's workloads
                 shutil.copytree(ROOT / name, work / name,
                                 ignore=shutil.ignore_patterns("__pycache__"))
-            shutil.copy(ROOT / "pyproject.toml", work)
+            for name in ("pyproject.toml", "README.md"):  # tests/test_readme.py runs the README
+                shutil.copy(ROOT / name, work)
             copies.put(work)
         # A target must pass unmutated, or a failure would say nothing of the mutant.
         # One run covers them all; a target inside another target is left to it.

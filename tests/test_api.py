@@ -8,6 +8,7 @@ import pickle
 import subprocess
 import sys
 import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,16 @@ def test_the_namespace_is_each_modules_own_public_names():
             assert getattr(symcast, name) is value
             if callable(value):  # defined there, not imported from elsewhere
                 assert value.__module__ == module.__name__, name
+
+
+def test_the_type_hints_of_every_public_callable_resolve():
+    # a hint naming a type its module cannot import raises NameError here
+    for name in symcast.__all__:
+        value = getattr(symcast, name)
+        if callable(value):
+            typing.get_type_hints(value)
+            if isinstance(value, type):
+                typing.get_type_hints(value.__init__)
 
 
 # The numpy reference code the tests compare against: the only places numpy is imported.

@@ -385,6 +385,13 @@ class TestClassSequence:
             ClassSequence((1, 1, 1), level)
         assert str(info.value) == f"class_level: class level must be in [2, 10], got {level}"
 
+    @pytest.mark.parametrize("level", [5.5, 5.0, "5"])
+    def test_a_level_that_is_not_an_int_is_refused(self, level):
+        # else the walk meets it in range() as a bare TypeError
+        with pytest.raises(BadClassLevelError) as info:
+            ClassSequence((1, 5, 1, 5, 5, 5), level)
+        assert str(info.value) == f"class_level: class level must be in [2, 10], got {level!r}"
+
     @given(classes=st.lists(st.integers(-3, 12), max_size=20), level=st.integers(2, 10))
     def test_refused_exactly_when_a_row_is_out_of_range(self, classes, level):
         bad = [cls for cls in classes if not 1 <= cls <= level]

@@ -796,8 +796,10 @@ class TestWinnersMean:
     @example((1e308,) * 9)
     @example((-1e308,) * 129 + (1e308,))
     @example(tuple(range(1, 1_000)))
-    # 130 winners: numpy splits them 64 + 66, and a split at 65 rounds this sum differently
+    # 130 winners, which numpy splits 64 + 66
     @example(tuple(random.Random(1).uniform(-1.0, 1.0) for _ in range(130)))
+    # a split at 65 would add the 1e16 to the first 1.0, not to the second, and give 0.0
+    @example((1.0,) + (0.0,) * 63 + (1e16,) + (0.0,) * 63 + (1.0, -1e16))
     def test_one_to_ten_thousand_winners_match_numpy_bit_for_bit(self, winners):
         with np.errstate(over="ignore", invalid="ignore"):
             expected = float(np.mean(np.array(winners)))
