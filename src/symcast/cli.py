@@ -21,7 +21,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from itertools import chain, compress
-from operator import and_, eq
+from operator import eq
 from typing import Iterator, NamedTuple, Sequence, TextIO
 
 from . import __version__
@@ -238,9 +238,10 @@ def _write_decoded(decoded, stream: TextIO) -> None:
 
 def _summary_lines(trace, baseline=None) -> list[str]:
     from .pipeline import mape
-    test_steps = len(trace.cumulative_mape)  # one entry a test step, as PredictionTrace holds
-    exact = map(and_, trace.is_test, map(eq, trace.predicted_class, trace.expected_class))
-    counts = sorted(Counter(compress(trace.expected_class, exact)).items())
+    test_steps = len(trace.cumulative_mape)  # one entry a test step, the trace's last steps
+    tests = slice(len(trace) - test_steps, None)
+    expected = trace.expected_class[tests]
+    counts = sorted(Counter(compress(expected, map(eq, trace.predicted_class[tests], expected))).items())
     lines = [
         f"train_elements: {len(trace) - test_steps + 1}",
         f"test_steps: {test_steps}",

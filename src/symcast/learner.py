@@ -29,7 +29,7 @@ __all__ = ["Learner", "StepOutcome"]
 import bisect
 import math
 from operator import add
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .config import ADDITIVE_SUBTRACTIVE, MULTIPLICATIVE_DIVISIVE, RULE_MODES, LearnerConfig
 from .errors import BadConfigError, DegenerateDivisiveError, NonFiniteStateError
@@ -47,7 +47,7 @@ class StepOutcome(NamedTuple):
     used_fallback: bool = False
 
 
-def make_adjustment_grid(population_size: int, max_deviant_adjust: float) -> np.ndarray:
+def make_adjustment_grid(population_size: int, max_deviant_adjust: float) -> Sequence[float]:
     """Uniform grid of adjustment magnitudes, open at 0, closed at the maximum.
 
     The last entry is exactly max_deviant_adjust (k/n is 1.0 at the endpoint).
@@ -61,10 +61,10 @@ def make_adjustment_grid(population_size: int, max_deviant_adjust: float) -> np.
 
 def adjust_candidates(
     deviant_mean: float,
-    grid: np.ndarray,
+    grid: Sequence[float],
     signed_diff: float,
     rule_mode: str = ADDITIVE_SUBTRACTIVE,
-) -> np.ndarray:
+) -> Sequence[float]:
     """Generate one candidate mean per grid point for a nonzero mismatch.
 
     Positive mismatch weakens (subtract / take reciprocal of product),
@@ -92,11 +92,11 @@ def adjust_candidates(
 
 
 def select_winners(
-    candidates: np.ndarray,
+    candidates: Sequence[float],
     previous_value: int,
     expected: int,
     k_winners: int = 1,
-) -> np.ndarray:
+) -> Sequence[float]:
     """Pick the k candidates whose predictions land closest to the expected value.
 
     Ranked ascending by residual |previous + candidate - expected|; ties go

@@ -51,15 +51,13 @@ class StepRecord(NamedTuple):
 class PredictionTrace(Record):
     """All steps of one run as read-only columns, plus the running test MAPE (percent).
 
-    Every column but cumulative_mape holds one entry per step, in step
-    order, as the StepRecord field of the same name does; is_test is
-    nonzero on the test steps. Classes and errors are integers, raw
-    predictions and means float64. cumulative_mape holds one float64 per
-    test step. A trace whose columns break that rule is refused when built.
+    Every column but cumulative_mape holds one entry per step, steps 1, 2, 3...
+    in order, as the StepRecord field of the same name does. Classes and errors
+    are integers, raw predictions and means float64. The last len(cumulative_mape)
+    steps are the test steps, one float64 each. A trace whose columns break that
+    rule is refused when built.
     """
 
-    index: Ints
-    is_test: Ints
     previous_class: Ints
     raw_prediction: Reals
     predicted_class: Ints
@@ -69,22 +67,22 @@ class PredictionTrace(Record):
     cumulative_mape: Reals
 
     def __post_init__(self) -> None:
-        steps, tests = len(self.index), len(self.is_test) - self.is_test.tolist().count(0)
+        steps = len(self)
         for name, column in vars(self).items():
-            count, what = (tests, "test steps") if name == "cumulative_mape" else (steps, "steps")
-            if len(column) != count:
-                raise LengthMismatchError(f"{name} has {len(column)} entries for {count} {what}")
+            if len(column) != steps and not (name == "cumulative_mape" and len(column) < steps):
+                raise LengthMismatchError(f"{name} has {len(column)} entries for {steps} steps")
 
     def __len__(self) -> int:
-        return len(self.index)
+        return len(self.previous_class)
 
     @property
     def steps(self) -> tuple[StepRecord, ...]:
         """The steps as records, built anew on each access."""
-        phases = [(TRAIN, TEST)[bool(test)] for test in self.is_test]
+        tests = len(self.cumulative_mape)
+        phases = chain(repeat(TRAIN, len(self) - tests), repeat(TEST, tests))
         # previous_class through deviant_mean_after, in StepRecord's order
-        columns = [getattr(self, name).tolist() for name in self._fields[2:-1]]
-        return tuple(map(StepRecord, self.index.tolist(), phases, *columns))
+        columns = [getattr(self, name).tolist() for name in self._fields[:-1]]
+        return tuple(map(StepRecord, range(1, len(self) + 1), phases, *columns))
 
 
 class DecodedTrace(NamedTuple):
@@ -139,8 +137,7 @@ def _walk(classes: ClassSequence, config: RunConfig, learning: bool) -> Predicti
 
     ratios = accumulate(map(_RATIOS.__getitem__, pairs[split - 1:]))
     series = array("d", map(truediv, map(mul, repeat(100.0), ratios), range(1, length - split + 1)))
-    is_test = array("b", [0]) * (split - 1) + array("b", [1]) * (length - split)
-    return PredictionTrace(array("q", range(1, length)), is_test, previous, raw, predicted, expected,
+    return PredictionTrace(previous, raw, predicted, expected,
                            array("b", pairs.translate(_ABS_ERRORS)), means[1:], series)
 
 

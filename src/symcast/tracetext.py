@@ -29,8 +29,8 @@ TRACE_HEADER = (
     "step,phase,prev_class,raw_prediction,predicted_class,expected_class,"
     "abs_error,cumulative_mape,deviant_mean"
 )
-# a train and a test row's % template: step, the fields from phase to abs_error, MAPE, mean
-_TRAIN_ROW, _TEST_ROW = "%d,%s%s%s", "%d,%s%" + MAPE_FORMAT + "%s"
+# a train and a test row's % template: step, the fields from prev_class to abs_error, MAPE, mean
+_TRAIN_ROW, _TEST_ROW = f"%d,{TRAIN},%s%s%s", f"%d,{TEST},%s%{MAPE_FORMAT}%s"
 
 
 def _test_mapes(cumulative_mape: Sequence[float]) -> Sequence[float]:
@@ -57,42 +57,37 @@ def format_real(value: float) -> str:
 
 
 class _RowHeads(dict):
-    """A trace row's text from its phase to its abs_error field, formed once per distinct key."""
+    """A trace row's text from its prev_class to its abs_error field, formed once per distinct key."""
 
     def __missing__(self, key: tuple) -> str:
-        test, previous, raw, _, *integers = key  # the raw prediction's bits tell -0.0 from 0.0
-        fields = [(TRAIN, TEST)[bool(test)], str(previous), format_real(raw), *map(str, integers)]
-        self[key] = text = ",".join(fields) + ","
+        previous, raw, _, *integers = key  # the raw prediction's bits tell -0.0 from 0.0
+        self[key] = text = ",".join([str(previous), format_real(raw), *map(str, integers)]) + ","
         return text
 
 
 def write_trace(trace: symcast.pipeline.PredictionTrace, stream: TextIO) -> None:
     """Emit the delimited trace; reals carry 6 decimal places (see format_real).
 
-    cumulative_mape is empty on train steps. The fields from phase to abs_error, and the mean,
+    cumulative_mape is empty on train steps. The fields from prev_class to abs_error, and the mean,
     are formed into text once per distinct value, a real keyed by its bits: -0.0 keeps its sign.
     """
     heads = _RowHeads()
-    mape_at = 0  # the cumulative_mape entry of the block's first test step
+    train = len(trace) - len(trace.cumulative_mape)  # the steps before the first test step
 
     def block_rows(start: int, stop: int) -> Iterable[str]:
-        nonlocal mape_at
+        stop = min(stop, len(trace))
+        split = min(max(start, train), stop)  # the block's first test step, or its end
         block = slice(start, stop)
-        is_test = trace.is_test[block].tolist()
-        tests = len(is_test) - is_test.count(0)
-        mape = iter(trace.cumulative_mape[mape_at:mape_at + tests].tolist())
-        mape_at += tests
-        template = _TEST_ROW * tests
-        if tests < len(is_test):  # a train row's MAPE is ""
-            template = "".join([_TEST_ROW if test else _TRAIN_ROW for test in is_test])
-            mape = [next(mape) if test else "" for test in is_test]
+        test_mapes = trace.cumulative_mape[split - train:stop - train].tolist()
+        mape = chain(repeat("", split - start), test_mapes)  # a train row's MAPE is ""
         raw, means = trace.raw_prediction[block], trace.deviant_mean_after[block]
         mean_bits = memoryview(means.tobytes()).cast("q")
         tails = {bits: f",{format_real(mean)}\n" for bits, mean in dict(zip(mean_bits, means)).items()}
-        keys = zip(is_test, trace.previous_class[block], raw, memoryview(raw.tobytes()).cast("q"),
+        keys = zip(trace.previous_class[block], raw, memoryview(raw.tobytes()).cast("q"),
                    trace.predicted_class[block], trace.expected_class[block], trace.abs_error[block])
-        rows = zip(trace.index[block], map(heads.__getitem__, keys), mape,
+        rows = zip(range(start + 1, stop + 1), map(heads.__getitem__, keys), mape,
                    map(tails.__getitem__, mean_bits))
+        template = _TRAIN_ROW * (split - start) + _TEST_ROW * (stop - split)
         return (template % tuple(chain.from_iterable(rows)),)
 
     _write_blocks(stream, TRACE_HEADER, len(trace), block_rows)
@@ -120,17 +115,18 @@ def _distinct(convert: Callable[[list[str]], array], texts: list[str]) -> tuple[
 _SMALL_COLUMNS = (_integers, _reals, _integers, _integers, _integers, _reals)  # see _parse_rows
 
 
-def _parse_rows(rows: list[str], expand: bool = True) -> tuple:
-    """The rows as nine columns in PredictionTrace's field order, or ValueError naming a problem.
+def _parse_rows(rows: list[str], step: int, after_test: bool, expand: bool = True) -> tuple:
+    """The rows as PredictionTrace's seven columns, or ValueError naming a problem.
 
-    Integers are array('q'), reals array('d') and is_test a list of bools.
+    step is the first row's step number, and after_test whether a test row came before it: the
+    steps count up by one, and no train row follows a test row. Integers are array('q'), reals
+    array('d').
     The six _SMALL_COLUMNS (previous_class to abs_error, and deviant_mean_after)
     are checked once per distinct text, and left as _distinct gives them unless expand;
     step and cumulative_mape, whose texts seldom repeat, are converted field by field.
-    Each check runs over all rows before the next starts, in the order in
-    which they ran on each row when rows were read one at a time, so for a
-    single row the message names its first problem: cumulative_mape
-    converts first, then the other fields in file order.
+    Each check runs over all rows before the next starts, in the order in which they run on
+    one row, so for a single row the message names its first problem: the phase and its order,
+    cumulative_mape, then the other fields in file order, a step's number as soon as it converts.
     """
     text = ",".join(rows)
     if not text.isascii():  # a flag CPython keeps on the string: no scan
@@ -143,13 +139,18 @@ def _parse_rows(rows: list[str], expand: bool = True) -> tuple:
     small.append(mean)  # the six columns of _SMALL_COLUMNS
     if not set(phase) <= {TRAIN, TEST}:
         raise ValueError(f"bad phase {next(p for p in phase if p not in (TRAIN, TEST))!r}")
-    is_test = list(map(TEST.__eq__, phase))
-    if list(map(bool, mape_fields)) != is_test:
-        if next(test for test, mape in zip(is_test, mape_fields) if test != bool(mape)):
-            raise ValueError("test step missing cumulative_mape")
+    trains = 0 if after_test else phase.count(TRAIN)  # the rows before the first test row
+    if TRAIN in phase[trains:]:
+        raise ValueError("train step after a test step")
+    mape_texts = mape_fields[trains:]
+    if any(mape_fields[:trains]):
         raise ValueError("train step carries cumulative_mape")
-    mape_texts = list(filter(None, mape_fields))
+    if not all(mape_texts):
+        raise ValueError("test step missing cumulative_mape")
     mape, steps = _reals(mape_texts), _integers(index)
+    if steps != array("q", range(step, step + len(rows))):
+        offset = next(offset for offset, number in enumerate(steps) if number != step + offset)
+        raise ValueError(f"step {index[offset]!r} out of sequence: expected {step + offset}")
     converted = list(map(_distinct, _SMALL_COLUMNS, small))
     if "_" in text:
         raise ValueError(f"digit separator '_' in {next(f for f in table if '_' in f)!r}")
@@ -164,11 +165,11 @@ def _parse_rows(rows: list[str], expand: bool = True) -> tuple:
         converted = [array(values.typecode,
                            list(map(dict(zip(distinct, values)).__getitem__, texts)))
                      for texts, (distinct, values) in zip(small, converted)]
-    return steps, is_test, *converted, mape
+    return *converted, mape
 
 
 def _parsed_blocks(lines: Iterable[str], expand: bool) -> Iterator[tuple]:
-    """_parse_rows(rows, expand) of each block of the first trace block's rows; see read_columns."""
+    """_parse_rows of each block of the first trace block's rows, expand as given; see read_columns."""
     lines = iter(lines)
     header = next(lines, None)
     if header is None:
@@ -176,17 +177,18 @@ def _parsed_blocks(lines: Iterable[str], expand: bool) -> Iterator[tuple]:
     if header.rstrip("\r\n") != TRACE_HEADER:
         raise TraceFormatError(1, "missing or wrong trace header")
     rows = takewhile(bool, map(str.rstrip, lines, repeat("\r\n")))
-    first_line = 2  # the line of the block's first row
+    first_line, after_test = 2, False  # the line of the block's first row; a test row before it
     while block := list(islice(rows, BLOCK_ROWS)):
         try:
-            columns = _parse_rows(block, expand)
+            columns = _parse_rows(block, first_line - 1, after_test, expand)
         except ValueError:  # name the block's first row to fail alone
             for offset, row in enumerate(block):
                 try:
-                    _parse_rows([row], False)
+                    after_test = bool(_parse_rows([row], first_line - 1 + offset, after_test, False)[-1])
                 except ValueError as exc:
                     raise TraceFormatError(first_line + offset, str(exc)) from exc
             raise
+        after_test = bool(columns[-1])  # after a test row, every row is one
         yield columns
         first_line += BLOCK_ROWS
     if first_line == 2:
@@ -194,18 +196,18 @@ def _parsed_blocks(lines: Iterable[str], expand: bool) -> Iterator[tuple]:
 
 
 def read_columns(lines: Iterable[str]) -> tuple:
-    """The first trace block of an iterable of lines, as _parse_rows's nine columns.
+    """The first trace block of an iterable of lines, as _parse_rows's seven columns.
 
     Stops at the first blank line. Reals come back at the precision
     they were written with. Raises TraceFormatError with the 1-based
-    line number on any malformed content: a row that is not ASCII, a wrong
-    field count or phase, a misplaced cumulative_mape, a field int() or
-    float() refuses, an integer outside [-2**63, 2**63), a '_' anywhere (int()
-    and float() would read it as a digit separator), a real that is not
-    finite, or a negative cumulative_mape. Rows are read and parsed
-    BLOCK_ROWS at a time, each block column by column, so no line past the
-    block of the first bad row is read; a block that fails is parsed again
-    row by row, in order, and its first row to fail alone is the one named.
+    line number on any malformed content: a row that is not ASCII, a wrong field count
+    or phase, a train row after a test row, a misplaced cumulative_mape, a step that is not
+    the row's number, a field int() or float() refuses, an integer outside [-2**63, 2**63),
+    a '_' anywhere (int() and float() would read it as a digit separator), a real that is
+    not finite, or a negative cumulative_mape. Rows are read and parsed BLOCK_ROWS at a
+    time, each block column by column, so no line past the block of the first bad row is
+    read; a block that fails is parsed again row by row, in order, carrying the phase, and
+    its first row to fail alone is the one named.
     """
     blocks = _parsed_blocks(lines, True)
     columns = next(blocks)

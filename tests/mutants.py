@@ -92,10 +92,11 @@ MATRIX_FROM_VIEW = "tests/test_encoder.py::TestSymbolMatrixFromAView"
 WINNERS_MEAN = "tests/test_learner.py::TestWinnersMean"
 COLUMNS = "tests/test_api.py::TestColumns"
 LENGTH_RULE = "tests/test_pipeline.py::TestTraceLengthRule"
+STEPS_AND_PHASES = "tests/test_pipeline.py::TestStepsAndPhases"
 WALK_ORACLE = "tests/test_pipeline.py::TestColumnarWalkOracle"
 WALK_BITS = "tests/test_pipeline.py::TestWalkColumnsBitForBit"
-NONZERO_TESTS = ("tests/test_pipeline.py::TestBlockwiseTraceIO::"
-                 "test_any_nonzero_is_test_writes_a_test_row")
+SPLITS = ("tests/test_pipeline.py::TestBlockwiseTraceIO::"
+          "test_each_block_writes_its_train_rows_then_its_test_rows")
 REPORT_REFUSES = ("tests/test_pipeline.py::TestReportReader::"
                   "test_report_refuses_what_read_trace_refuses")
 REPORT_PEAK = "tests/test_pipeline.py::TestReportReader::test_the_peak_grows_by_under_16_bytes_a_row"
@@ -105,19 +106,24 @@ INTEGER_COUNTS = "tests/test_learner.py::TestIntegerCounts"
 NEGATIVE_ZERO = ("tests/test_pipeline.py::TestTraceSerialization::"
                  "test_a_negative_zero_keeps_its_sign_beside_a_positive_one")
 FLAG_TABLE = "tests/test_readme.py::test_the_flag_table_matches_the_parser"
-HINTS = "tests/test_api.py::test_the_type_hints_of_every_public_callable_resolve"
+HINTS = "tests/test_api.py::test_the_type_hints_of_every_function_and_method_resolve"
 INTEGER_LEVEL = ("tests/test_encoder.py::TestClassSequence::"
                  "test_a_level_that_is_not_an_int_is_refused")
 SUMMARY = "tests/test_cli.py::TestPredict::test_summary_on_stdout_when_trace_goes_to_a_file"
 
 # _parse_rows's conversions as they are, and with cumulative_mape's moved after the others
+STEP_CHECK = (
+    '    if steps != array("q", range(step, step + len(rows))):\n'
+    "        offset = next(offset for offset, number in enumerate(steps) if number != step + offset)\n"
+    '        raise ValueError(f"step {index[offset]!r} out of sequence: expected {step + offset}")\n'
+)
 MAPE_CONVERTED_FIRST = (
-    "    mape, steps = _reals(mape_texts), _integers(index)\n"
-    "    converted = list(map(_distinct, _SMALL_COLUMNS, small))\n"
+    "    mape, steps = _reals(mape_texts), _integers(index)\n" + STEP_CHECK
+    + "    converted = list(map(_distinct, _SMALL_COLUMNS, small))\n"
 )
 MAPE_CONVERTED_LAST = (
-    "    steps = _integers(index)\n"
-    "    converted = list(map(_distinct, _SMALL_COLUMNS, small))\n"
+    "    steps = _integers(index)\n" + STEP_CHECK
+    + "    converted = list(map(_distinct, _SMALL_COLUMNS, small))\n"
     "    mape = _reals(mape_texts)\n"
 )
 
@@ -211,7 +217,7 @@ MUTANTS = [
     Mutant(ENCODER, 'repeat("big")', 'repeat("little")',
            "a packed row reads MSB-first, its first cell the highest bit", "killed",
            ("tests/test_encoder.py::TestSwapMatch",)),
-    Mutant(PIPELINE, "if len(column) != count:", "if len(column) > count:",
+    Mutant(PIPELINE, "if len(column) != steps and", "if len(column) > steps and",
            "a trace whose columns differ in length never passes for a whole one: equality "
            "compares lengths, and a shorter column is refused where the trace is built",
            "killed", (LENGTH_RULE, "tests/test_api.py::TestPredictionTraceEquality")),
@@ -387,7 +393,8 @@ MUTANTS = [
            "for offset, row in reversed(list(enumerate(block))):",
            "of two bad rows in a block, the rescan names the first, not the last", "killed",
            (BLOCKWISE, TWO_FAULTS)),
-    Mutant(TRACE_TEXT, "        mape_at += tests\n", "",
+    Mutant(TRACE_TEXT, "trace.cumulative_mape[split - train:stop - train]",
+           "trace.cumulative_mape[:stop - split]",
            "a block's test steps take the cumulative_mape values after all earlier test steps",
            "killed", (BLOCKWISE,)),
     Mutant(TRACE_TEXT, "while block := list(islice(rows, BLOCK_ROWS)):",
@@ -502,8 +509,8 @@ MUTANTS = [
            "float64", "killed", (COLUMNS,)),
     Mutant(LEARNER, "half = count // 2 - count // 2 % 8", "half = count // 2",
            "numpy splits a long sum at a multiple of 8", "killed", (WINNERS_MEAN,)),
-    Mutant(TRACE_TEXT, "test, previous, raw, _, *integers = key",
-           "test, previous, _, raw, *integers = key",
+    Mutant(TRACE_TEXT, "previous, raw, _, *integers = key",
+           "previous, _, raw, *integers = key",
            "a row's text formats the raw prediction, not its bits", "killed", (NEGATIVE_ZERO,)),
     Mutant(TRACE_TEXT, "raw, memoryview(raw.tobytes()).cast(\"q\")", "raw, raw",
            "a raw prediction's text is keyed by its bits, so -0.0 keeps its sign", "killed",
@@ -523,11 +530,10 @@ MUTANTS = [
     Mutant(PIPELINE, '"big") << 4 |', '"big") << 3 |',
            "the predicted class takes the byte's high four bits, clear of the expected class",
            "killed", (WALK_BITS,)),
-    # One % a block; report keeps only cumulative_mape, checked as read_trace checks every column.
-    Mutant(TRACE_TEXT, "[_TEST_ROW if test else _TRAIN_ROW for test in is_test]",
-           "[(_TRAIN_ROW, _TEST_ROW)[test] for test in is_test]",
-           "any nonzero is_test is a test step: a row's template goes by truth, not by value",
-           "killed", (NONZERO_TESTS,)),
+    # One % a block, its template derived from the trace's length and test count; report keeps
+    # only cumulative_mape, checked as read_trace checks every column.
+    Mutant(TRACE_TEXT, "split = min(max(start, train), stop)", "split = min(train, stop)",
+           "a block past the first test step holds test rows only", "killed", (SPLITS,)),
     Mutant(TRACE_TEXT, "((mape_texts, mape), converted[1], converted[5])",
            "((mape_texts, mape), converted[5])",
            "a raw prediction's distinct values are checked to be finite too", "killed",
@@ -565,9 +571,27 @@ MUTANTS = [
            "def write_trace(trace: PredictionTrace,",
            "a hint naming a type tracetext does not import: typing.get_type_hints raises NameError",
            "killed", (HINTS,)),
-    Mutant("src/symcast/cli.py", "test_steps = len(trace.cumulative_mape)",
-           "test_steps = len(trace.is_test)",
-           "the summary would count train steps as test steps", "killed", (SUMMARY,)),
+    Mutant("src/symcast/cli.py", "tests = slice(len(trace) - test_steps, None)",
+           "tests = slice(None)",
+           "exact matches are counted over the test steps only, the trace's last", "killed",
+           (SUMMARY,)),
+    # A hint that names numpy, which learner imports only inside the reference functions.
+    Mutant(LEARNER, "max_deviant_adjust: float) -> Sequence[float]:",
+           "max_deviant_adjust: float) -> np.ndarray:",
+           "a private function's hint resolves too: typing.get_type_hints raises NameError",
+           "killed", (HINTS,)),
+    # A trace's shape, two numbers: step s is row s, and the test rows come last.
+    Mutant(TRACE_TEXT, 'if steps != array("q", range(step, step + len(rows))):', "if False:",
+           "a step that is not its row number is refused", "killed", (STEPS_AND_PHASES,)),
+    Mutant(TRACE_TEXT, "    if TRAIN in phase[trains:]:", "    if False:",
+           "a train row after a test row is refused as such", "killed", (STEPS_AND_PHASES,)),
+    Mutant(TRACE_TEXT, "        after_test = bool(columns[-1])  # after a test row, every row is one\n",
+           "", "a block that ends on a test row is followed by test rows only", "killed",
+           (STEPS_AND_PHASES,)),
+    Mutant(TRACE_TEXT, "after_test = bool(_parse_rows([row], first_line - 1 + offset, after_test, False)[-1])",
+           "_parse_rows([row], first_line - 1 + offset, after_test, False)",
+           "the rescan carries the phase from row to row, so it names the train row after a test "
+           "row", "killed", (STEPS_AND_PHASES,)),
 ]
 
 

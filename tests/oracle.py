@@ -197,11 +197,13 @@ def read_trace_reference(lines):
     Raises ValueError((line_number, message)) where the pipeline's reader
     raises TraceFormatError. A row must be ASCII, which is checked first;
     it accepts whatever int() and float() then accept, integers only in
-    [-2**63, 2**63).
+    [-2**63, 2**63). A row's step must be its 1-based row number, and no
+    train row may follow a test row.
     """
     rows = []
     series = []
     header_seen = False
+    tested = False
     for line_number, line in enumerate(lines, start=1):
         line = line.rstrip("\r\n")
         if not header_seen:
@@ -221,14 +223,20 @@ def read_trace_reference(lines):
             phase = fields[1]
             if phase not in (TRAIN, TEST):
                 raise ValueError(f"bad phase {phase!r}")
+            if tested and phase == TRAIN:
+                raise ValueError("train step after a test step")
             if phase == TEST:
                 if fields[7] == "":
                     raise ValueError("test step missing cumulative_mape")
                 series.append(float(fields[7]))
             elif fields[7] != "":
                 raise ValueError("train step carries cumulative_mape")
-            rows.append((_int64(fields[0]), phase, _int64(fields[2]), float(fields[3]),
+            step = _int64(fields[0])
+            if step != len(rows) + 1:
+                raise ValueError(f"step {fields[0]!r} out of sequence: expected {len(rows) + 1}")
+            rows.append((step, phase, _int64(fields[2]), float(fields[3]),
                          _int64(fields[4]), _int64(fields[5]), _int64(fields[6]), float(fields[8])))
+            tested = phase == TEST
         except ValueError as exc:
             raise ValueError((line_number, str(exc))) from exc
     if not header_seen:
@@ -256,20 +264,21 @@ def read_trace_whole(lines):
     if not rows:
         raise TraceFormatError(2, "trace has no step rows")
     try:
-        return PredictionTrace(*_parse_rows(rows))
+        return PredictionTrace(*_parse_rows(rows, 1, False))
     except ValueError:
-        # rows[low:high] holds the first row that fails alone
-        low, high = 0, len(rows)
+        # rows[low:high] holds the first row that fails alone, after rows[:low], which end
+        # on a test row if tested
+        low, high, tested = 0, len(rows), False
         while high - low > 1:
             middle = (low + high) // 2
             try:
-                _parse_rows(rows[low:middle])
+                mape = _parse_rows(rows[low:middle], low + 1, tested)[-1]
             except ValueError:
                 high = middle
             else:
-                low = middle
+                low, tested = middle, len(mape) > 0
         try:
-            _parse_rows(rows[low:high])
+            _parse_rows(rows[low:high], low + 1, tested)
         except ValueError as exc:
             raise TraceFormatError(low + 2, str(exc)) from exc
         raise

@@ -72,10 +72,8 @@ def sequence(values, level=5):
 
 
 def trace_of(steps, cumulative_mape):
-    """A trace holding the given StepRecords as its columns."""
-    columns = list(zip(*steps))
-    is_test = [phase == TEST for phase in columns[1]]
-    return PredictionTrace(columns[0], is_test, *columns[2:], cumulative_mape)
+    """A trace holding the given StepRecords, numbered from 1, their test steps last."""
+    return PredictionTrace(*list(zip(*steps))[2:], cumulative_mape)
 
 
 def steps_in(trace, phase):
@@ -384,7 +382,7 @@ class TestDecodeTrace:
 
 
 class TestTraceLengthRule:
-    """A trace's columns hold one entry per step, and cumulative_mape one per test step."""
+    """A trace's columns hold one entry per step, and cumulative_mape one per test step, the last."""
 
     def test_a_column_of_another_length_is_refused_where_the_trace_is_built(self, carbus_encoded):
         trace = run_continual(carbus_encoded.classes, RunConfig())
@@ -395,15 +393,23 @@ class TestTraceLengthRule:
                 with pytest.raises(LengthMismatchError,
                                    match=f"^{name} has {len(short)} entries for 8 steps$"):
                     PredictionTrace(**{**columns, name: short})
-        with pytest.raises(LengthMismatchError, match="^is_test has 8 entries for 9 steps$"):
-            PredictionTrace(**{**columns, "index": range(9)})
+        # the first column counts the steps
+        with pytest.raises(LengthMismatchError, match="^raw_prediction has 8 entries for 9 steps$"):
+            PredictionTrace(**{**columns, "previous_class": range(9)})
         with pytest.raises(LengthMismatchError,
-                           match="^cumulative_mape has 5 entries for 6 test steps$"):
-            PredictionTrace(**{**columns, "cumulative_mape": columns["cumulative_mape"][1:]})
+                           match="^cumulative_mape has 9 entries for 8 steps$"):
+            PredictionTrace(**{**columns, "cumulative_mape": range(9)})
+
+    @pytest.mark.parametrize("tests", [0, 1, 5, 8])
+    def test_the_last_len_cumulative_mape_steps_are_the_test_steps(self, carbus_encoded, tests):
+        trace = run_continual(carbus_encoded.classes, RunConfig())
+        trace = trace._replace(cumulative_mape=[1.0] * tests)
+        assert [(s.index, s.phase) for s in trace.steps] == [
+            (index, TRAIN if index <= 8 - tests else TEST) for index in range(1, 9)]
 
     def test_the_error_is_a_symcast_error(self):
         with pytest.raises(SymcastError):
-            PredictionTrace(*([1],) * 8, [])
+            PredictionTrace(*([1],) * 6, [1.0, 2.0])
 
 
 class TestTraceSerialization:
@@ -431,7 +437,7 @@ class TestTraceSerialization:
         # a dict of texts keyed by the reals themselves would give both zeros one text
         zeros = {"raw_prediction": [1.0, 1.0, 1.0], "deviant_mean_after": [2.0, 2.0, 2.0],
                  column: [0.0, -0.0, 0.0]}
-        trace = PredictionTrace([1, 2, 3], [0, 1, 1], [1, 1, 1], zeros["raw_prediction"],
+        trace = PredictionTrace([1, 1, 1], zeros["raw_prediction"],
                                 [1, 1, 1], [1, 1, 1], [0, 0, 0], zeros["deviant_mean_after"],
                                 [0.0, 0.0])
         buffer = io.StringIO()
@@ -449,7 +455,7 @@ class TestTraceSerialization:
         ],
     )
     def test_edge_reals_survive_read_then_write(self, means):
-        rows = [f"{index},train,1,1.000000,1,1,0,,{mean}\n" for index, mean in enumerate(means)]
+        rows = [f"{step},train,1,1.000000,1,1,0,,{mean}\n" for step, mean in enumerate(means, 1)]
         text = TRACE_HEADER + "\n" + "".join(rows)
         buffer = io.StringIO()
         write_trace(read_trace(io.StringIO(text)), buffer)
@@ -679,8 +685,7 @@ class TestWalkColumnsBitForBit:
                                           config.freeze_after_train, learning)
             trace = walk(sequence(values, level), config)
             columns = list(zip(*rows))
-            assert trace.index.tolist() == list(columns[0])
-            assert trace.is_test.tolist() == [int(phase == TEST) for phase in columns[1]]
+            assert [(step.index, step.phase) for step in trace.steps] == list(zip(*columns[:2]))
             for name, column in zip(("previous_class", "predicted_class", "expected_class",
                                      "abs_error"), (columns[2], *columns[4:7])):
                 assert getattr(trace, name).tolist() == list(column), name
@@ -688,7 +693,7 @@ class TestWalkColumnsBitForBit:
             assert hexes(trace.deviant_mean_after) == hexes(columns[7])
             assert hexes(trace.cumulative_mape) == hexes(series)
         # the baseline predicts the previous class, so its test steps take every pair
-        tests = trace.is_test.tolist().index(1)
+        tests = len(trace) - len(trace.cumulative_mape)
         assert {16 * predicted + expected for predicted, expected in zip(
             trace.predicted_class[tests:], trace.expected_class[tests:])} == {
             16 * predicted + expected for predicted in range(1, level + 1)
@@ -728,7 +733,7 @@ def mutate_line(draw, lines, line_number):
     fields = lines[line_number - 1].split(",")
     test_row = fields[1] == TEST
     kind = draw(st.sampled_from(
-        ["int", "real", "count", "phase", "mape", "blank", "crlf", "text"]
+        ["int", "real", "count", "phase", "mape", "step", "order", "blank", "crlf", "text"]
     ))
     if kind == "int":
         fields[draw(st.sampled_from([0, 2, 4, 5, 6]))] = draw(BAD_INTS | ODD_TEXT)
@@ -743,6 +748,11 @@ def mutate_line(draw, lines, line_number):
         fields[1] = draw(st.sampled_from(["", "Test", "TRAIN", "validate", "train ", TEST, TRAIN]))
     elif kind == "mape":
         fields[7] = "" if test_row else draw(st.sampled_from(["1.000000", "0", "x"]))
+    elif kind == "step":  # another number, or the row's own in another form
+        step = line_number - 1 + draw(st.integers(min_value=-2, max_value=2))
+        fields[0] = draw(st.sampled_from([str(step), f"+{step}", f"0{step}"]))
+    elif kind == "order":  # a test row turned train, or a train row turned test, among the others
+        fields[1], fields[7] = (TRAIN, "") if test_row else (TEST, "1.000000")
     elif kind == "text":
         fields[draw(st.integers(min_value=0, max_value=8))] = draw(ODD_TEXT)
     lines[line_number - 1] = ",".join(fields)
@@ -868,7 +878,8 @@ class TestReaderOracle:
         assert info.value.line_number == 6
         assert "non-finite real" in str(info.value)
 
-    @pytest.mark.parametrize("position,value", [(0, "1_0"), (3, "1_0.5"), (4, "1_1"), (7, "4_0.0")])
+    # int() reads "0_4" as 4, the row's own step, which is checked as soon as it converts
+    @pytest.mark.parametrize("position,value", [(0, "0_4"), (3, "1_0.5"), (4, "1_1"), (7, "4_0.0")])
     def test_digit_separators_are_refused_with_their_line(self, carbus_encoded, position, value):
         buffer = io.StringIO()
         write_trace(run_continual(carbus_encoded.classes, RunConfig()), buffer)
@@ -900,10 +911,87 @@ class TestReaderOracle:
         assert str(info.value) == f"line 3: integer '{value}' outside the 64-bit range"
 
     def test_integers_at_the_64_bit_bounds_are_read(self):
-        text = TRACE_HEADER + "\n" + f"{2**63 - 1},test,1,1.000000,1,{-2**63},4,80.000000,2.000000\n"
+        text = TRACE_HEADER + "\n" + f"1,test,{2**63 - 1},1.000000,1,{-2**63},4,80.000000,2.000000\n"
         trace = read_trace(io.StringIO(text))
-        assert trace.index.tolist() == [2**63 - 1]
+        assert trace.previous_class.tolist() == [2**63 - 1]
         assert trace.expected_class.tolist() == [-2**63]
+
+
+def refusals(text):
+    """What read_trace, read_trace_whole, the per-line reader and report each say of a bad trace."""
+    said = [f"error: {outcome[1]}\n" for outcome in read_both(text) if isinstance(outcome, tuple)]
+    with pytest.raises(ValueError) as reference:
+        read_trace_reference(io.StringIO(text))
+    said.append("error: line {}: {}\n".format(*reference.value.args[0]))
+    code, errors, _, _ = report_and_read_trace(text)
+    return said + [errors] if code == 1 else said
+
+
+def vehicle_lines(carbus_encoded):
+    """The vehicle trace's lines: the header, 2 train rows, 6 test rows, then ""."""
+    buffer = io.StringIO()
+    write_trace(run_continual(carbus_encoded.classes, RunConfig()), buffer)
+    return buffer.getvalue().split("\n")
+
+
+def changed(lines, line_number, position, value):
+    """lines joined, with the field at position of the given line set to value."""
+    lines = list(lines)
+    fields = lines[line_number - 1].split(",")
+    fields[position] = value
+    lines[line_number - 1] = ",".join(fields)
+    return "\n".join(lines)
+
+
+def as_train(lines, line_number):
+    """lines joined, the given test row made a train row."""
+    return changed(changed(lines, line_number, 1, TRAIN).split("\n"), line_number, 7, "")
+
+
+class TestStepsAndPhases:
+    """A row's step is its 1-based row number and no train row follows a test row; each reader
+    and report name the first row that breaks either, also past a block's end."""
+
+    @pytest.mark.parametrize("line_number,step,expected", [
+        (2, "0", 1), (2, "2", 1), (4, "4", 3), (4, "2", 3), (9, "-8", 8), (9, "9223372036854775807", 8),
+    ])
+    def test_a_step_that_is_not_its_row_number_is_refused(self, carbus_encoded, line_number, step,
+                                                          expected):
+        text = changed(vehicle_lines(carbus_encoded), line_number, 0, step)
+        message = f"line {line_number}: step {step!r} out of sequence: expected {expected}"
+        assert refusals(text) == [f"error: {message}\n"] * 4
+
+    def test_a_repeated_row_is_refused_on_its_second_line(self, carbus_encoded):
+        lines = vehicle_lines(carbus_encoded)
+        text = "\n".join(lines[:5] + lines[4:])
+        assert refusals(text) == ["error: line 6: step '4' out of sequence: expected 5\n"] * 4
+
+    @pytest.mark.parametrize("line_number", [5, 9])
+    def test_a_train_row_after_a_test_row_is_refused(self, carbus_encoded, line_number):
+        text = as_train(vehicle_lines(carbus_encoded), line_number)
+        assert refusals(text) == [f"error: line {line_number}: train step after a test step\n"] * 4
+
+    def test_a_test_row_before_a_train_row_is_refused_on_the_train_row(self, carbus_encoded):
+        text = changed(changed(vehicle_lines(carbus_encoded), 2, 1, TEST).split("\n"), 2, 7, "1.0")
+        assert refusals(text) == ["error: line 3: train step after a test step\n"] * 4
+
+    def test_the_first_test_row_made_a_train_row_reads_as_one(self, carbus_encoded):
+        trace = read_trace(io.StringIO(as_train(vehicle_lines(carbus_encoded), 4)))
+        assert [step.phase for step in trace.steps] == [TRAIN] * 3 + [TEST] * 5
+
+    def test_a_block_that_ends_on_a_test_row_is_followed_by_test_rows_only(self):
+        # the next block's first row is its own block's first, and the only one in it
+        lines = block_trace_lines(BLOCK_ROWS + 1)
+        assert lines[BLOCK_ROWS].split(",")[1] == TEST
+        line = BLOCK_ROWS + 2
+        assert refusals(as_train(lines, line)) == [
+            f"error: line {line}: train step after a test step\n"] * 4
+
+    def test_a_later_block_starts_at_the_step_after_the_last(self):
+        lines = block_trace_lines(BLOCK_ROWS + 1)
+        line = BLOCK_ROWS + 2
+        assert refusals(changed(lines, line, 0, str(BLOCK_ROWS))) == [
+            f"error: line {line}: step '{BLOCK_ROWS}' out of sequence: expected {BLOCK_ROWS + 1}\n"] * 4
 
 
 # texts int() or float() reads that the writer would not write; each column mixes several
@@ -918,9 +1006,11 @@ DISTINCT_FIELDS = {2: INT_TEXTS, 3: REAL_TEXTS, 4: INT_TEXTS, 5: INT_TEXTS, 6: I
 def non_canonical_traces(draw):
     """A trace whose six distinct-parsed columns hold valid texts in forms the writer never uses."""
     lines = [TRACE_HEADER]
-    for step in range(1, draw(st.integers(min_value=1, max_value=30)) + 1):
+    steps = draw(st.integers(min_value=1, max_value=30))
+    train = draw(st.integers(min_value=0, max_value=steps))  # the train rows come first
+    for step in range(1, steps + 1):
         fields = [str(step), TRAIN, *[""] * 7]
-        if draw(st.booleans()):
+        if step > train:
             fields[1], fields[7] = TEST, "12.500000"
         for position, texts in DISTINCT_FIELDS.items():
             fields[position] = draw(st.sampled_from(texts))
@@ -989,15 +1079,15 @@ def block_trace_lines(length):
     return tuple(buffer.getvalue().split("\n"))
 
 
-def mixed_phase_trace(length):
-    """A hand-built trace whose train and test steps interleave at random."""
+def random_trace(length, tests=None):
+    """A hand-built trace of random columns whose last tests steps (by default, a random number)
+    are its test steps."""
     rng = np.random.default_rng(length)
-    is_test = rng.random(length) < 0.5
+    tests = rng.integers(0, length + 1) if tests is None else tests
     classes = rng.integers(1, 8, size=(3, length))
     reals = rng.normal(scale=4.0, size=(2, length)) * rng.choice([1.0, 1e-7, 1e16], size=(2, length))
-    return PredictionTrace(np.arange(1, length + 1), is_test, classes[0], reals[0], classes[1],
-                           classes[2], np.abs(classes[1] - classes[2]), reals[1],
-                           rng.random(np.count_nonzero(is_test)) * 300.0)
+    return PredictionTrace(classes[0], reals[0], classes[1], classes[2],
+                           np.abs(classes[1] - classes[2]), reals[1], rng.random(tests) * 300.0)
 
 
 def edge_lines(length):
@@ -1057,31 +1147,28 @@ class TestBlockwiseTraceIO:
         text = "\n".join(block_trace_lines(length))
         blockwise, whole = read_both(text)
         assert blockwise == whole
-        assert formats(blockwise) == ["q", "q", "q", "d", "q", "q", "q", "d", "d"]
+        assert formats(blockwise) == ["q", "d", "q", "q", "q", "d", "d"]
         assert all(getattr(blockwise, name).readonly for name in PredictionTrace._fields)
         written = block_trace(length)
-        for name in ("index", "is_test", "previous_class", "predicted_class", "expected_class",
-                     "abs_error"):
+        for name in ("previous_class", "predicted_class", "expected_class", "abs_error"):
             assert np.array_equal(getattr(blockwise, name), getattr(written, name))
         for name in ("raw_prediction", "deviant_mean_after", "cumulative_mape"):
             assert np.abs(np.subtract(getattr(blockwise, name), getattr(written, name))).max() <= 5e-7
 
     @pytest.mark.parametrize("length", BLOCK_LENGTHS)
-    @pytest.mark.parametrize("make", [block_trace, mixed_phase_trace])
+    @pytest.mark.parametrize("make", [block_trace, random_trace])
     def test_write_equals_the_per_line_writer(self, length, make):
         trace = make(length)
         buffer = io.StringIO()
         write_trace(trace, buffer)
         assert buffer.getvalue() == write_trace_reference(trace.steps, trace.cumulative_mape.tolist())
 
-    @pytest.mark.parametrize("tests", [(1,), (2, 7, -1), (127, 1, 3)])
-    def test_any_nonzero_is_test_writes_a_test_row(self, tests):
-        # a train block, a block that mixes both kinds of row, then a block of test rows only
-        rng = random.Random(len(tests))
-        is_test = [0] * BLOCK_ROWS + rng.choices((0, *tests), k=BLOCK_ROWS) + rng.choices(
-            tests, k=BLOCK_ROWS // 2)
-        mape = np.random.default_rng(3).random(len(is_test) - is_test.count(0)) * 300.0
-        trace = mixed_phase_trace(len(is_test))._replace(is_test=is_test, cumulative_mape=mape)
+    # the first test step: none; the third block's last or first row; inside the second block,
+    # or at its first row; the first block's last row, or inside it; the first step
+    @pytest.mark.parametrize("train", [2 * BLOCK_ROWS + 9, 2 * BLOCK_ROWS + 8, 2 * BLOCK_ROWS,
+                                       BLOCK_ROWS + 7, BLOCK_ROWS, BLOCK_ROWS - 1, 5, 0])
+    def test_each_block_writes_its_train_rows_then_its_test_rows(self, train):
+        trace = random_trace(2 * BLOCK_ROWS + 9, tests=2 * BLOCK_ROWS + 9 - train)
         buffer = io.StringIO()
         write_trace(trace, buffer)
         assert buffer.getvalue() == write_trace_reference(trace.steps, trace.cumulative_mape.tolist())
@@ -1138,10 +1225,8 @@ class TestBlockwiseTraceIO:
 
 
 def all_test_trace(length):
-    """mixed_phase_trace(length) with every step a test step, so report's series has length values."""
-    mape = np.random.default_rng(length).random(length) * 300.0
-    return mixed_phase_trace(length)._replace(is_test=np.ones(length, dtype=bool),
-                                              cumulative_mape=mape)
+    """random_trace(length) with every step a test step, so report's series has length values."""
+    return random_trace(length, tests=length)
 
 
 def written(write, *args):
@@ -1284,7 +1369,7 @@ class TestDecoderOracle:
         pairs = data.draw(st.lists(st.tuples(classes, classes), max_size=12))
         steps = tuple(make_step(i, TEST, p, e) for i, (p, e) in enumerate(pairs, start=1))
         trace = trace_of(steps, (0.0,) * len(pairs)) if steps else PredictionTrace(
-            *(np.zeros(0, dtype=np.int64),) * 9
+            *(np.zeros(0, dtype=np.int64),) * 7
         )
         try:
             expected = decode_reference(pairs, memory)
