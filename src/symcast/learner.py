@@ -18,8 +18,12 @@ falls back to the additive-subtractive rule and is flagged.
 Learner.learn_step finds the winners without building the population;
 adjust_candidates and select_winners build and sort all of it with numpy,
 imported where they run, and are the reference its tests compare against.
-Each Learner keeps the outcomes of the steps it computed and returns one
-again when its inputs repeat, as they do on most steps of a real stream.
+A k = 1 step checks three candidates as scalars before it builds a window,
+so the grid formula is stated twice, in ``_window`` and in
+``_nearest_candidates``: a shared per-index helper gave up over a third of
+the gain, and ``_window`` over preallocated lists ran slower. Each Learner
+keeps the outcomes of the steps it computed and returns one again when
+its inputs repeat, as they do on most steps of a real stream.
 """
 
 from __future__ import annotations
@@ -144,35 +148,31 @@ class Learner:
         """
         mean = self.deviant_mean
         key = (mean if mean else mean.hex(), previous_value, expected)
-        outcome = self._outcomes.get(key)
+        outcomes = self._outcomes
+        outcome = outcomes.get(key)
         if outcome is not None:
             self.deviant_mean = outcome.new_deviant_mean
             self.steps_seen += 1
             return outcome
-        config = self.config
         raw = previous_value + mean
         signed_diff = raw - expected
-        fallback = False
-
         if signed_diff == 0:
-            self.deviant_mean += config.bias
-            winners: tuple[float, ...] = ()
+            new_mean, winners, fallback = mean + self.config.bias, (), False
         else:
-            rule_mode = config.rule_mode
+            rule_mode = self.config.rule_mode
             # |grid[i]| >= grid[0], so a product is zero only if the first one is
-            if rule_mode == MULTIPLICATIVE_DIVISIVE and mean * self._first_point == 0.0:
-                rule_mode = ADDITIVE_SUBTRACTIVE
-                fallback = True
-            winners = self._nearest_candidates(previous_value, expected, signed_diff, rule_mode)
-            self.deviant_mean = winners[0] if len(winners) == 1 else _mean(winners)
-
+            fallback = rule_mode == MULTIPLICATIVE_DIVISIVE and mean * self._first_point == 0.0
+            winners = self._nearest_candidates(previous_value, expected, signed_diff,
+                                               ADDITIVE_SUBTRACTIVE if fallback else rule_mode)
+            new_mean = winners[0] if len(winners) == 1 else _mean(winners)
+        self.deviant_mean = new_mean
         self.steps_seen += 1
-        if not math.isfinite(self.deviant_mean):
-            raise NonFiniteStateError(self.steps_seen, self.deviant_mean)
+        if not math.isfinite(new_mean):
+            raise NonFiniteStateError(self.steps_seen, new_mean)
         # tuple.__new__ skips the NamedTuple's Python-level __new__ and its argument binding
-        outcome = tuple.__new__(StepOutcome, (raw, signed_diff, winners, self.deviant_mean, fallback))
-        if len(self._outcomes) < MEMO_ENTRIES:
-            self._outcomes[key] = outcome
+        outcome = tuple.__new__(StepOutcome, (raw, signed_diff, winners, new_mean, fallback))
+        if len(outcomes) < MEMO_ENTRIES:
+            outcomes[key] = outcome
         return outcome
 
     def learn_steps(self, previous: Iterable[int], expected: Iterable[int]) -> list[float]:
@@ -204,8 +204,11 @@ class Learner:
         neighbours, is the unique global one, and from it |residual| never
         falls going outwards.
 
-        One ``_window`` pass evaluates the k indices each side of the one
-        ``_crossing_index`` computes (for k = 1, 3 candidates). While its
+        For k = 1 the index ``_crossing_index`` computes and its neighbours are
+        first evaluated as scalars, inf off the grid, by ``_window``'s formula
+        stated again (see the module docstring): a strict minimum in the
+        middle is the winner. Otherwise one ``_window`` pass evaluates the k
+        indices each side of it (for k = 1, the same 3 candidates). While its
         middle is no strict minimum but a smaller |residual| lies in it,
         the window moves, at most three times, to centre the smallest. From a
         strict minimum, the first winner, ``_merged`` takes the rest in the
@@ -215,14 +218,35 @@ class Learner:
         ranges need P <= sys.maxsize).
         """
         config = self.config
-        population_size = config.population_size
+        population_size, maximum = config.population_size, config.max_deviant_adjust
         reach = config.k_winners  # indices each side of the window's middle
         weakening = signed_diff > 0
-        step = (self.deviant_mean, weakening, rule_mode == MULTIPLICATIVE_DIVISIVE,
-                population_size, config.max_deviant_adjust, previous_value, expected)
         start = self._crossing_index(expected - previous_value, weakening, rule_mode,
-                                     population_size, config.max_deviant_adjust)
+                                     population_size, maximum)
         bottom = start if 0 <= start < population_size else 0 if start < 0 else population_size - 1
+        if reach == 1:  # the window's three candidates as scalars
+            mean = self.deviant_mean
+            point = maximum * ((bottom + 1) / population_size)
+            lower = maximum * (bottom / population_size) if bottom > 0 else point  # no zero product
+            upper = maximum * ((bottom + 2) / population_size)
+            if rule_mode == MULTIPLICATIVE_DIVISIVE:
+                if weakening:
+                    left, middle, right = (1.0 / (mean * lower), 1.0 / (mean * point),
+                                           1.0 / (mean * upper))
+                else:
+                    left, middle, right = mean * lower, mean * point, mean * upper
+            elif weakening:
+                left, middle, right = mean - lower, mean - point, mean - upper
+            else:
+                left, middle, right = mean + lower, mean + point, mean + upper
+            previous, observed = float(previous_value), float(expected)  # as each int + float would
+            size = abs((previous + middle) - observed)
+            below = abs((previous + left) - observed) if bottom > 0 else math.inf
+            above = abs((previous + right) - observed) if bottom + 1 < population_size else math.inf
+            if below > size < above:
+                return (middle,)
+        step = (self.deviant_mean, weakening, rule_mode == MULTIPLICATIVE_DIVISIVE,
+                population_size, maximum, previous_value, expected)
         candidates, sizes = _window(bottom - reach, bottom + reach + 1, step)
         moves = 0
         while not sizes[reach - 1] > sizes[reach] < sizes[reach + 1]:  # no strict minimum yet

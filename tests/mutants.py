@@ -103,6 +103,10 @@ REPORT_PEAK = "tests/test_pipeline.py::TestReportReader::test_the_peak_grows_by_
 TUPLE_FIELDS = ("tests/test_api.py::TestFrozenBase::"
                 "test_a_tuple_field_given_a_list_holds_a_tuple_of_it")
 INTEGER_COUNTS = "tests/test_learner.py::TestIntegerCounts"
+SINGLE_WINNER = ("tests/test_learner.py::TestLearnStepAgainstTheOracle::"
+                 "test_seeded_single_winner_cases")
+NO_WINDOW = ("tests/test_learner.py::TestBenchmarkStreams::"
+             "test_a_single_winner_step_builds_no_window")
 NEGATIVE_ZERO = ("tests/test_pipeline.py::TestTraceSerialization::"
                  "test_a_negative_zero_keeps_its_sign_beside_a_positive_one")
 FLAG_TABLE = "tests/test_readme.py::test_the_flag_table_matches_the_parser"
@@ -275,7 +279,7 @@ MUTANTS = [
     Mutant("src/symcast/learner.py",
            "            self.steps_seen += 1\n            return outcome", "            return outcome",
            "a repeated step still counts as a step", "killed", (KEPT,)),
-    Mutant("src/symcast/learner.py", "if len(self._outcomes) < MEMO_ENTRIES:", "if True:",
+    Mutant("src/symcast/learner.py", "if len(outcomes) < MEMO_ENTRIES:", "if True:",
            "the store of kept outcomes is capped", "killed", (KEPT,)),
     # The walk's one loop through the kept outcomes.
     Mutant("src/symcast/learner.py", "outcomes.get((mean if mean else mean.hex(),",
@@ -345,10 +349,40 @@ MUTANTS = [
     Mutant(LEARNER, "(1 / config.population_size)  # grid[0]", "(2 / config.population_size)  # grid[0]",
            "the divisive rule falls back where the product with the first grid point is zero",
            "killed", (STEP_ORACLE,)),
-    Mutant(LEARNER, "(raw, signed_diff, winners, self.deviant_mean, fallback))",
-           "(raw, signed_diff, winners, self.deviant_mean))",
+    Mutant(LEARNER, "(raw, signed_diff, winners, new_mean, fallback))",
+           "(raw, signed_diff, winners, new_mean))",
            "tuple.__new__ checks no arity, so the outcome must be given every field", "killed",
            ("tests/test_learner.py::TestLearnStep",)),
+    # The k = 1 step's three candidates as scalars, before any window is built.
+    Mutant(LEARNER, "        if reach == 1:  #", "        if False:  #",
+           "a k = 1 step whose bottom is a strict minimum builds no window", "killed", (NO_WINDOW,)),
+    Mutant(LEARNER, "if below > size < above:", "if below >= size < above:",
+           "a left neighbour that ties the middle may rank before it", "killed", (SINGLE_WINNER,)),
+    Mutant(LEARNER, "if below > size < above:", "if below > size <= above:",
+           "a right neighbour that ties the middle may rank before it", "killed", (SINGLE_WINNER,)),
+    Mutant(LEARNER, "(bottom / population_size) if bottom > 0 else point",
+           "(bottom / population_size) if bottom > -1 else point",
+           "index -1 has no grid point: its zero would divide by zero", "killed", (GRID_EDGE,)),
+    Mutant(LEARNER, "(bottom / population_size) if bottom > 0 else point",
+           "(bottom / population_size) if bottom > 1 else point",
+           "at a middle of index 1 the middle's own point stands in for index 0's, so the left "
+           "neighbour ties the middle and the step goes to _window, which finds the same winner",
+           "equivalent", ()),
+    Mutant(LEARNER, "observed) if bottom > 0 else math.inf", "observed) if bottom > 1 else math.inf",
+           "index 0 is on the grid, left of a middle at 1", "killed", (GRID_EDGE,)),
+    Mutant(LEARNER, "observed) if bottom > 0 else math.inf", "observed) if bottom > -1 else math.inf",
+           "at a middle of index 0 the left neighbour, made from the middle's own point, ties "
+           "it, so the step goes to _window, which finds the same winner", "equivalent", ()),
+    Mutant(LEARNER, "if bottom + 1 < population_size else math.inf",
+           "if bottom + 2 < population_size else math.inf",
+           "index P - 1 is on the grid, right of a middle at P - 2", "killed", (GRID_EDGE,)),
+    Mutant(LEARNER, "if bottom + 1 < population_size else math.inf",
+           "if bottom < population_size else math.inf",
+           "index P is off the grid: right of the far end it would send the step to _window",
+           "killed", (NO_WINDOW,)),
+    Mutant(LEARNER, "            elif weakening:\n                left, middle, right = mean - lower",
+           "            elif not weakening:\n                left, middle, right = mean - lower",
+           "a weakening additive candidate subtracts its grid point", "killed", (SINGLE_WINNER,)),
     # A record rebuilt from a whole view of more than one dimension; lines split only at a \r.
     Mutant(ENCODER, "if memoryview(value.obj) != value:", "if False:",
            "a view of part of a matrix is refused, or a copy would hold the whole", "killed",

@@ -430,35 +430,48 @@ def step_cases(draw):
     return config, mean, previous, expected
 
 
+def seeded_case(rng, population, most_winners):
+    """A seeded (config, mean, previous, expected) case at population, k drawn up to most_winners."""
+    config = LearnerConfig(
+        population_size=population,
+        max_deviant_adjust=rng.choice(
+            [2.0, 0.001, 50.0, 1e300, 1e-300, 5e-324, rng.uniform(0.01, 100.0)]
+        ),
+        rule_mode=rng.choice(RULE_MODES),
+        k_winners=rng.randint(1, most_winners),
+    )
+    draw = rng.random()
+    if draw < 0.2:
+        mean = rng.choice(PLATEAU_MEANS)
+    elif draw < 0.3:
+        mean = rng.choice([-1, 1]) * 5e-324 * rng.randint(1, 1000)  # subnormal
+    elif draw < 0.5:
+        mean = rng.choice([-1, 1]) * 10 ** rng.uniform(-300, 308)
+    elif draw < 0.6:
+        mean = rng.choice([-1, 1]) * 1e17 * rng.random()
+    elif draw < 0.7:
+        mean = rng.randint(-40, 40) / 8
+    else:
+        mean = rng.uniform(-20.0, 20.0)
+    return config, mean, rng.randint(1, 10), rng.randint(1, 10)
+
+
 def seeded_step_cases():
     """20,000 seeded (config, mean, previous, expected) cases, k up to 64."""
     rng = random.Random(2024)
     for trial in range(20_000):
         # one case in a hundred at P = 100,000 keeps the oracle's cost down
         population = 100_000 if trial % 100 == 0 else rng.choice(ORACLE_POPULATIONS[:-1])
-        config = LearnerConfig(
-            population_size=population,
-            max_deviant_adjust=rng.choice(
-                [2.0, 0.001, 50.0, 1e300, 1e-300, 5e-324, rng.uniform(0.01, 100.0)]
-            ),
-            rule_mode=rng.choice(RULE_MODES),
-            # 8 and more winners reach the unrolled blocks of numpy's summation
-            k_winners=rng.randint(1, min(64, population)),
-        )
-        draw = rng.random()
-        if draw < 0.2:
-            mean = rng.choice(PLATEAU_MEANS)
-        elif draw < 0.3:
-            mean = rng.choice([-1, 1]) * 5e-324 * rng.randint(1, 1000)  # subnormal
-        elif draw < 0.5:
-            mean = rng.choice([-1, 1]) * 10 ** rng.uniform(-300, 308)
-        elif draw < 0.6:
-            mean = rng.choice([-1, 1]) * 1e17 * rng.random()
-        elif draw < 0.7:
-            mean = rng.randint(-40, 40) / 8
-        else:
-            mean = rng.uniform(-20.0, 20.0)
-        yield config, mean, rng.randint(1, 10), rng.randint(1, 10)
+        # 8 and more winners reach the unrolled blocks of numpy's summation
+        yield seeded_case(rng, population, min(64, population))
+
+
+def seeded_single_winner_cases():
+    """2,000 seeded k = 1 cases at P = 7 and 2,000 at P = 1,000, then 50 at P = 100,000."""
+    rng = random.Random(2025)
+    for population, count in ((7, 2_000), (1_000, 2_000), (100_000, 50)):
+        for _ in range(count):
+            yield seeded_case(rng, population, 1)
 
 
 class TestLearnStepAgainstTheOracle:
@@ -471,6 +484,17 @@ class TestLearnStepAgainstTheOracle:
     def test_twenty_thousand_seeded_cases(self):
         for case in seeded_step_cases():
             assert_step_matches_oracle(*case)
+
+    def test_seeded_single_winner_cases(self):
+        # k = 1 checks its three candidates as scalars and builds _window's lists only
+        # where the middle is no strict minimum: both ways are taken here
+        fell_through = 0
+        with mock.patch.object(learner_module, "_window", wraps=learner_module._window) as window:
+            for case in seeded_single_winner_cases():
+                calls = window.call_count
+                assert_step_matches_oracle(*case)
+                fell_through += window.call_count > calls
+        assert 0 < fell_through < 4_050
 
 
 # (rule, max_deviant_adjust, mean, previous, expected, where the bottom lies) for any P:
@@ -511,6 +535,18 @@ class TestGridEdgeWindows:
         bottom = oracle_bottom(config, mean, previous, expected)
         assert bottom == (0 if end == "first" else population - 1)
         assert_step_matches_oracle(config, mean, previous, expected)
+
+    @pytest.mark.parametrize("rule, maximum, mean, previous, expected, end", GRID_EDGE_STEPS)
+    @pytest.mark.parametrize("population", [3, 1000])
+    def test_a_start_next_to_the_bottom_at_an_end_matches_the_oracle(
+        self, rule, maximum, mean, previous, expected, end, population
+    ):
+        # k = 1: the end is the middle's neighbour, on the grid and below the middle
+        config = LearnerConfig(population_size=population, max_deviant_adjust=maximum,
+                               rule_mode=rule)
+        start = 1 if end == "first" else population - 2
+        with mock.patch.object(Learner, "_crossing_index", lambda self, *args: start):
+            assert_step_matches_oracle(config, mean, previous, expected)
 
     @pytest.mark.parametrize("k_winners", [1, 2, 64])
     def test_the_far_end_of_the_benchmark_grid_matches_the_oracle(self, k_winners):
@@ -912,6 +948,20 @@ class TestBenchmarkStreams:
             for previous, expected in zip(classes, classes[1:]):
                 learner.learn_step(previous, expected)
         assert ranked.call_count == 0
+
+    @pytest.mark.parametrize(
+        "name,steps,config,computed",
+        [("learn-pop100k", 200, NUMERIC, 54), ("predict-full", MARKOV_STEPS, LearnerConfig(), 92)],
+    )
+    def test_a_single_winner_step_builds_no_window(self, name, steps, config, computed):
+        # every mismatch on these streams has its bottom as a strict minimum of three scalars
+        classes = stream_classes(name, steps)
+        learner = Learner(config)
+        with mock.patch.object(learner_module, "_window", wraps=learner_module._window) as window:
+            for previous, expected in zip(classes, classes[1:]):
+                learner.learn_step(previous, expected)
+        assert len(learner._outcomes) == computed
+        assert window.call_count == 0
 
     def test_plateaus_go_to_ranked(self):
         with mock.patch.object(learner_module, "_ranked", wraps=learner_module._ranked) as ranked:
